@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,9 +53,13 @@ def solve_milp(
     if root.status in ("infeasible", "unbounded", "iteration_limit"):
         return SolveResult(status=root.status, iterations=root.iterations)
 
+    # a node is (bound, creation order, lower, upper, its LP result if solved):
+    # the root's LP is reused as node 1.  Nodes share bound arrays, which are
+    # never written to, and solve_lp never writes to the rest of ``relaxed``.
     counter = itertools.count()
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (root.objective, next(counter), relaxed.lower.copy(), relaxed.upper.copy()))
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, SolveResult | None]] = [
+        (root.objective, next(counter), relaxed.lower, relaxed.upper, root)
+    ]
 
     incumbent: SolveResult | None = None
     nodes = 0
@@ -65,17 +70,16 @@ def solve_milp(
         return incumbent.objective - bound <= mip_gap * max(1.0, abs(incumbent.objective)) + 1e-9
 
     while heap:
-        bound, _, lo, hi = heapq.heappop(heap)
+        bound, _, lo, hi, res = heapq.heappop(heap)
         if incumbent is not None and gap_closed(bound):
             break
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitError(f"exceeded {node_limit} branch-and-bound nodes")
 
-        sub = relaxed.copy()
-        sub.lower, sub.upper = lo, hi
-        res = solve_lp_fn(sub)
-        lp_iterations += res.iterations
+        if res is None:
+            res = solve_lp_fn(replace(relaxed, lower=lo, upper=hi))
+            lp_iterations += res.iterations
         if res.status != "optimal":
             continue  # infeasible branch (unbounded cannot appear below a bounded root)
         if incumbent is not None and incumbent.objective - res.objective <= 1e-9:
@@ -96,9 +100,9 @@ def solve_milp(
         up_lo = lo.copy()
         up_lo[branch_col] = math.ceil(value)
         if down_hi[branch_col] >= lo[branch_col]:
-            heapq.heappush(heap, (res.objective, next(counter), lo.copy(), down_hi))
+            heapq.heappush(heap, (res.objective, next(counter), lo, down_hi, None))
         if up_lo[branch_col] <= hi[branch_col]:
-            heapq.heappush(heap, (res.objective, next(counter), up_lo, hi.copy()))
+            heapq.heappush(heap, (res.objective, next(counter), up_lo, hi, None))
 
     if incumbent is None:
         return SolveResult(status="infeasible", iterations=lp_iterations, nodes_explored=nodes)

@@ -47,10 +47,13 @@ class StandardFormProblem:
         return len(self.senses)
 
     def dense_rows(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_cols))
-        for i, j, v in self.triplets:
-            a[i, j] += v
-        return a
+        m, n = self.n_rows, self.n_cols
+        if not self.triplets:
+            return np.zeros((m, n))
+        ijv = np.array(self.triplets, dtype=float)
+        # bincount sums repeated (i, j) entries in triplet order
+        flat = ijv[:, 0].astype(np.intp) * n + ijv[:, 1].astype(np.intp)
+        return np.bincount(flat, weights=ijv[:, 2], minlength=m * n).reshape(m, n)
 
     def integer_columns(self) -> list[int]:
         return [j for j, kind in enumerate(self.integrality) if kind != "continuous"]

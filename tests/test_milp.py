@@ -116,3 +116,22 @@ class TestBranchAndBound:
             assert a.objective == b.objective
             assert a.nodes_explored == b.nodes_explored
             np.testing.assert_array_equal(a.primal, b.primal)
+
+    def test_each_node_solves_one_lp_and_the_root_is_node_one(self, rng):
+        branched = 0
+        for _ in range(25):
+            prob = random_milp(rng, pure_binary=bool(rng.integers(0, 2)))
+            lp_iterations = []
+
+            def counting_solve_lp(p):
+                res = solve_lp(p)
+                lp_iterations.append(res.iterations)
+                return res
+
+            res = solve_milp(prob, solve_lp_fn=counting_solve_lp)
+            if res.nodes_explored == 0:  # the root relaxation was infeasible
+                continue
+            branched += res.nodes_explored > 1
+            assert len(lp_iterations) == res.nodes_explored
+            assert res.iterations == sum(lp_iterations)
+        assert branched >= 5
