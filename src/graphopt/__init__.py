@@ -38,7 +38,7 @@ from .serialize import (
 )
 from .simplex import SolveResult
 from .solvers import SimplexSolver, SolverCapability, default_solver, relax, solve_lp, solve_milp
-from .standard_form import StandardFormProblem, check_solution, flatten, lp_relaxation
+from .standard_form import Basis, StandardFormProblem, check_solution, flatten, lp_relaxation
 from .subproblem import CutData, StageProblem
 from .transform import (
     CondensedTopology,

@@ -3,8 +3,10 @@
 Nodes are LP relaxations with tightened bounds, explored in order of their
 relaxation value (ties broken by creation order, so runs are repeatable).
 Branching picks the integer column whose value sits farthest from an
-integer; ties go to the lowest column index.  With the default zero gap
-the returned incumbent is exactly optimal.
+integer; ties go to the lowest column index.  Each child starts its LP
+from its parent's final basis, which stays dual feasible when one bound
+tightens, so a few dual simplex pivots re-solve it.  With the default zero
+gap the returned incumbent is exactly optimal.
 """
 
 from __future__ import annotations
@@ -18,18 +20,15 @@ import numpy as np
 
 from .errors import NodeLimitError
 from .simplex import SolveResult, solve_lp
-from .standard_form import StandardFormProblem, lp_relaxation
+from .standard_form import Basis, StandardFormProblem, lp_relaxation
 
 INT_TOL = 1e-6
 
 
-def _fractional_column(x: np.ndarray, int_cols: list[int]) -> int | None:
-    worst_j, worst_frac = None, INT_TOL
-    for j in int_cols:
-        frac = abs(x[j] - round(x[j]))
-        if frac > worst_frac:
-            worst_j, worst_frac = j, frac
-    return worst_j
+def _fractional_column(x: np.ndarray, int_cols: np.ndarray) -> int | None:
+    frac = np.abs(x[int_cols] - np.round(x[int_cols]))
+    k = int(frac.argmax())  # the first of equals: the lowest column index
+    return int(int_cols[k]) if frac[k] > INT_TOL else None
 
 
 def solve_milp(
@@ -44,21 +43,23 @@ def solve_milp(
     Raises :class:`NodeLimitError` if the node budget runs out first.
     Pure-LP input is passed straight to the LP solver.
     """
-    int_cols = problem.integer_columns()
+    int_cols = np.array(problem.integer_columns(), dtype=np.intp)
     relaxed = lp_relaxation(problem)
-    if not int_cols:
+    if not int_cols.size:
         return solve_lp_fn(relaxed)
 
+    relaxed.keep_dense_rows()  # every node shares the matrix
     root = solve_lp_fn(relaxed)
     if root.status in ("infeasible", "unbounded", "iteration_limit"):
         return SolveResult(status=root.status, iterations=root.iterations)
 
-    # a node is (bound, creation order, lower, upper, its LP result if solved):
-    # the root's LP is reused as node 1.  Nodes share bound arrays, which are
-    # never written to, and solve_lp never writes to the rest of ``relaxed``.
+    # a node is (bound, creation order, lower, upper, its parent's basis, its
+    # LP result if solved): the root's LP is reused as node 1.  Nodes share
+    # bound arrays, which are never written to, and solve_lp never writes to
+    # the rest of ``relaxed``.
     counter = itertools.count()
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, SolveResult | None]] = [
-        (root.objective, next(counter), relaxed.lower, relaxed.upper, root)
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, Basis | None, SolveResult | None]] = [
+        (root.objective, next(counter), relaxed.lower, relaxed.upper, None, root)
     ]
 
     incumbent: SolveResult | None = None
@@ -70,7 +71,7 @@ def solve_milp(
         return incumbent.objective - bound <= mip_gap * max(1.0, abs(incumbent.objective)) + 1e-9
 
     while heap:
-        bound, _, lo, hi, res = heapq.heappop(heap)
+        bound, _, lo, hi, basis, res = heapq.heappop(heap)
         if incumbent is not None and gap_closed(bound):
             break
         nodes += 1
@@ -78,7 +79,7 @@ def solve_milp(
             raise NodeLimitError(f"exceeded {node_limit} branch-and-bound nodes")
 
         if res is None:
-            res = solve_lp_fn(replace(relaxed, lower=lo, upper=hi))
+            res = solve_lp_fn(replace(relaxed, lower=lo, upper=hi, basis=basis))
             lp_iterations += res.iterations
         if res.status != "optimal":
             continue  # infeasible branch (unbounded cannot appear below a bounded root)
@@ -87,8 +88,7 @@ def solve_milp(
         branch_col = _fractional_column(res.primal, int_cols)
         if branch_col is None:
             x = res.primal.copy()
-            for j in int_cols:
-                x[j] = min(max(round(x[j]), lo[j]), hi[j])
+            x[int_cols] = np.clip(np.round(x[int_cols]), lo[int_cols], hi[int_cols])
             objective = float(problem.objective @ x) + problem.objective_constant
             incumbent = SolveResult(
                 status="optimal", objective=objective, primal=x, iterations=res.iterations
@@ -100,9 +100,9 @@ def solve_milp(
         up_lo = lo.copy()
         up_lo[branch_col] = math.ceil(value)
         if down_hi[branch_col] >= lo[branch_col]:
-            heapq.heappush(heap, (res.objective, next(counter), lo, down_hi, None))
+            heapq.heappush(heap, (res.objective, next(counter), lo, down_hi, res.basis, None))
         if up_lo[branch_col] <= hi[branch_col]:
-            heapq.heappush(heap, (res.objective, next(counter), up_lo, hi, None))
+            heapq.heappush(heap, (res.objective, next(counter), up_lo, hi, res.basis, None))
 
     if incumbent is None:
         return SolveResult(status="infeasible", iterations=lp_iterations, nodes_explored=nodes)

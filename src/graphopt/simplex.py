@@ -1,4 +1,4 @@
-"""Dense two-phase bounded-variable simplex with dual values.
+"""Dense bounded-variable simplex, primal and dual, with dual values.
 
 The solver works on a :class:`~graphopt.standard_form.StandardFormProblem`.
 Every column is moved to a lower bound of zero: shifted by a finite lower
@@ -19,6 +19,19 @@ artificials, Phase II the true objective.  Dantzig pricing is used until the
 iteration count stalls on degenerate pivots, after which Bland's rule takes
 over so the method cannot cycle.
 
+Warm starts.  A problem may carry a :class:`~graphopt.standard_form.Basis`
+hint, such as its parent's final basis in branch-and-bound.  The tableau is
+then built for that basis directly: every row has one logical column (its
+slack, or a zero-width column for an equality row), fixed columns stay in
+the tableau with zero width, so that a basic column a child fixes is simply
+driven out, and the hint's basic columns are pivoted into the all-slack
+tableau by Gauss-Jordan elimination.
+Nonbasic boxed columns go to the bound their reduced cost favours.  If that
+leaves the basis dual feasible, a bounded dual simplex (Koberstein, *The dual
+simplex method*, 2005) restores primal feasibility; if the hint is primal
+feasible instead, primal Phase II finishes.  A hint of the wrong size, a
+singular one, or one that is neither falls back to the cold two-phase start.
+
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
 minimization with "le" rows this makes duals nonpositive.  Reduced costs
@@ -34,12 +47,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalBreakdownError
-from .standard_form import StandardFormProblem
+from .standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis, StandardFormProblem
 
 _RC_TOL = 1e-9          # entering threshold on reduced costs
 _PIVOT_TOL = 1e-11      # smallest usable pivot element, relative to its column
 _PIVOT_GOOD = 1e-9      # pivots below this count toward numerical breakdown
 _FEAS_TOL = 1e-7        # Phase I residual treated as infeasible above this
+_PRIMAL_TOL = 1e-9      # a basic column this far outside its bounds must leave (dual simplex)
 _DEGEN_STALL = 60       # degenerate pivots before Bland's rule engages
 _BREAKDOWN_STALL = 50   # consecutive tiny pivots before giving up
 
@@ -50,7 +64,10 @@ class SolveResult:
 
     ``duals`` and ``reduced_costs`` follow the sensitivity convention of the
     module docstring and are ``None`` for MILP solves.  ``iterations`` counts
-    simplex pivots plus bound flips (summed over the nodes of a MILP).
+    primal and dual simplex pivots plus bound flips (summed over the nodes of
+    a MILP).  ``basis`` is the final basis of an optimal LP solve, in the
+    problem's own columns and rows; handed back as ``problem.basis`` to a
+    problem of the same shape, it starts the simplex there.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -61,6 +78,7 @@ class SolveResult:
     iterations: int = 0
     nodes_explored: int = 0
     mip_gap: float = 0.0
+    basis: Optional[Basis] = None
 
     @property
     def is_optimal(self) -> bool:
@@ -78,6 +96,26 @@ class _Tableau:
     tiny_pivots: int = 0
     degenerate: int = 0
     bland: bool = False
+
+
+@dataclass
+class _Layout:
+    """How the problem's columns and rows sit in the tableau.
+
+    A kept column ``j`` is ``x_j = offset_j + sign_j * t`` for its tableau
+    column ``t``; the kept columns come first, in order, then the negative
+    parts of the free ones (which are kept too, as their positive parts).
+    """
+
+    offset: np.ndarray
+    sign: np.ndarray
+    kept: np.ndarray
+    free: np.ndarray
+    cost: np.ndarray          # objective over the tableau columns, uncomplemented
+    row_sign: np.ndarray      # sign each given row was multiplied by
+    init_col: np.ndarray      # per row, the unit column it started with: it reads B^-1
+    logical_rows: np.ndarray  # slack and artificial columns, and the row each belongs to
+    logical_cols: np.ndarray
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
@@ -117,19 +155,21 @@ def _complement_basic(t: _Tableau, row: int) -> None:
     t.flipped[j] = not t.flipped[j]
 
 
-def _run_phase(t: _Tableau, n_price: int, max_iterations: int) -> str:
+def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
+               frozen: Optional[np.ndarray] = None) -> str:
     """Drive the tableau to optimality over the reduced-cost row.
 
-    Only the first ``n_price`` columns may enter.  Returns "optimal",
-    "unbounded", or "iteration_limit".
+    Only the first ``n_price`` columns may enter, and of those none that
+    ``frozen`` marks.  Returns "optimal", "unbounded", or "iteration_limit".
     """
     m = t.basis.size
-    rc = t.rows[m, :n_price]
+    reduced = t.rows[m, :n_price]
     rhs = t.rows[:m, -1]
     no_ratio = np.full(m, np.inf)
     while True:
         if t.iterations > max_iterations:
             return "iteration_limit"
+        rc = reduced if frozen is None else np.where(frozen, 0.0, reduced)
         if t.bland:
             candidates = (rc < -_RC_TOL).nonzero()[0]
             if candidates.size == 0:
@@ -158,44 +198,142 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int) -> str:
         # smallest basic-variable index among ties keeps the walk deterministic
         # and is the Bland-compatible choice
         leaving = int(ties[0]) if ties.size == 1 else int(ties[np.argmin(t.basis[ties])])
-        if best < 1e-12:
-            t.degenerate += 1
-            if t.degenerate > _DEGEN_STALL:
-                t.bland = True
-        else:
-            t.degenerate = 0
+        _count_degenerate(t, best)
         if col[leaving] < 0.0:
             _complement_basic(t, leaving)
         _pivot(t, leaving, entering)
 
 
-def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = None) -> SolveResult:
-    """Solve the LP relaxation of ``problem`` (integrality is ignored)."""
-    lo, hi = problem.lower, problem.upper
-    if np.any(lo > hi + 1e-12):
-        return SolveResult(status="infeasible", iterations=0)
-    m = problem.n_rows
-    a_given = problem.dense_rows()
-    c_given = np.asarray(problem.objective, dtype=float)
+def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int) -> str:
+    """Bounded dual simplex from a tableau whose reduced costs are nonnegative.
 
-    # --- column transforms to reach 0 <= t <= width ------------------------
+    The basic column farthest outside its bounds leaves (the lowest-indexed
+    one under Bland's rule); one above its upper bound is complemented first,
+    so that it leaves at that bound.  Only ``can_enter`` columns may enter.
+    Returns "optimal", "infeasible", or "iteration_limit".
+    """
+    m = t.basis.size
+    rhs = t.rows[:m, -1]
+    rc = t.rows[m, :-1]
+    while True:
+        if t.iterations > max_iterations:
+            return "iteration_limit"
+        excess = np.maximum(-rhs, rhs - t.row_upper)
+        if t.bland:
+            outside = (excess > _PRIMAL_TOL).nonzero()[0]
+            if outside.size == 0:
+                return "optimal"
+            leaving = int(outside[np.argmin(t.basis[outside])])
+        else:
+            leaving = int(excess.argmax())
+            if excess[leaving] <= _PRIMAL_TOL:
+                return "optimal"
+        if rhs[leaving] > 0.0:
+            _complement_basic(t, leaving)
+        row = t.rows[leaving, :-1]
+        tol = _PIVOT_TOL * np.maximum.reduce(np.abs(row), initial=1.0)
+        candidates = ((row < -tol) & can_enter).nonzero()[0]
+        if candidates.size == 0:
+            return "infeasible"  # nothing can lift the leaving column to its bound
+        # a reduced cost a hair below zero is rounding noise, not a negative step
+        ratios = np.maximum(rc[candidates], 0.0) / -row[candidates]
+        best = ratios.min()
+        ties = candidates[ratios <= best + 1e-12]
+        if t.bland or ties.size == 1:
+            entering = int(ties[0])
+        else:  # the largest pivot among equals
+            entering = int(ties[np.argmin(row[ties])])
+        _count_degenerate(t, best)
+        _pivot(t, leaving, entering)
+
+
+def _count_degenerate(t: _Tableau, step: float) -> None:
+    """Switch to Bland's rule after a run of zero-length steps."""
+    if step < 1e-12:
+        t.degenerate += 1
+        if t.degenerate > _DEGEN_STALL:
+            t.bland = True
+    else:
+        t.degenerate = 0
+
+
+def _column_transform(lo: np.ndarray, hi: np.ndarray, keep_fixed: bool):
+    """Offsets, signs and widths that take every column to ``0 <= t <= width``.
+
+    Returns ``(offset, sign, width, kept, free)``; fixed columns are kept only
+    when ``keep_fixed`` is set.
+    """
     has_lo = np.isfinite(lo)
     has_hi = np.isfinite(hi)
     width = np.full(lo.size, np.inf)
-    width[has_lo] = hi[has_lo] - lo[has_lo]
+    width[has_lo] = np.maximum(hi[has_lo] - lo[has_lo], 0.0)
     offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
     sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
-    kept = np.flatnonzero(width > 0.0)  # fixed columns stay at their offset
+    kept = np.arange(lo.size) if keep_fixed else np.flatnonzero(width > 0.0)
     free = np.flatnonzero(~(has_lo | has_hi))  # split: the negative part comes last
+    return offset, sign, width, kept, free
+
+
+def _crash(rows: np.ndarray, cols: np.ndarray, open_rows: np.ndarray) -> Optional[np.ndarray]:
+    """Pivot each of ``cols`` into the tableau, each on its own row where ``open_rows`` is 1.
+
+    This is Gauss-Jordan elimination with partial pivoting; it returns the
+    row each column went to, or ``None`` when the columns are singular.  The
+    tableaux are small; this keeps ``np.linalg`` and matrix-matrix products,
+    whose first calls fault in library pages, off the warm-start path.
+    """
+    m = open_rows.size
+    small = _PIVOT_GOOD * np.maximum.reduce(np.abs(rows[:m, cols]), axis=None, initial=1.0)
+    placed = np.empty(cols.size, dtype=int)
+    for q, j in enumerate(cols):
+        reach = np.abs(rows[:m, j]) * open_rows
+        p = int(reach.argmax())
+        if reach[p] < small:
+            return None
+        piv = rows[p, j]
+        open_rows[p] = 0.0
+        pivot_row = rows[p] / piv
+        rows -= np.multiply.outer(rows[:, j], pivot_row)
+        rows[p] = pivot_row
+        placed[q] = p
+    return placed
+
+
+def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = None) -> SolveResult:
+    """Solve the LP relaxation of ``problem`` (integrality is ignored).
+
+    When ``problem.basis`` is set the solve starts from that basis if it can
+    (see the module docstring).  ``max_iterations=-1`` returns
+    ``iteration_limit`` right after the tableau is built.
+    """
+    lo, hi = problem.lower, problem.upper
+    if np.any(lo > hi + 1e-12):
+        return SolveResult(status="infeasible", iterations=0)
+    a = problem.dense_rows()
+    senses = np.array(problem.senses, dtype=str)
+    eq = senses == "eq"
+    given_sign = np.where(senses == "ge", -1.0, 1.0)
+    if problem.basis is not None:
+        try:
+            warm = _solve_warm(problem, a, eq, given_sign, max_iterations)
+        except NumericalBreakdownError:
+            warm = None  # the hinted basis is unreliable: start over cold
+        if warm is not None:
+            return warm
+    return _solve_cold(problem, a, eq, given_sign, max_iterations)
+
+
+def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
+                given_sign: np.ndarray, max_iterations: Optional[int]) -> SolveResult:
+    """Two-phase solve from the slack-and-artificial basis."""
+    m = problem.n_rows
+    offset, sign, width, kept, free = _column_transform(problem.lower, problem.upper, False)
     cols = np.concatenate([kept, free])
     col_sign = np.concatenate([sign[kept], -np.ones(free.size)])
     n_struct = cols.size
 
     # --- rows: "ge" becomes "le", then each row is signed so its rhs is >= 0
-    senses = np.array(problem.senses, dtype=str)
-    eq = senses == "eq"
-    given_sign = np.where(senses == "ge", -1.0, 1.0)
-    b_le = given_sign * (problem.rhs - a_given @ offset)
+    b_le = given_sign * (problem.rhs - a @ offset)
     row_sign = np.where(b_le < 0.0, -1.0, 1.0)
     sign_of_row = given_sign * row_sign
     slack_rows = np.flatnonzero(~eq)
@@ -206,16 +344,21 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     art_cols = np.arange(n_free, n_total)
 
     rows = np.zeros((m + 1, n_total + 1))
-    rows[:m, :n_struct] = a_given[:, cols] * col_sign * sign_of_row[:, None]
+    rows[:m, :n_struct] = a[:, cols] * col_sign * sign_of_row[:, None]
     rows[slack_rows, slack_cols] = row_sign[slack_rows]
     rows[art_rows, art_cols] = 1.0
     rows[:m, -1] = row_sign * b_le
     basis = np.zeros(m, dtype=int)
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols
-    init_col = basis.copy()  # identity column each row started with
     # per tableau column; the rhs column never flips
     upper = np.concatenate([width[kept], np.full(n_total + 1 - kept.size, np.inf)])
+    c_int = np.zeros(n_total + 1)
+    c_int[:n_struct] = np.asarray(problem.objective, dtype=float)[cols] * col_sign
+    layout = _Layout(offset=offset, sign=sign, kept=kept, free=free, cost=c_int,
+                     row_sign=sign_of_row, init_col=basis.copy(),
+                     logical_rows=np.concatenate([slack_rows, art_rows]),
+                     logical_cols=np.concatenate([slack_cols, art_cols]))
 
     t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=np.full(m, np.inf),
                  flipped=np.zeros(n_total + 1, dtype=bool))
@@ -242,8 +385,6 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
             # an all-zero row is redundant; its artificial stays basic at 0
 
     # --- Phase II: the true objective over the complemented columns ---------
-    c_int = np.zeros(n_total + 1)
-    c_int[:n_struct] = c_given[cols] * col_sign
     cost = np.where(t.flipped, -c_int, c_int)
     rows[m] = cost - cost[t.basis] @ rows[:m]
     t.bland = False
@@ -252,27 +393,126 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     status = _run_phase(t, n_free, max_iterations) if n_free else "optimal"
     if status != "optimal":
         return SolveResult(status=status, iterations=t.iterations)
+    return _optimal(problem, a, layout, t)
 
-    # --- recover primal, duals, reduced costs -------------------------------
-    x_int = np.zeros(n_total + 1)
+
+def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
+                given_sign: np.ndarray, max_iterations: Optional[int]) -> Optional[SolveResult]:
+    """Re-optimize from ``problem.basis``; ``None`` when that basis cannot be used."""
+    hint = problem.basis
+    m, n = problem.n_rows, problem.n_cols
+    if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
+        return None
+    basic_cols = np.flatnonzero(hint.columns == BASIC)
+    basic_rows = np.flatnonzero(hint.rows == BASIC)
+    if basic_cols.size + basic_rows.size != m:
+        return None
+
+    offset, sign, width, kept, free = _column_transform(problem.lower, problem.upper, True)
+    n_struct = n + free.size  # kept is every column, so column j sits at j
+    n_total = n_struct + m
+    logical = np.arange(n_struct, n_total)  # row i's slack; zero width for an equality row
+
+    rows = np.zeros((m + 1, n_total + 1))
+    rows[:m, :n] = a * sign * given_sign[:, None]
+    rows[:m, n:n_struct] = -rows[:m, free]
+    rows[np.arange(m), logical] = 1.0
+    rows[:m, -1] = given_sign * (problem.rhs - a @ offset)
+    upper = np.concatenate([width, np.full(free.size, np.inf), np.where(eq, 0.0, np.inf), [np.inf]])
+    c_int = np.zeros(n_total + 1)
+    c_int[:n] = problem.objective * sign
+    c_int[n:n_struct] = -c_int[free]
+    flipped = np.zeros(n_total + 1, dtype=bool)
+    flipped[:n] = (hint.columns == AT_UPPER) & (width > 0.0) & (width < np.inf)
+    at_upper = np.flatnonzero(flipped)
+    if at_upper.size:
+        rows[:m, -1] -= rows[:m, at_upper] @ width[at_upper]
+        rows[:m, at_upper] *= -1.0
+    rows[m] = np.where(flipped, -c_int, c_int)
+
+    # B^-1 [A | I | b], and the reduced costs, by pivoting the basic columns
+    # into the all-slack tableau; rows whose slack stays basic take no pivot
+    open_rows = np.ones(m)
+    open_rows[basic_rows] = 0.0
+    placed = _crash(rows, basic_cols, open_rows)
+    if placed is None:
+        return None
+    basis = logical.copy()
+    basis[placed] = basic_cols
+    if free.size:
+        # a basic free column that reads negative hands its row to its negative part
+        swap = np.flatnonzero(np.isin(basis, free) & (rows[:m, -1] < 0.0))
+        neg = n + np.searchsorted(free, basis[swap])
+        rows[swap] *= -1.0
+        rows[:, neg] = 0.0
+        rows[swap, neg] = 1.0
+        basis[swap] = neg
+
+    t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=upper[basis], flipped=flipped)
+    if max_iterations is None:
+        max_iterations = max(5000, 50 * (m + n_total))
+    frozen = upper[:-1] == 0.0  # fixed columns and equality rows' slacks never enter
+    wrong_side = (rows[m, :-1] < -_RC_TOL) & ~frozen
+    if not (wrong_side & (upper[:-1] == np.inf)).any():
+        # every nonbasic column can rest where its reduced cost is nonnegative
+        move = np.flatnonzero(wrong_side)
+        if move.size:
+            rows[:, -1] -= rows[:, move] @ upper[move]
+            rows[:, move] *= -1.0
+            flipped[move] = ~flipped[move]
+        status = _run_dual(t, ~frozen, max_iterations)
+    elif (np.maximum(-rows[:m, -1], rows[:m, -1] - t.row_upper) <= _PRIMAL_TOL).all():
+        status = "optimal"  # primal feasible: Phase II below does the work
+    else:
+        return None
+    if status == "optimal":
+        # also repairs reduced costs that rounding left a hair below zero
+        t.bland = False
+        t.degenerate = 0
+        status = _run_phase(t, n_total, max_iterations, frozen)
+    if status != "optimal":
+        return SolveResult(status=status, iterations=t.iterations)
+    layout = _Layout(offset=offset, sign=sign, kept=kept, free=free, cost=c_int,
+                     row_sign=given_sign, init_col=logical, logical_rows=np.arange(m),
+                     logical_cols=logical)
+    return _optimal(problem, a, layout, t)
+
+
+def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tableau) -> SolveResult:
+    """Primal, duals, reduced costs and basis of an optimal tableau."""
+    m = t.basis.size
+    rows = t.rows
+    x_int = np.zeros(rows.shape[1])
     x_int[t.basis] = rows[:m, -1]
-    x_int[t.flipped] = upper[t.flipped] - x_int[t.flipped]
-    x = offset.copy()
-    x[kept] += sign[kept] * x_int[:kept.size]
-    x[free] -= x_int[kept.size:n_struct]
+    x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
+    nk, nf = lay.kept.size, lay.free.size
+    x = lay.offset.copy()
+    x[lay.kept] += lay.sign[lay.kept] * x_int[:nk]
+    x[lay.free] -= x_int[nk:nk + nf]
 
     # y = c_B B^-1, priced afresh under the final complementing; slacks and
     # artificials cost nothing
-    cost = np.where(t.flipped, -c_int, c_int)
-    y = (cost[t.basis] @ rows[:m, init_col]) * sign_of_row
-    reduced = c_given - a_given.T @ y
+    c = np.asarray(problem.objective, dtype=float)
+    cost = np.where(t.flipped, -lay.cost, lay.cost)
+    y = (cost[t.basis] @ rows[:m, lay.init_col]) * lay.row_sign
+    reduced = c - a.T @ y
 
-    objective = float(c_given @ x) + problem.objective_constant
+    in_basis = np.zeros(rows.shape[1], dtype=bool)
+    in_basis[t.basis] = True
+    columns = np.full(problem.n_cols, AT_LOWER, dtype=np.int8)  # substituted fixed columns too
+    at_upper = t.flipped[:nk] | (lay.sign[lay.kept] < 0.0)
+    columns[lay.kept] = np.where(in_basis[:nk], BASIC, np.where(at_upper, AT_UPPER, AT_LOWER))
+    split_basic = in_basis[np.searchsorted(lay.kept, lay.free)] | in_basis[nk:nk + nf]
+    columns[lay.free] = np.where(split_basic, BASIC, FREE_ZERO)
+    row_status = np.full(m, NONBASIC, dtype=np.int8)
+    row_status[lay.logical_rows[in_basis[lay.logical_cols]]] = BASIC
+
     return SolveResult(
         status="optimal",
-        objective=objective,
+        objective=float(c @ x) + problem.objective_constant,
         primal=x,
         duals=y,
         reduced_costs=reduced,
         iterations=t.iterations,
+        basis=Basis(columns=columns, rows=row_status),
     )

@@ -19,7 +19,28 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import EmptyModelError
-from .model import Constraint, Graph, LinearExpression, VariableRef
+from .model import Constraint, Graph, VariableRef
+
+# Basis status codes, as Gurobi's VBasis / CBasis attributes use them
+BASIC = 0
+AT_LOWER = -1      # a nonbasic column at its lower bound; for a row: nonbasic, held tight
+AT_UPPER = -2
+FREE_ZERO = -3     # a nonbasic free column, resting at zero
+NONBASIC = AT_LOWER
+
+
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """A simplex basis, stated over the problem's own columns and rows.
+
+    ``columns[j]`` is :data:`BASIC`, :data:`AT_LOWER`, :data:`AT_UPPER` or
+    :data:`FREE_ZERO`; ``rows[i]`` is :data:`BASIC` when row ``i``'s slack is
+    basic and :data:`NONBASIC` when the row is held at its right-hand side.
+    Exactly ``len(rows)`` entries are basic.
+    """
+
+    columns: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass
@@ -35,6 +56,9 @@ class StandardFormProblem:
     upper: np.ndarray
     integrality: list[str]
     row_provenance: dict[int, str] = field(default_factory=dict)
+    basis: Optional[Basis] = None      # a starting basis for the simplex to try first
+    # (triplets, their count, read-only matrix) once keep_dense_rows() has run
+    _dense: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def n_cols(self) -> int:
@@ -48,12 +72,26 @@ class StandardFormProblem:
 
     def dense_rows(self) -> np.ndarray:
         m, n = self.n_rows, self.n_cols
+        kept = self._dense
+        if (kept is not None and kept[0] is self.triplets
+                and kept[1] == len(self.triplets) and kept[2].shape == (m, n)):
+            return kept[2]
         if not self.triplets:
             return np.zeros((m, n))
         ijv = np.array(self.triplets, dtype=float)
         # bincount sums repeated (i, j) entries in triplet order
         flat = ijv[:, 0].astype(np.intp) * n + ijv[:, 1].astype(np.intp)
         return np.bincount(flat, weights=ijv[:, 2], minlength=m * n).reshape(m, n)
+
+    def keep_dense_rows(self) -> None:
+        """Build the dense matrix once and share it with every ``replace()`` of this problem.
+
+        The kept matrix is read-only.  It is rebuilt when ``triplets`` is
+        replaced or grows, and ``copy()`` does not carry it over.
+        """
+        a = self.dense_rows()
+        a.flags.writeable = False
+        self._dense = (self.triplets, len(self.triplets), a)
 
     def integer_columns(self) -> list[int]:
         return [j for j, kind in enumerate(self.integrality) if kind != "continuous"]
@@ -71,6 +109,7 @@ class StandardFormProblem:
             upper=self.upper.copy(),
             integrality=list(self.integrality),
             row_provenance=dict(self.row_provenance),
+            _dense=None,
         )
 
     def values_by_ref(self, x: np.ndarray) -> dict[VariableRef, float]:
@@ -164,17 +203,3 @@ def check_solution(
         for con in edge.constraints:
             worst = max(worst, con.violation(values))
     return max(worst, 0.0)
-
-
-def objective_value(graph: Graph, values: Mapping[VariableRef, float]) -> float:
-    return graph.effective_objective().evaluate(values)
-
-
-def expression_over_columns(
-    problem: StandardFormProblem, expr: LinearExpression
-) -> tuple[np.ndarray, float]:
-    """Dense coefficient vector of an expression in the problem's columns."""
-    coefs = np.zeros(problem.n_cols)
-    for ref, coef in expr.terms.items():
-        coefs[problem.var_index[ref]] += coef
-    return coefs, expr.constant

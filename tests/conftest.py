@@ -153,6 +153,23 @@ def vertex_enumeration_lp(problem: StandardFormProblem, tol: float = 1e-7):
     return "optimal", float(objs[best]), points[feas][best]
 
 
+def assert_strong_duality(problem, res, tol=1e-9):
+    """Dual feasibility of the library's duals, and a dual value equal to the optimum."""
+    y, rc = res.duals, res.reduced_costs
+    senses = np.array(problem.senses)
+    assert (y[senses == "le"] <= tol).all() and (y[senses == "ge"] >= -tol).all()
+    at_lower, at_upper = rc > tol, rc < -tol
+    assert np.isfinite(problem.lower[at_lower]).all()
+    assert np.isfinite(problem.upper[at_upper]).all()
+    dual = (
+        y @ problem.rhs
+        + problem.objective_constant
+        + rc[at_lower] @ problem.lower[at_lower]
+        + rc[at_upper] @ problem.upper[at_upper]
+    )
+    assert dual == pytest.approx(res.objective, rel=1e-7, abs=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # binary-enumeration MILP oracle
 # ---------------------------------------------------------------------------

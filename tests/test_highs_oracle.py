@@ -14,7 +14,7 @@ from graphopt.branch_bound import solve_milp
 from graphopt.fixtures import mini_pcm_fixture, storage_fixture
 from graphopt.simplex import solve_lp
 
-from conftest import make_problem
+from conftest import assert_strong_duality, make_problem
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -79,23 +79,6 @@ def mixed_bound_lp(rng, m=60, n=80, kind="bounded"):
     return make_problem(c, a, list(senses), rhs, lo, hi)
 
 
-def assert_strong_duality(problem, res, tol=1e-9):
-    """Dual feasibility of the library's duals, and a dual value equal to the optimum."""
-    y, rc = res.duals, res.reduced_costs
-    senses = np.array(problem.senses)
-    assert (y[senses == "le"] <= tol).all() and (y[senses == "ge"] >= -tol).all()
-    at_lower, at_upper = rc > tol, rc < -tol
-    assert np.isfinite(problem.lower[at_lower]).all()
-    assert np.isfinite(problem.upper[at_upper]).all()
-    dual = (
-        y @ problem.rhs
-        + problem.objective_constant
-        + rc[at_lower] @ problem.lower[at_lower]
-        + rc[at_upper] @ problem.upper[at_upper]
-    )
-    assert dual == pytest.approx(res.objective, rel=1e-7, abs=1e-7)
-
-
 def test_mixed_bound_lps_match_highs():
     rng = np.random.default_rng(20250102)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
@@ -131,20 +114,67 @@ def test_storage_fixture_matches_highs():
     assert_strong_duality(problem, res)
 
 
-def test_mini_pcm_fixture_matches_highs_milp():
-    problem = flatten(mini_pcm_fixture())
-    integrality = np.array([kind != "continuous" for kind in problem.integrality], dtype=int)
+def seeded_milp(rng, n_int=25, n_cont=8, m=12, parity_row=False):
+    """Binaries, small general integers and bounded continuous columns under mixed rows.
+
+    With ``parity_row`` two binaries must sum to one half, so the relaxation
+    stays feasible while no integer point is.
+    """
+    n = n_int + n_cont
+    a = np.round(rng.uniform(-2.0, 5.0, (m, n)) * (rng.random((m, n)) < 0.4), 1)
+    senses = rng.choice(["le", "ge", "eq"], size=m, p=[0.6, 0.3, 0.1])
+    lo = np.concatenate([np.zeros(n_int), -rng.uniform(0.0, 2.0, n_cont)])
+    hi = np.concatenate([rng.choice([1.0, 3.0], n_int), rng.uniform(1.0, 4.0, n_cont)])
+    x0 = lo + (hi - lo) * rng.uniform(0.2, 0.8, n)
+    rhs = np.round(a @ x0 + np.select([senses == "le", senses == "ge"], [1.0, -1.0], 0.0)
+                   * rng.uniform(0.0, 2.0, m), 1)
+    integrality = ["binary" if h == 1.0 else "integer" for h in hi[:n_int]] + ["continuous"] * n_cont
+    if parity_row:
+        binaries = [j for j in range(n_int) if integrality[j] == "binary"][:2]
+        row = np.zeros(n)
+        row[binaries] = 2.0
+        a, senses, rhs = np.vstack([a, row]), np.append(senses, "eq"), np.append(rhs, 1.0)
+    c = np.round(rng.uniform(-5.0, 3.0, n), 2)
+    return make_problem(c, a, list(senses), rhs, lo, hi, integrality=integrality)
+
+
+def highs_milp(problem):
+    """(status, objective) of the MILP, solved by HiGHS."""
     senses = np.array(problem.senses)
-    ref = optimize.milp(
+    integrality = np.array([kind != "continuous" for kind in problem.integrality], dtype=int)
+    res = optimize.milp(
         problem.objective,
         constraints=optimize.LinearConstraint(
-            problem.dense_rows(), np.where(senses == "eq", problem.rhs, -np.inf), problem.rhs
+            problem.dense_rows(),
+            np.where(senses != "le", problem.rhs, -np.inf),
+            np.where(senses != "ge", problem.rhs, np.inf),
         ),
         bounds=optimize.Bounds(problem.lower, problem.upper),
         integrality=integrality,
         options={"mip_rel_gap": 1e-10},
     )
-    assert ref.status == 0
+    return _STATUS[res.status], (res.fun + problem.objective_constant if res.status == 0 else None)
+
+
+def test_seeded_milps_match_highs():
+    """Branch-and-bound, whose children re-solve from their parents' bases."""
+    rng = np.random.default_rng(20251018)
+    seen = {"optimal": 0, "infeasible": 0}
+    for k in range(10):
+        problem = seeded_milp(rng, parity_row=(k % 5 == 4))
+        status, objective = highs_milp(problem)
+        res = solve_milp(problem)
+        assert res.status == status
+        seen[status] += 1
+        if status == "optimal":
+            assert res.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+    assert seen["optimal"] >= 6 and seen["infeasible"] >= 2, seen
+
+
+def test_mini_pcm_fixture_matches_highs_milp():
+    problem = flatten(mini_pcm_fixture())
+    status, objective = highs_milp(problem)
+    assert status == "optimal"
     res = solve_milp(problem)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(ref.fun + problem.objective_constant, rel=1e-7)
+    assert res.objective == pytest.approx(objective, rel=1e-7)

@@ -1,5 +1,7 @@
 """Branch-and-bound: enumeration agreement, bounds, limits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,84 @@ class TestBranchAndBound:
             assert len(lp_iterations) == res.nodes_explored
             assert res.iterations == sum(lp_iterations)
         assert branched >= 5
+
+    def test_children_start_from_their_parents_basis(self, rng):
+        branched = 0
+        for _ in range(25):
+            prob = random_milp(rng, pure_binary=bool(rng.integers(0, 2)))
+            seen = []
+
+            def spy_solve_lp(p):
+                res = solve_lp(p)
+                seen.append((p, res))
+                return res
+
+            solve_milp(prob, solve_lp_fn=spy_solve_lp)
+            if len(seen) < 2:
+                continue
+            branched += 1
+            root_problem, root = seen[0]
+            assert root_problem.basis is None
+            bases = [id(r.basis) for _, r in seen]
+            matrix = root_problem.dense_rows()
+            for p, _ in seen[1:]:
+                assert p.basis is not None and id(p.basis) in bases  # some solved node's basis
+                assert p.dense_rows() is matrix  # built once for the whole tree
+        assert branched >= 5
+
+    def test_warm_and_cold_trees_agree_and_warm_pivots_less(self, rng):
+        def cold_solve_lp(p):
+            return solve_lp(replace(p, basis=None))
+
+        warm_pivots = cold_pivots = optimal = 0
+        for k in range(40):
+            prob = random_milp(rng, pure_binary=(k % 3 != 0))
+            warm = solve_milp(prob)
+            cold = solve_milp(prob, solve_lp_fn=cold_solve_lp)
+            assert warm.status == cold.status
+            if warm.status == "optimal":
+                optimal += 1
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+        assert optimal >= 15
+        assert warm_pivots < cold_pivots
+
+
+class TestKeptDenseRows:
+    def problem(self):
+        return make_problem([1.0, 1.0], [[1.0, 2.0], [0.0, 3.0]], ["le", "le"], [4.0, 6.0],
+                            [0.0, 0.0], [5.0, 5.0])
+
+    def test_nodes_share_one_read_only_matrix(self):
+        prob = self.problem()
+        prob.keep_dense_rows()
+        kept = prob.dense_rows()
+        assert not kept.flags.writeable
+        assert replace(prob, lower=np.ones(2)).dense_rows() is kept
+
+    @pytest.mark.parametrize("edit", ["append", "replace-entry", "reassign"])
+    def test_a_copy_with_edited_triplets_rebuilds(self, edit):
+        prob = self.problem()
+        prob.keep_dense_rows()
+        edited = prob.copy()
+        if edit == "append":
+            edited.triplets.append((1, 0, 7.0))
+        elif edit == "replace-entry":
+            edited.triplets[0] = (1, 0, 7.0)
+        else:
+            edited.triplets = edited.triplets + [(1, 0, 7.0)]
+        expected = np.zeros((2, 2))
+        for i, j, v in edited.triplets:
+            expected[i, j] += v
+        np.testing.assert_array_equal(edited.dense_rows(), expected)
+        assert edited.dense_rows().flags.writeable  # not the kept matrix
+        np.testing.assert_array_equal(prob.dense_rows(), [[1.0, 2.0], [0.0, 3.0]])
+
+    def test_the_kept_matrix_is_dropped_when_triplets_change_in_place(self):
+        prob = self.problem()
+        prob.keep_dense_rows()
+        prob.triplets.append((0, 0, 1.0))
+        np.testing.assert_array_equal(prob.dense_rows(), [[2.0, 2.0], [0.0, 3.0]])
+        swapped = replace(prob, triplets=[(1, 1, 1.0)])
+        np.testing.assert_array_equal(swapped.dense_rows(), [[0.0, 0.0], [0.0, 1.0]])

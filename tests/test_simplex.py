@@ -1,11 +1,21 @@
 """Two-phase simplex: toys, dual conventions, and random-instance agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphopt.simplex import solve_lp
+from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis
 
-from conftest import make_problem, random_feasible_lp, random_lp, vertex_enumeration_lp
+from conftest import (
+    assert_strong_duality,
+    make_problem,
+    random_feasible_lp,
+    random_lp,
+    vertex_enumeration_lp,
+)
 
 
 def dual_objective(problem, res) -> float:
@@ -324,3 +334,162 @@ def test_solve_lp_never_writes_to_its_input(rng):
             np.testing.assert_array_equal(getattr(prob, name), getattr(before, name))
         assert prob.triplets == before.triplets
         assert prob.senses == before.senses
+
+
+def mixed_bound_feasible_lp(rng):
+    """A feasible LP whose columns are boxed, lower-only, upper-only or free."""
+    prob = random_feasible_lp(rng, n_max=7, m_max=6)
+    kind = rng.choice(["box", "lower", "upper", "free"], size=prob.n_cols, p=[0.55, 0.2, 0.15, 0.1])
+    prob.lower[(kind == "upper") | (kind == "free")] = -np.inf
+    prob.upper[(kind == "lower") | (kind == "free")] = np.inf
+    return prob
+
+
+def with_bounds(prob, lower, upper):
+    return replace(prob, lower=lower, upper=upper)
+
+
+def changed_child(rng, prob, parent, change):
+    """``prob`` with bounds (or costs) changed the way a re-solve would see them."""
+    lo, hi, x = prob.lower.copy(), prob.upper.copy(), parent.primal
+    basic = np.flatnonzero(parent.basis.columns == BASIC)
+    pool = basic if basic.size else np.arange(prob.n_cols)
+    if change == "new_costs":  # the basis stays primal feasible
+        return replace(prob, objective=prob.objective + rng.uniform(-3.0, 3.0, prob.n_cols))
+    if change == "infeasible":
+        # fix every column of one row where the row misses its rhs by 1
+        i = int(rng.integers(prob.n_rows))
+        a = prob.dense_rows()[i]
+        miss = -1.0 if prob.senses[i] == "ge" else 1.0
+        target = x + (prob.rhs[i] + miss - a @ x) / (a @ a) * a
+        cols = np.flatnonzero(a)
+        lo[cols] = hi[cols] = target[cols]
+        return with_bounds(prob, lo, hi)
+    for j in rng.choice(pool, size=min(pool.size, int(rng.integers(1, 3))), replace=False):
+        if change == "fix_basic":  # a branch on a binary fixes it
+            v = np.floor(x[j]) if rng.random() < 0.5 else np.ceil(x[j])
+            lo[j] = hi[j] = float(np.clip(v, lo[j], hi[j]))
+        elif rng.random() < 0.5:  # "past_bound": the bound crosses the current value
+            lo[j] = x[j] + rng.uniform(0.1, 2.0)
+            hi[j] = max(hi[j], lo[j])
+        else:
+            hi[j] = x[j] - rng.uniform(0.1, 2.0)
+            lo[j] = min(lo[j], hi[j])
+    return with_bounds(prob, lo, hi)
+
+
+def assert_primal_feasible(prob, res, tol=1e-7):
+    x = res.primal
+    assert (x >= prob.lower - tol).all() and (x <= prob.upper + tol).all()
+    lhs = prob.dense_rows() @ x
+    for i, sense in enumerate(prob.senses):
+        scale = tol * max(1.0, abs(prob.rhs[i]))
+        if sense != "ge":
+            assert lhs[i] <= prob.rhs[i] + scale
+        if sense != "le":
+            assert lhs[i] >= prob.rhs[i] - scale
+
+
+class TestWarmStart:
+    """Re-solves from a given basis agree with cold solves."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        change=st.sampled_from(["fix_basic", "past_bound", "infeasible", "new_costs"]),
+    )
+    def test_warm_and_cold_re_solves_agree(self, seed, change):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):  # the first optimal parent this seed draws
+            prob = mixed_bound_feasible_lp(rng)
+            parent = solve_lp(prob)
+            if parent.status == "optimal":
+                break
+        else:
+            pytest.skip("no bounded parent drawn")
+        child = changed_child(rng, prob, parent, change)
+        cold = solve_lp(child)
+        warm = solve_lp(replace(child, basis=parent.basis))
+        assert warm.status == cold.status
+        if change == "infeasible":
+            assert warm.status == "infeasible"
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert_strong_duality(child, warm)
+            assert_primal_feasible(child, warm)
+
+    def test_the_basis_describes_the_optimum(self, rng):
+        checked = 0
+        for _ in range(60):
+            prob = mixed_bound_feasible_lp(rng)
+            res = solve_lp(prob)
+            if res.status != "optimal":
+                continue
+            checked += 1
+            cols, rows = res.basis.columns, res.basis.rows
+            assert (cols == BASIC).sum() + (rows == BASIC).sum() == prob.n_rows
+            x = res.primal
+            np.testing.assert_allclose(x[cols == AT_LOWER], prob.lower[cols == AT_LOWER], atol=1e-9)
+            np.testing.assert_allclose(x[cols == AT_UPPER], prob.upper[cols == AT_UPPER], atol=1e-9)
+            np.testing.assert_array_equal(x[cols == FREE_ZERO], 0.0)
+            tight = rows == NONBASIC
+            np.testing.assert_allclose((prob.dense_rows() @ x)[tight], prob.rhs[tight], atol=1e-9)
+        assert checked >= 30
+
+    def test_a_child_re_solve_takes_one_dual_pivot(self):
+        # max 6a + 5b + 3c s.t. 3a + 2b + 2c <= 4: b = 1 and a = 2/3 at the root
+        prob = make_problem([-6.0, -5.0, -3.0], [[3.0, 2.0, 2.0]], ["le"], [4.0], [0.0] * 3, [1.0] * 3)
+        root = solve_lp(prob)
+        np.testing.assert_allclose(root.primal, [2.0 / 3.0, 1.0, 0.0])
+        for a_fixed, objective in [(0.0, -8.0), (1.0, -8.5)]:
+            lo, hi = prob.lower.copy(), prob.upper.copy()
+            lo[0] = hi[0] = a_fixed
+            child = with_bounds(prob, lo, hi)
+            cold = solve_lp(child)
+            warm = solve_lp(replace(child, basis=root.basis))
+            assert warm.objective == cold.objective == pytest.approx(objective)
+            assert_strong_duality(child, warm)
+            assert warm.iterations == 1
+
+    def unusable_hint_lp(self):
+        # columns 0 and 1 share their coefficients; the all-slack basis is
+        # primal infeasible (x2 >= 1) and dual infeasible (x2's cost)
+        return make_problem(
+            [-1.0, -2.0, -1.0],
+            [[1.0, 1.0, 1.0], [2.0, 2.0, 0.0], [0.0, 0.0, -1.0]],
+            ["le", "le", "le"],
+            [4.0, 6.0, -1.0],
+            [0.0] * 3,
+            [np.inf] * 3,
+        )
+
+    @pytest.mark.parametrize("hint", [
+        Basis(np.array([BASIC, AT_LOWER, AT_LOWER, AT_LOWER]), np.array([BASIC, BASIC, NONBASIC])),
+        Basis(np.array([BASIC, AT_LOWER, AT_LOWER]), np.array([BASIC, BASIC])),
+        Basis(np.array([BASIC, BASIC, BASIC]), np.array([BASIC, NONBASIC, NONBASIC])),  # 4 basic
+        Basis(np.array([BASIC, BASIC, AT_LOWER]), np.array([NONBASIC, NONBASIC, BASIC])),  # singular
+        Basis(np.array([AT_LOWER] * 3), np.array([BASIC] * 3)),  # all slack
+    ], ids=["long-columns", "short-rows", "too-many-basic", "singular", "all-slack"])
+    def test_unusable_hints_fall_back_to_the_cold_start(self, hint):
+        prob = self.unusable_hint_lp()
+        cold = solve_lp(prob)
+        assert cold.objective == pytest.approx(-7.0)
+        res = solve_lp(replace(prob, basis=hint))
+        assert res.status == cold.status == "optimal"
+        assert res.objective == cold.objective
+        assert res.iterations == cold.iterations  # the cold path, pivot for pivot
+        np.testing.assert_array_equal(res.primal, cold.primal)
+        np.testing.assert_array_equal(res.duals, cold.duals)
+
+    def test_max_iterations_minus_one_returns_after_the_build(self):
+        """The benchmark's set-up probe relies on this, with and without a hint."""
+        prob = self.unusable_hint_lp()
+        usable = solve_lp(prob).basis
+        lo, hi = prob.lower.copy(), prob.upper.copy()
+        hi[1] = 2.5
+        child = with_bounds(prob, lo, hi)
+        assert solve_lp(replace(child, basis=usable)).iterations >= 1
+        unusable = Basis(np.array([AT_LOWER] * 3), np.array([BASIC] * 3))
+        for basis in (None, usable, unusable):
+            res = solve_lp(replace(child, basis=basis), max_iterations=-1)
+            assert res.status == "iteration_limit"
+            assert res.iterations == 0
