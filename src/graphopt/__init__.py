@@ -37,7 +37,7 @@ from .serialize import (
     write_report,
 )
 from .simplex import SolveResult
-from .solvers import SimplexSolver, SolverCapability, default_solver, relax, solve_lp, solve_milp
+from .solvers import SimplexSolver, default_solver, solve, solve_lp, solve_milp
 from .standard_form import Basis, StandardFormProblem, check_solution, flatten, lp_relaxation
 from .subproblem import CutData, StageProblem
 from .transform import (

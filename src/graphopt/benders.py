@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,18 +26,16 @@ from .errors import (
     DisconnectedError,
     HyperedgeSpanError,
     LevelSetInfeasibleError,
-    LocalNodesAtRootError,
-    NoSubgraphsError,
-    OverlapUnsupportedError,
     RelaxationInfeasibleError,
     RootNotFoundError,
+    StructureError,
 )
 from .model import Constraint, Graph, VariableRef
 from .simplex import SolveResult
-from .solvers import LinearSolver, default_solver
-from .standard_form import StandardFormProblem, check_solution, flatten, lp_relaxation
+from .solvers import LinearSolver, default_solver, solve
+from .standard_form import check_solution, flatten, lp_relaxation
 from .subproblem import CutData, StageProblem
-from .transform import CondensedTopology, condensed_topology
+from .transform import CondensedTopology, condensed_topology, first_level_topology
 
 _INF = float("inf")
 
@@ -50,19 +47,7 @@ def validate_structure(graph: Graph) -> CondensedTopology:
     root, no shared nodes, every parent-level edge spanning exactly two
     subgraphs, and a connected, acyclic quotient.
     """
-    subs = graph.local_subgraphs()
-    if not subs:
-        raise NoSubgraphsError(f"graph {graph.id!r} has no subgraphs to decompose")
-    if graph.local_nodes():
-        names = [n.id for n in graph.local_nodes()]
-        raise LocalNodesAtRootError(
-            f"nodes {names} sit directly on {graph.id!r}; move them into a subgraph"
-        )
-    ids = [n.id for n in graph._iter_nodes()]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise OverlapUnsupportedError(f"shared nodes {dupes} are not supported by decomposition")
-    topo = condensed_topology(graph)
+    topo = first_level_topology(graph)
     if topo.orphan_edges:
         bad = [e.id for e in topo.orphan_edges]
         raise HyperedgeSpanError(
@@ -117,12 +102,8 @@ class BendersTree:
                 self.order.append(nxt)
                 queue.append(nxt)
 
-        owner: dict[str, str] = {}
-        for sub in subs:
-            for node in sub.all_nodes():
-                owner[node.id] = sub.id
         for edge in graph.local_edges():
-            pair = {owner[nid] for nid in edge.incident_nodes}
+            pair = {topo.owner[nid] for nid in edge.incident_nodes}
             a, b = sorted(pair, key=lambda g: self.stages[g].level)
             if self.stages[b].parent == a:
                 self.stages[b].relocated.extend(edge.constraints)
@@ -151,7 +132,6 @@ class BendersConfig:
     alpha: float = 0.5
     add_slacks: bool = False
     slack_penalty: float = 1e6
-    parallelize_second_stage: bool = False
     warm_start_cuts: bool = False
     theta_lb: float = -1e9
 
@@ -201,12 +181,6 @@ class BendersResult:
         return self.status == "converged"
 
 
-def _solve_problem(solver: LinearSolver, problem: StandardFormProblem) -> SolveResult:
-    if problem.integer_columns():
-        return solver.solve_milp(problem)
-    return solver.solve_lp(problem)
-
-
 def _relative_gap(upper: float, lower: float) -> float:
     if not math.isfinite(upper) or not math.isfinite(lower):
         return _INF
@@ -231,7 +205,7 @@ def _lagrangian_ascent(
     best_val = -_INF
     best_mu = mu.copy()
     for t in range(1, config.lagrangian_iters + 1):
-        res = _solve_problem(solver, prob.lagrangian_problem(mu, anchor))
+        res = solve(prob.lagrangian_problem(mu, anchor), solver)
         if res.status != "optimal":
             break
         if res.objective > best_val:
@@ -274,6 +248,11 @@ class _Decomposition:
         self.solver = solver
         topo = validate_structure(graph)
         self.tree = BendersTree(graph, root, topo)
+        if config.regularize and self.tree.n_levels > 2:
+            raise StructureError(
+                f"level-set regularization needs a stage tree of at most 2 levels; "
+                f"this one has {self.tree.n_levels}"
+            )
         self.problems: dict[str, StageProblem] = {}
         self.theta_index: dict[str, int] = {}
         for gid in self.tree.order:
@@ -329,7 +308,7 @@ class _Decomposition:
                     phi, lam = best
                     kind = "lagrangian"
             else:
-                res = _solve_problem(self.solver, prob.lagrangian_problem(lam, anchor))
+                res = solve(prob.lagrangian_problem(lam, anchor), self.solver)
                 if res.status == "optimal":
                     phi = res.objective
                     kind = "strengthened"
@@ -341,29 +320,13 @@ class _Decomposition:
     # -- passes --------------------------------------------------------------
 
     def forward(self, root_result: SolveResult) -> dict[str, SolveResult]:
-        order = self.tree.order
         results: dict[str, SolveResult] = {self.tree.root: root_result}
-
-        def solve_child(gid: str) -> SolveResult:
-            st = self.tree.stages[gid]
+        for gid in self.tree.order[1:]:
             prob = self.problems[gid]
-            anchor = self.problems[st.parent].values_for(prob.fixed_refs, results[st.parent])
+            parent = self.tree.stages[gid].parent
+            anchor = self.problems[parent].values_for(prob.fixed_refs, results[parent])
             prob.set_fixed_values(anchor)
-            return prob.require_feasible(prob.solve(self.solver), "the forward pass")
-
-        if (
-            self.config.parallelize_second_stage
-            and self.tree.n_levels == 2
-            and len(order) > 2
-        ):
-            children = order[1:]
-            with ThreadPoolExecutor(max_workers=len(children)) as pool:
-                futures = [pool.submit(solve_child, gid) for gid in children]
-                for gid, fut in zip(children, futures):
-                    results[gid] = fut.result()
-        else:
-            for gid in order[1:]:
-                results[gid] = solve_child(gid)
+            results[gid] = prob.require_feasible(prob.solve(self.solver), "the forward pass")
         return results
 
     def backward(self, results: dict[str, SolveResult], iteration: int) -> int:
@@ -458,9 +421,9 @@ class _Decomposition:
 
             iterate_res = root_res
             regularized = False
-            if config.regularize and tree.n_levels == 2 and math.isfinite(best_ub):
+            if config.regularize and math.isfinite(best_ub):
                 level = lower + config.alpha * (best_ub - lower)
-                level_res = _solve_problem(self.solver, root_prob.level_set_problem(level))
+                level_res = solve(root_prob.level_set_problem(level), self.solver)
                 if level_res.status != "optimal":
                     raise LevelSetInfeasibleError(
                         f"level-set solve at iteration {k} is {level_res.status}"

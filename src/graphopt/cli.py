@@ -13,7 +13,7 @@ import sys
 import time
 from typing import Optional
 
-from .benders import BendersConfig, BendersResult, run_decomposition
+from .benders import BendersConfig, run_decomposition
 from .errors import (
     GraphOptError,
     LevelSetInfeasibleError,
@@ -23,9 +23,9 @@ from .errors import (
 )
 from .fixtures import FIXTURE_NAMES, generate_fixture
 from .model import Graph
-from .sequential import relaxed_parallel_bound, sequential_solve
+from .sequential import SequentialResult, relaxed_parallel_bound, sequential_solve
 from .serialize import RunReport, load_instance, parse_membership, solution_by_name, write_report
-from .solvers import solve_lp, solve_milp
+from .solvers import solve
 from .standard_form import check_solution, flatten
 from .transform import apply_partition
 
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=0.5)
     parser.add_argument("--slacks", action="store_true")
     parser.add_argument("--slack-penalty", type=float, default=1e6)
-    parser.add_argument("--parallel", action="store_true")
     parser.add_argument("--warm-start-cuts", action="store_true")
     parser.add_argument("--order", help="comma-separated subgraph ids for sequential mode")
     parser.add_argument("--output", help="write a JSON run report here")
@@ -90,7 +89,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
         "alpha": args.alpha,
         "slacks": args.slacks,
         "slack_penalty": args.slack_penalty,
-        "parallel": args.parallel,
         "warm_start_cuts": args.warm_start_cuts,
         "order": args.order,
     }
@@ -98,7 +96,7 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 def _run_monolithic(graph: Graph, args: argparse.Namespace, report: RunReport) -> int:
     problem = flatten(graph)
-    result = solve_milp(problem) if problem.integer_columns() else solve_lp(problem)
+    result = solve(problem)
     report.status = result.status
     if result.status != "optimal":
         return EXIT_INFEASIBLE
@@ -120,7 +118,6 @@ def _run_benders(graph: Graph, args: argparse.Namespace, report: RunReport) -> i
         alpha=args.alpha,
         add_slacks=args.slacks,
         slack_penalty=args.slack_penalty,
-        parallelize_second_stage=args.parallel,
         warm_start_cuts=args.warm_start_cuts,
     )
     result = run_decomposition(graph, root=args.root, config=config)
@@ -143,31 +140,27 @@ def _run_benders(graph: Graph, args: argparse.Namespace, report: RunReport) -> i
     return EXIT_OK if result.converged else EXIT_ITER_LIMIT
 
 
+def _report_stages(result: SequentialResult, report: RunReport) -> int:
+    report.status = result.status
+    report.objective = result.objective
+    report.solution = solution_by_name(result.solution)
+    report.max_violation = result.max_violation
+    report.bounds_per_iteration = [
+        {"stage": gid, "cost": cost} for gid, cost in result.stage_costs
+    ]
+    return EXIT_OK
+
+
 def _run_sequential(graph: Graph, args: argparse.Namespace, report: RunReport) -> int:
     order = args.order.split(",") if args.order else None
     result = sequential_solve(
         graph, order, add_slacks=args.slacks, slack_penalty=args.slack_penalty
     )
-    report.status = result.status
-    report.objective = result.objective
-    report.solution = solution_by_name(result.solution)
-    report.max_violation = result.max_violation
-    report.bounds_per_iteration = [
-        {"stage": gid, "cost": cost} for gid, cost in result.stage_costs
-    ]
-    return EXIT_OK
+    return _report_stages(result, report)
 
 
 def _run_bound(graph: Graph, args: argparse.Namespace, report: RunReport) -> int:
-    result = relaxed_parallel_bound(graph)
-    report.status = result.status
-    report.objective = result.objective
-    report.solution = solution_by_name(result.solution)
-    report.max_violation = result.max_violation
-    report.bounds_per_iteration = [
-        {"stage": gid, "cost": cost} for gid, cost in result.stage_costs
-    ]
-    return EXIT_OK
+    return _report_stages(relaxed_parallel_bound(graph), report)
 
 
 def _print_summary(report: RunReport) -> None:

@@ -129,10 +129,6 @@ class SubproblemInfeasibleError(GraphOptError):
     """A conditioned subproblem is infeasible at the fixed upstream values."""
 
 
-class DualsUnavailableError(GraphOptError):
-    """Dual values were requested from a solve that cannot provide them."""
-
-
 class LevelSetInfeasibleError(GraphOptError):
     """The level-set restricted problem is infeasible (bounds inconsistent)."""
 

@@ -15,17 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (
-    LocalNodesAtRootError,
-    NoSubgraphsError,
-    OverlapUnsupportedError,
-    SubproblemInfeasibleError,
-    UsageError,
-)
+from .errors import SubproblemInfeasibleError, UsageError
 from .model import Constraint, Graph, VariableRef
-from .solvers import LinearSolver, default_solver
+from .solvers import LinearSolver
 from .standard_form import check_solution
 from .subproblem import StageProblem
+from .transform import first_level_topology
 
 _INF = float("inf")
 
@@ -40,22 +35,6 @@ class SequentialResult:
     max_violation: float
 
 
-def _first_level(graph: Graph) -> list[Graph]:
-    subs = graph.local_subgraphs()
-    if not subs:
-        raise NoSubgraphsError(f"graph {graph.id!r} has no subgraphs to sequence")
-    if graph.local_nodes():
-        names = [n.id for n in graph.local_nodes()]
-        raise LocalNodesAtRootError(
-            f"nodes {names} sit directly on {graph.id!r}; move them into a subgraph"
-        )
-    ids = [n.id for n in graph._iter_nodes()]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise OverlapUnsupportedError(f"shared nodes {dupes} are not supported here")
-    return subs
-
-
 def sequential_solve(
     graph: Graph,
     order: Optional[Sequence[str]] = None,
@@ -64,8 +43,8 @@ def sequential_solve(
     slack_penalty: float = 1e6,
     solver: Optional[LinearSolver] = None,
 ) -> SequentialResult:
-    solver = solver or default_solver()
-    subs = _first_level(graph)
+    topo = first_level_topology(graph)
+    subs = graph.local_subgraphs()
     by_id = {s.id: s for s in subs}
     order = list(order) if order is not None else [s.id for s in subs]
     if sorted(order) != sorted(by_id):
@@ -74,13 +53,9 @@ def sequential_solve(
         )
     position = {gid: i for i, gid in enumerate(order)}
 
-    owner: dict[str, str] = {}
-    for sub in subs:
-        for node in sub.all_nodes():
-            owner[node.id] = sub.id
     relocated: dict[str, list[Constraint]] = {gid: [] for gid in order}
     for edge in graph.local_edges():
-        last = max((owner[nid] for nid in edge.incident_nodes), key=position.__getitem__)
+        last = max((topo.owner[nid] for nid in edge.incident_nodes), key=position.__getitem__)
         relocated[last].extend(edge.constraints)
 
     values: dict[VariableRef, float] = {}
@@ -116,8 +91,8 @@ def relaxed_parallel_bound(
     solver: Optional[LinearSolver] = None,
 ) -> SequentialResult:
     """Lower bound from solving each subgraph with all parent edges dropped."""
-    solver = solver or default_solver()
-    subs = _first_level(graph)
+    first_level_topology(graph)
+    subs = graph.local_subgraphs()
     values: dict[VariableRef, float] = {}
     stage_costs: list[tuple[str, float]] = []
     total = 0.0

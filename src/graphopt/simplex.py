@@ -77,12 +77,7 @@ class SolveResult:
     reduced_costs: Optional[np.ndarray] = None
     iterations: int = 0
     nodes_explored: int = 0
-    mip_gap: float = 0.0
     basis: Optional[Basis] = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 @dataclass

@@ -3,42 +3,31 @@
 The built-in backend couples the tableau simplex with branch-and-bound.
 Anything matching :class:`LinearSolver` can stand in for it — the rest of
 the library only calls ``solve_lp`` / ``solve_milp`` and inspects the
-returned :class:`SolveResult`.
+returned :class:`SolveResult`.  :func:`solve` is the one place that picks
+between the two: MILP when the problem has an integral column, LP otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Optional, Protocol
 
-from .branch_bound import solve_milp as _solve_milp
-from .simplex import SolveResult, solve_lp as _solve_lp
-from .standard_form import StandardFormProblem, lp_relaxation
+from .branch_bound import solve_milp
+from .simplex import SolveResult, solve_lp
+from .standard_form import StandardFormProblem
 
 __all__ = [
     "SolveResult",
-    "SolverCapability",
     "LinearSolver",
     "SimplexSolver",
     "default_solver",
+    "solve",
     "solve_lp",
     "solve_milp",
 ]
 
 
-@dataclass(frozen=True)
-class SolverCapability:
-    solves_lp: bool = True
-    solves_milp: bool = True
-    returns_duals: bool = True
-    deterministic: bool = True
-
-
-@runtime_checkable
 class LinearSolver(Protocol):
     """Contract a replacement backend must satisfy."""
-
-    def capability(self) -> SolverCapability: ...
 
     def solve_lp(self, problem: StandardFormProblem) -> SolveResult: ...
 
@@ -52,33 +41,20 @@ class SimplexSolver:
         self.node_limit = node_limit
         self.mip_gap = mip_gap
 
-    def capability(self) -> SolverCapability:
-        return SolverCapability()
-
     def solve_lp(self, problem: StandardFormProblem) -> SolveResult:
-        return _solve_lp(problem)
+        return solve_lp(problem)
 
     def solve_milp(self, problem: StandardFormProblem) -> SolveResult:
-        return _solve_milp(problem, node_limit=self.node_limit, mip_gap=self.mip_gap)
-
-    def solve(self, problem: StandardFormProblem) -> SolveResult:
-        """MILP when any column is integral, plain LP otherwise."""
-        if problem.integer_columns():
-            return self.solve_milp(problem)
-        return self.solve_lp(problem)
+        return solve_milp(problem, node_limit=self.node_limit, mip_gap=self.mip_gap)
 
 
 def default_solver() -> SimplexSolver:
     return SimplexSolver()
 
 
-def solve_lp(problem: StandardFormProblem) -> SolveResult:
-    return _solve_lp(problem)
-
-
-def solve_milp(problem: StandardFormProblem, **kwargs) -> SolveResult:
-    return _solve_milp(problem, **kwargs)
-
-
-def relax(problem: StandardFormProblem) -> StandardFormProblem:
-    return lp_relaxation(problem)
+def solve(problem: StandardFormProblem, solver: Optional[LinearSolver] = None) -> SolveResult:
+    """MILP when any column is integral, plain LP otherwise."""
+    solver = solver or default_solver()
+    if problem.integer_columns():
+        return solver.solve_milp(problem)
+    return solver.solve_lp(problem)

@@ -14,16 +14,16 @@ whose theta columns simply never enter the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import SubproblemInfeasibleError
 from .model import Constraint, Graph, VariableRef
-from .solvers import LinearSolver, SimplexSolver, default_solver
+from .solvers import LinearSolver, solve
 from .simplex import SolveResult
-from .standard_form import StandardFormProblem, flatten
+from .standard_form import StandardFormProblem, flatten, lp_relaxation
 
 _INF = float("inf")
 
@@ -136,6 +136,7 @@ class StageProblem:
             self._rows.append(_Row(coefs, sense, float(rhs), f"link:{con.uid}"))
 
         self.fixing_row_index: dict[VariableRef, int] = {}
+        self._fix_row_start = len(self._rows)
         for ref in self.fixed_refs:
             self.fixing_row_index[ref] = len(self._rows)
             self._rows.append(_Row({self.copy_col[ref]: 1.0}, "eq", 0.0, f"fix:{ref.qualified_name}"))
@@ -220,24 +221,15 @@ class StageProblem:
         )
 
     def problem(self, relax: bool = False) -> StandardFormProblem:
-        integrality = self._integrality
-        lower = self._lower
-        if relax:
-            integrality = ["continuous"] * len(self._integrality)
-        prob = self._assemble(self._rows, self._objective, self.objective_constant, integrality)
-        if relax:
-            for j, kind in enumerate(self._integrality):
-                if kind == "binary":
-                    prob.lower[j] = max(prob.lower[j], 0.0)
-                    prob.upper[j] = min(prob.upper[j], 1.0)
-        return prob
+        prob = self._assemble(self._rows, self._objective, self.objective_constant, self._integrality)
+        return lp_relaxation(prob) if relax else prob
 
     def lagrangian_problem(self, mu: np.ndarray, anchor: np.ndarray) -> StandardFormProblem:
         """Fixing rows dropped; their violation priced into the objective.
 
         min  c'y + theta - mu' (z - anchor)  over all remaining rows.
         """
-        rows = [row for row in self._rows if not row.tag.startswith("fix:")]
+        rows = self._rows[: self._fix_row_start] + self._rows[self._cut_row_start :]
         objective = list(self._objective)
         for j, ref in enumerate(self.fixed_refs):
             objective[self.copy_col[ref]] -= float(mu[j])
@@ -258,11 +250,7 @@ class StageProblem:
     # -- solving and extraction -------------------------------------------
 
     def solve(self, solver: Optional[LinearSolver] = None, relax: bool = False) -> SolveResult:
-        solver = solver or default_solver()
-        prob = self.problem(relax=relax)
-        if relax or not prob.integer_columns():
-            return solver.solve_lp(prob)
-        return solver.solve_milp(prob)
+        return solve(self.problem(relax=relax), solver)
 
     def fixing_duals(self, result: SolveResult) -> np.ndarray:
         if result.duals is None:

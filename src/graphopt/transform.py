@@ -14,10 +14,12 @@ from .errors import (
     EmptyModelError,
     GraphOptError,
     LevelOutOfRangeError,
+    LocalNodesAtRootError,
     NoSubgraphsError,
     NotCoveringError,
     NotDisjointError,
     NotParentEdgeError,
+    OverlapUnsupportedError,
     PartitionError,
     SubgraphNotAdjacentError,
 )
@@ -43,11 +45,13 @@ class CondensedTopology:
     ``adjacency`` counts parent-level edges between each subgraph pair.
     ``orphan_edges`` are parent-level edges that do not connect exactly two
     subgraphs (they span three or more, or touch a parent-local node).
+    ``owner`` maps each node id below the first layer to its subgraph id.
     """
 
     vertices: list[str]
     adjacency: dict[frozenset[str], int]
     orphan_edges: list[Edge]
+    owner: dict[str, str]
 
     def neighbors(self, graph_id: str) -> list[str]:
         out = []
@@ -305,7 +309,7 @@ def condensed_topology(graph: Graph) -> CondensedTopology:
     """Quotient adjacency of the first subgraph layer."""
     subs = graph.local_subgraphs()
     if not subs:
-        raise NoSubgraphsError(f"graph {graph.id!r} has no subgraphs to condense")
+        raise NoSubgraphsError(f"graph {graph.id!r} has no subgraphs")
     owner: dict[str, str] = {}
     for sub in subs:
         for node in sub.all_nodes():
@@ -319,7 +323,26 @@ def condensed_topology(graph: Graph) -> CondensedTopology:
             continue
         pair = frozenset(touched)  # type: ignore[arg-type]
         adjacency[pair] = adjacency.get(pair, 0) + 1
-    return CondensedTopology([s.id for s in subs], adjacency, orphans)
+    return CondensedTopology([s.id for s in subs], adjacency, orphans, owner)
+
+
+def first_level_topology(graph: Graph) -> CondensedTopology:
+    """Quotient of a first subgraph layer whose subgraphs can be solved one by one.
+
+    Rejects graphs with no subgraphs, with nodes directly on ``graph``, or
+    with nodes shared between subgraphs.
+    """
+    topo = condensed_topology(graph)
+    if graph.local_nodes():
+        names = [n.id for n in graph.local_nodes()]
+        raise LocalNodesAtRootError(
+            f"nodes {names} sit directly on {graph.id!r}; move them into a subgraph"
+        )
+    ids = [n.id for n in graph._iter_nodes()]
+    if len(ids) != len(set(ids)):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise OverlapUnsupportedError(f"shared nodes {dupes} are not supported; lift them first")
+    return topo
 
 
 def reroute_link(graph: Graph, edge: Edge, via: Graph) -> Graph:
@@ -333,15 +356,13 @@ def reroute_link(graph: Graph, edge: Edge, via: Graph) -> Graph:
     if edge not in graph.local_edges():
         raise NotParentEdgeError(f"edge {edge.id} is not a parent-level edge of {graph.id!r}")
     subs = graph.local_subgraphs()
-    owner: dict[str, Graph] = {}
-    for sub in subs:
-        for node in sub.all_nodes():
-            owner[node.id] = sub
+    topo = condensed_topology(graph)
+    by_id = {sub.id: sub for sub in subs}
     sides: list[Graph] = []
     for nid in edge.incident_nodes:
-        side = owner.get(nid)
-        if side is None:
+        if nid not in topo.owner:
             raise NotParentEdgeError(f"edge {edge.id} touches parent-local node {nid!r}")
+        side = by_id[topo.owner[nid]]
         if side not in sides:
             sides.append(side)
     if len(sides) != 2:
@@ -352,7 +373,6 @@ def reroute_link(graph: Graph, edge: Edge, via: Graph) -> Graph:
     if via not in subs:
         raise SubgraphNotAdjacentError(f"{via.id!r} is not a first-level subgraph of {graph.id!r}")
 
-    topo = condensed_topology(graph)
     adjacent = set(topo.neighbors(via.id))
     chosen = next((s for s in sides if s.id in adjacent), None)
     if chosen is None:

@@ -391,13 +391,13 @@ def pcm_graph() -> Graph:
 
 def solve_flat(graph: Graph, *, relax: bool = False):
     """Monolithic solve of a graph, used all over the suite."""
-    from graphopt.solvers import default_solver
+    from graphopt.solvers import solve
     from graphopt.standard_form import lp_relaxation
 
     prob = flatten(graph)
     if relax:
         prob = lp_relaxation(prob)
-    return default_solver().solve(prob), prob
+    return solve(prob), prob
 
 
 # ---------------------------------------------------------------------------

@@ -422,17 +422,3 @@ def test_criterion_09_objective_invariant_under_root_choice():
     objectives = [res.objective for res in results.values()]
     for val in objectives[1:]:
         assert abs(val - objectives[0]) <= 1e-6 * abs(objectives[0])
-
-
-def test_criterion_10_parallel_stage_solves_match_serial():
-    cem = mini_cem_fixture()
-    cfg = BendersConfig(multicut=True)
-    serial = run_decomposition(cem, "planning", cfg)
-    parallel = run_decomposition(
-        cem, "planning", replace(cfg, parallelize_second_stage=True)
-    )
-    assert parallel.converged == serial.converged
-    assert parallel.lb_history == serial.lb_history
-    assert parallel.ub_history == serial.ub_history
-    assert parallel.objective == serial.objective
-    assert parallel.solution == serial.solution

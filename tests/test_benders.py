@@ -14,6 +14,7 @@ from graphopt import (
     NoSubgraphsError,
     OverlapUnsupportedError,
     RootNotFoundError,
+    StructureError,
     SubproblemInfeasibleError,
 )
 from graphopt.benders import (
@@ -415,18 +416,9 @@ class TestConvergence:
             assert value <= level + 1e-6 * max(1.0, abs(level))
         assert_bound_histories(reg)
 
-    def test_parallel_forward_pass_is_bitwise_identical(self, cem_graph):
-        serial = run_decomposition(mini_cem_fixture(), root="planning")
-        parallel = run_decomposition(
-            cem_graph,
-            root="planning",
-            config=BendersConfig(parallelize_second_stage=True),
-        )
-        assert parallel.status == serial.status
-        assert parallel.iterations == serial.iterations
-        assert parallel.lb_history == serial.lb_history
-        assert parallel.ub_history == serial.ub_history
-        assert parallel.objective == serial.objective
+    def test_regularization_on_a_deeper_tree_is_rejected(self, chain3_graph):
+        with pytest.raises(StructureError, match="has 3"):
+            run_decomposition(chain3_graph, root="g1", config=BendersConfig(regularize=True))
 
     def test_warm_start_on_a_pure_lp_reaches_the_monolithic_bound_immediately(self):
         g = partitioned_storage()

@@ -33,6 +33,12 @@ class TestExitCodes:
         assert report["objective"] == pytest.approx(-10700.0)
         assert report["max_violation"] <= 1e-9
 
+    def test_regularization_on_a_deeper_tree_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["--fixture", "chain3_milp", "--mode", "benders", "--root", "g1", "--regularize"]
+        assert main(argv + ["--output", str(out)]) == EXIT_USAGE
+        assert read_report(out)["status"] == "error"
+
     def test_benders_converges(self, membership_file, tmp_path):
         out = tmp_path / "r.json"
         code = main(
@@ -189,14 +195,3 @@ class TestReports:
         )
         assert code == EXIT_OK
         assert read_report(out)["objective"] == pytest.approx(1108.0, rel=1e-6)
-
-    def test_parallel_flag_matches_serial(self, tmp_path):
-        serial_out = tmp_path / "serial.json"
-        parallel_out = tmp_path / "parallel.json"
-        base = ["--fixture", "mini_cem", "--mode", "benders", "--root", "planning"]
-        assert main(base + ["--output", str(serial_out)]) == EXIT_OK
-        assert main(base + ["--parallel", "--output", str(parallel_out)]) == EXIT_OK
-        serial = read_report(serial_out)
-        parallel = read_report(parallel_out)
-        assert serial["bounds_per_iteration"] == parallel["bounds_per_iteration"]
-        assert serial["objective"] == parallel["objective"]

@@ -6,15 +6,19 @@ from graphopt import (
     EmptyBlockError,
     Graph,
     LevelOutOfRangeError,
+    LocalNodesAtRootError,
     NoSubgraphsError,
     NotCoveringError,
     NotDisjointError,
     NotParentEdgeError,
+    OverlapUnsupportedError,
     PartitionError,
     SubgraphNotAdjacentError,
     flatten,
 )
-from graphopt.solvers import default_solver
+from graphopt.benders import validate_structure
+from graphopt.sequential import relaxed_parallel_bound, sequential_solve
+from graphopt.solvers import solve
 from graphopt.transform import (
     Partition,
     PartitionBlock,
@@ -22,6 +26,7 @@ from graphopt.transform import (
     aggregate_to_depth,
     apply_partition,
     condensed_topology,
+    first_level_topology,
     reroute_link,
     validate_partition,
 )
@@ -196,7 +201,7 @@ class TestAggregate:
         agg, _ = aggregate(chain3_graph)
         prob = flatten(agg)
         assert len(prob.integer_columns()) == 3
-        res = default_solver().solve(prob)
+        res = solve(prob)
         assert res.objective == pytest.approx(5.8)
 
     def test_aggregate_to_depth_zero_collapses_first_level(self, chain3_graph):
@@ -283,6 +288,63 @@ class TestCondensedTopology:
         dot = condensed_topology(g).to_dot()
         assert dot.startswith("graph condensed {")
         assert '"block1" -- "block2" [label="2"];' in dot
+
+
+def flat_graph():
+    g = Graph("flat")
+    g.add_node("n").add_variable("x", lower=0, upper=1)
+    return g
+
+
+def root_local_graph():
+    g, _ = triangle()
+    g.add_node("loose").add_variable("z", lower=0, upper=1)
+    return g
+
+
+def shared_node_graph():
+    """Node ``s`` sits in both subgraphs ``a`` and ``b``."""
+    g = Graph("g", allow_overlap=True)
+    holder = Graph("a")
+    shared = holder.add_node("s")
+    shared.add_variable("x", lower=0, upper=1)
+    g.add_subgraph(holder)
+    twin = Graph("b")
+    twin.attach_node(shared)
+    xb = twin.add_node("b0").add_variable("x", lower=0, upper=1)
+    g.add_subgraph(twin)
+    g.add_link_constraint(shared.var("x") + xb, "le", 1.0)
+    return g
+
+
+class TestFirstLevelTopology:
+    def test_owner_maps_nested_nodes_to_their_first_level_subgraph(self):
+        g, _ = four_cycle()
+        part = Partition(
+            blocks=[PartitionBlock("left", ("n0", "n1")), PartitionBlock("right", ("n2", "n3"))],
+            sub_partitions={
+                "left": Partition([PartitionBlock("l0", ("n0",)), PartitionBlock("l1", ("n1",))])
+            },
+        )
+        apply_partition(g, part)
+        topo = first_level_topology(g)
+        assert topo.owner == {"n0": "left", "n1": "left", "n2": "right", "n3": "right"}
+        assert topo.adjacency == {frozenset(("left", "right")): 2}
+
+    @pytest.mark.parametrize(
+        "entry", [first_level_topology, validate_structure, sequential_solve, relaxed_parallel_bound]
+    )
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (flat_graph, NoSubgraphsError),
+            (root_local_graph, LocalNodesAtRootError),
+            (shared_node_graph, OverlapUnsupportedError),
+        ],
+    )
+    def test_every_stage_wise_entry_point_rejects_the_same_graphs(self, entry, build, error):
+        with pytest.raises(error):
+            entry(build())
 
 
 class TestRerouteLink:
