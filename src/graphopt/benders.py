@@ -8,7 +8,8 @@ pass turns child sensitivities into new cuts.
 
 Bounds follow the usual pattern: the root objective (value-function columns
 included) is a lower bound, and the summed stage costs of any forward pass
-are an upper bound.  Iteration stops when the relative gap closes.
+are an upper bound.  Iteration stops when the relative gap closes, or
+as "stalled" when an iteration adds no cut and so would repeat itself.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class IterationRecord:
 
 @dataclass
 class BendersResult:
-    status: str  # "converged" | "max_iterations"
+    status: str  # "converged" | "max_iterations" | "stalled"
     objective: float
     lower_bound: float
     upper_bound: float
@@ -175,6 +176,7 @@ class BendersResult:
     max_violation: float
     config: BendersConfig
     tree: BendersTree
+    message: str = ""  # why a stalled run stopped
 
     @property
     def converged(self) -> bool:
@@ -412,6 +414,8 @@ class _Decomposition:
         trace: list[IterationRecord] = []
         audit: list[tuple[int, float, float]] = []
         status = "max_iterations"
+        message = ""
+        previous_iterate: Optional[np.ndarray] = None
         final_results: dict[str, SolveResult] = {}
 
         for k in range(1, config.max_iters + 1):
@@ -463,7 +467,19 @@ class _Decomposition:
                 record.wall_time = time.perf_counter() - started
                 break
             if k < config.max_iters:
-                record.cuts_added += self.backward(results, k)
+                added = self.backward(results, k)
+                record.cuts_added += added
+                # with no new cut the root problem is unchanged; unregularized,
+                # its iterate is too, and regularized, a repeated iterate gives
+                # the same upper bound and so the same level
+                repeats = not config.regularize or (
+                    previous_iterate is not None and np.array_equal(iterate_res.primal, previous_iterate))
+                if added == 0 and repeats:
+                    status = "stalled"
+                    message = self._stall_message(k)
+                    record.wall_time = time.perf_counter() - started
+                    break
+                previous_iterate = iterate_res.primal
             record.wall_time = time.perf_counter() - started
 
         theta_at_bound = False
@@ -498,7 +514,21 @@ class _Decomposition:
             max_violation=violation,
             config=config,
             tree=tree,
+            message=message,
         )
+
+    def _stall_message(self, k: int) -> str:
+        config = self.config
+        text = f"iteration {k} added no cut"
+        if config.regularize:
+            text += " and repeated the previous root iterate"
+        text += ", so every later iteration would repeat it"
+        mip = [gid for gid in self.tree.order[1:] if self.problems[gid].is_mip]
+        if mip and not config.lagrangian:
+            families = "lagrangian" if config.strengthened else "strengthened or lagrangian"
+            text += (f"; stages {mip} are MIPs, where cuts from LP duals need not support"
+                     f" the value function; try {families} cuts")
+        return text
 
 
 def run_decomposition(

@@ -5,7 +5,9 @@ relaxation value (ties broken by creation order, so runs are repeatable).
 Branching picks the integer column whose value sits farthest from an
 integer; ties go to the lowest column index.  Each child starts its LP
 from its parent's final basis, which stays dual feasible when one bound
-tightens, so a few dual simplex pivots re-solve it.  With the default zero
+tightens, so a few dual simplex pivots re-solve it; past the root's
+children, whose root was solved cold, the child copies its parent's kept
+final tableau instead of rebuilding it.  With the default zero
 gap the returned incumbent is exactly optimal.
 """
 

@@ -1,8 +1,10 @@
 """Command-line driver.
 
-Exit codes: 0 solved/converged, 2 iteration limit, 3 infeasible,
-4 usage or structure errors.  When ``--output`` is given a JSON run report
-is written no matter how the run ends.
+Exit codes: 0 solved/converged, 2 stopped early (an iteration limit, or a
+Benders stall), 3 infeasible, 4 usage or structure errors, 5 unbounded,
+6 solver failure (numerical breakdown or the branch-and-bound node limit).
+When ``--output`` is given a JSON run report is written no matter how the
+run ends.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .benders import BendersConfig, run_decomposition
 from .errors import (
     GraphOptError,
     LevelSetInfeasibleError,
+    NodeLimitError,
+    NumericalBreakdownError,
     RelaxationInfeasibleError,
     SubproblemInfeasibleError,
     UsageError,
@@ -33,6 +37,15 @@ EXIT_OK = 0
 EXIT_ITER_LIMIT = 2
 EXIT_INFEASIBLE = 3
 EXIT_USAGE = 4
+EXIT_UNBOUNDED = 5
+EXIT_SOLVER_FAILURE = 6
+
+_EXIT_OF_STATUS = {
+    "optimal": EXIT_OK,
+    "iteration_limit": EXIT_ITER_LIMIT,
+    "infeasible": EXIT_INFEASIBLE,
+    "unbounded": EXIT_UNBOUNDED,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +112,7 @@ def _run_monolithic(graph: Graph, args: argparse.Namespace, report: RunReport) -
     result = solve(problem)
     report.status = result.status
     if result.status != "optimal":
-        return EXIT_INFEASIBLE
+        return _EXIT_OF_STATUS[result.status]
     report.objective = result.objective
     solution = problem.values_by_ref(result.primal)
     report.solution = solution_by_name(solution)
@@ -137,6 +150,8 @@ def _run_benders(graph: Graph, args: argparse.Namespace, report: RunReport) -> i
         }
         for rec in result.trace
     ]
+    if result.message:
+        print(f"{result.status}: {result.message}", file=sys.stderr)
     return EXIT_OK if result.converged else EXIT_ITER_LIMIT
 
 
@@ -148,7 +163,7 @@ def _report_stages(result: SequentialResult, report: RunReport) -> int:
     report.bounds_per_iteration = [
         {"stage": gid, "cost": cost} for gid, cost in result.stage_costs
     ]
-    return EXIT_OK
+    return _EXIT_OF_STATUS[result.status]
 
 
 def _run_sequential(graph: Graph, args: argparse.Namespace, report: RunReport) -> int:
@@ -207,6 +222,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         report.status = "infeasible"
         code = EXIT_INFEASIBLE
+    except (NumericalBreakdownError, NodeLimitError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        report.status = "solver_failure"
+        code = EXIT_SOLVER_FAILURE
     except GraphOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.status = "error"

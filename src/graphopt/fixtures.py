@@ -3,7 +3,8 @@
 Four families, all small enough to verify against brute-force oracles:
 
 * ``storage``   — sizing a product store against a fluctuating sale price;
-  one planning node plus 20 linked operation nodes (flat by default).
+  one planning node plus ``T`` linked operation nodes (flat by default;
+  ``T=20``, longer horizons repeat the 20-period price pattern).
 * ``chain3_milp`` — three nodes with a binary each, linked in a chain and
   wrapped one-per-subgraph.
 * ``mini_cem``  — a toy capacity-expansion model: a planning subgraph (two
@@ -21,17 +22,12 @@ from .transform import apply_partition
 
 FIXTURE_NAMES = ("storage", "chain3_milp", "mini_cem", "mini_pcm")
 
-STORAGE_T = 20
+_STORAGE_PRICES = [5.0] * 7 + [20.0] * 3 + [5.0] * 5 + [50.0] * 5  # sale price per period
 
 
-def storage_fixture() -> Graph:
-    """Product-storage sizing model, flat: 21 nodes, 81 variables, 60 rows."""
-    T = STORAGE_T
-    gamma = [5.0] * T
-    for t in range(8, 11):
-        gamma[t - 1] = 20.0
-    for t in range(16, 21):
-        gamma[t - 1] = 50.0
+def storage_fixture(T: int = 20) -> Graph:
+    """Product-storage sizing model, flat: ``T + 1`` nodes, ``4T + 1`` variables, ``3T`` rows."""
+    gamma = [_STORAGE_PRICES[t % len(_STORAGE_PRICES)] for t in range(T)]
     beta = [20.0] * T
     alpha, zeta = 10.0, 2.0
     d_sell, d_save, d_buy, y_bar = 50.0, 20.0, 15.0, 10.0
@@ -64,10 +60,10 @@ def storage_fixture() -> Graph:
     return graph
 
 
-def storage_membership() -> dict[str, str]:
-    """Two-block split: the planning node versus all operation nodes."""
+def storage_membership(T: int = 20) -> dict[str, str]:
+    """Two-block split: the planning node versus all ``T`` operation nodes."""
     blocks = {"planning": "design"}
-    for t in range(1, STORAGE_T + 1):
+    for t in range(1, T + 1):
         blocks[f"ops{t}"] = "operations"
     return blocks
 

@@ -16,21 +16,34 @@ The reduced costs are carried as one extra tableau row that every pivot
 updates like any other row, and the rank-1 update only touches rows with a
 nonzero entry in the pivot column.  Phase I minimizes the sum of the
 artificials, Phase II the true objective.  Dantzig pricing is used until the
-iteration count stalls on degenerate pivots, after which Bland's rule takes
+iteration count stalls on degenerate pivots (60 in a row; in the dual
+simplex, as many as there are rows, if more), after which Bland's rule takes
 over so the method cannot cycle.
 
 Warm starts.  A problem may carry a :class:`~graphopt.standard_form.Basis`
 hint, such as its parent's final basis in branch-and-bound.  The tableau is
-then built for that basis directly: every row has one logical column (its
-slack, or a zero-width column for an equality row), fixed columns stay in
-the tableau with zero width, so that a basic column a child fixes is simply
-driven out, and the hint's basic columns are pivoted into the all-slack
-tableau by Gauss-Jordan elimination.
+then laid out for that basis: every row has one logical column (its slack,
+or a zero-width column for an equality row), and fixed columns stay in the
+tableau with zero width, so that a basic column a child fixes is simply
+driven out.  The starting tableau comes from one of two places:
+
+* the hint's kept tableau.  A warm solve keeps its final tableau privately
+  on the basis it returns.  When the next problem has the same dense matrix
+  object, the same objective, and every column shifted, reflected or split
+  as before, that tableau is copied and only its rhs column is recomputed:
+  B^-1 [A | I] and the reduced costs depend on none of the bounds' values or
+  right-hand sides, and the logical columns read B^-1, so ``B^-1 b'`` is one
+  matrix-vector product.  This is the re-solve of a branch-and-bound child
+  or of a Benders stage whose fixing rows moved;
+* otherwise, the hint's basic columns pivoted into the all-slack tableau by
+  Gauss-Jordan elimination.
+
 Nonbasic boxed columns go to the bound their reduced cost favours.  If that
 leaves the basis dual feasible, a bounded dual simplex (Koberstein, *The dual
 simplex method*, 2005) restores primal feasibility; if the hint is primal
 feasible instead, primal Phase II finishes.  A hint of the wrong size, a
 singular one, or one that is neither falls back to the cold two-phase start.
+The cold path keeps no tableau, since its layout differs.
 
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
@@ -67,7 +80,9 @@ class SolveResult:
     primal and dual simplex pivots plus bound flips (summed over the nodes of
     a MILP).  ``basis`` is the final basis of an optimal LP solve, in the
     problem's own columns and rows; handed back as ``problem.basis`` to a
-    problem of the same shape, it starts the simplex there.
+    problem of the same shape, it starts the simplex there.  When the solve
+    itself started from a basis, ``basis`` also keeps its final tableau, and
+    a re-solve over the same matrix and objective starts from a copy of it.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -111,6 +126,32 @@ class _Layout:
     init_col: np.ndarray      # per row, the unit column it started with: it reads B^-1
     logical_rows: np.ndarray  # slack and artificial columns, and the row each belongs to
     logical_cols: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """What a warm tableau's B^-1 [A | I] and reduced costs depend on."""
+
+    a: np.ndarray             # the dense matrix, compared by identity
+    objective: np.ndarray
+    given_sign: np.ndarray    # -1 on "ge" rows
+    sign: np.ndarray          # -1 on columns reflected about their upper bound
+    free: np.ndarray          # the split columns
+
+    def same_as(self, other: _Identity) -> bool:
+        return self.a is other.a and all(np.array_equal(x, y) for x, y in (
+            (self.objective, other.objective), (self.given_sign, other.given_sign),
+            (self.sign, other.sign), (self.free, other.free)))
+
+
+@dataclass(frozen=True)
+class _Kept:
+    """A warm solve's final tableau; never written to once kept."""
+
+    ident: _Identity
+    rows: np.ndarray
+    basis: np.ndarray
+    flipped: np.ndarray
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
@@ -210,6 +251,10 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int) -> str:
     m = t.basis.size
     rhs = t.rows[:m, -1]
     rc = t.rows[m, :-1]
+    # zero dual steps are the rule on large dual-degenerate re-solves; Bland's
+    # rule engaged after 60 of them crawls (4,198 pivots instead of 513 on a
+    # 601-row storage stage), so the run it takes grows with the row count
+    stall = max(_DEGEN_STALL, m)
     while True:
         if t.iterations > max_iterations:
             return "iteration_limit"
@@ -238,15 +283,15 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int) -> str:
             entering = int(ties[0])
         else:  # the largest pivot among equals
             entering = int(ties[np.argmin(row[ties])])
-        _count_degenerate(t, best)
+        _count_degenerate(t, best, stall)
         _pivot(t, leaving, entering)
 
 
-def _count_degenerate(t: _Tableau, step: float) -> None:
-    """Switch to Bland's rule after a run of zero-length steps."""
+def _count_degenerate(t: _Tableau, step: float, stall: int = _DEGEN_STALL) -> None:
+    """Switch to Bland's rule after a run of more than ``stall`` zero-length steps."""
     if step < 1e-12:
         t.degenerate += 1
-        if t.degenerate > _DEGEN_STALL:
+        if t.degenerate > stall:
             t.bland = True
     else:
         t.degenerate = 0
@@ -273,9 +318,11 @@ def _crash(rows: np.ndarray, cols: np.ndarray, open_rows: np.ndarray) -> Optiona
     """Pivot each of ``cols`` into the tableau, each on its own row where ``open_rows`` is 1.
 
     This is Gauss-Jordan elimination with partial pivoting; it returns the
-    row each column went to, or ``None`` when the columns are singular.  The
-    tableaux are small; this keeps ``np.linalg`` and matrix-matrix products,
-    whose first calls fault in library pages, off the warm-start path.
+    row each column went to, or ``None`` when the columns are singular.  As
+    in a simplex pivot, only rows with a nonzero in the pivot column are
+    updated.  The tableaux are small; this keeps ``np.linalg`` and
+    matrix-matrix products, whose first calls fault in library pages, off
+    the warm-start path.
     """
     m = open_rows.size
     small = _PIVOT_GOOD * np.maximum.reduce(np.abs(rows[:m, cols]), axis=None, initial=1.0)
@@ -288,7 +335,8 @@ def _crash(rows: np.ndarray, cols: np.ndarray, open_rows: np.ndarray) -> Optiona
         piv = rows[p, j]
         open_rows[p] = 0.0
         pivot_row = rows[p] / piv
-        rows -= np.multiply.outer(rows[:, j], pivot_row)
+        touched = rows[:, j].nonzero()[0]
+        rows[touched] -= np.multiply.outer(rows[touched, j], pivot_row)
         rows[p] = pivot_row
         placed[q] = p
     return placed
@@ -398,50 +446,27 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     m, n = problem.n_rows, problem.n_cols
     if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
         return None
-    basic_cols = np.flatnonzero(hint.columns == BASIC)
-    basic_rows = np.flatnonzero(hint.rows == BASIC)
-    if basic_cols.size + basic_rows.size != m:
+    if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint.rows == BASIC) != m:
         return None
 
     offset, sign, width, kept, free = _column_transform(problem.lower, problem.upper, True)
     n_struct = n + free.size  # kept is every column, so column j sits at j
     n_total = n_struct + m
     logical = np.arange(n_struct, n_total)  # row i's slack; zero width for an equality row
-
-    rows = np.zeros((m + 1, n_total + 1))
-    rows[:m, :n] = a * sign * given_sign[:, None]
-    rows[:m, n:n_struct] = -rows[:m, free]
-    rows[np.arange(m), logical] = 1.0
-    rows[:m, -1] = given_sign * (problem.rhs - a @ offset)
     upper = np.concatenate([width, np.full(free.size, np.inf), np.where(eq, 0.0, np.inf), [np.inf]])
     c_int = np.zeros(n_total + 1)
     c_int[:n] = problem.objective * sign
     c_int[n:n_struct] = -c_int[free]
-    flipped = np.zeros(n_total + 1, dtype=bool)
-    flipped[:n] = (hint.columns == AT_UPPER) & (width > 0.0) & (width < np.inf)
-    at_upper = np.flatnonzero(flipped)
-    if at_upper.size:
-        rows[:m, -1] -= rows[:m, at_upper] @ width[at_upper]
-        rows[:m, at_upper] *= -1.0
-    rows[m] = np.where(flipped, -c_int, c_int)
+    b = given_sign * (problem.rhs - a @ offset)
+    ident = _Identity(a=a, objective=np.array(problem.objective, dtype=float),
+                      given_sign=given_sign, sign=sign, free=free)
 
-    # B^-1 [A | I | b], and the reduced costs, by pivoting the basic columns
-    # into the all-slack tableau; rows whose slack stays basic take no pivot
-    open_rows = np.ones(m)
-    open_rows[basic_rows] = 0.0
-    placed = _crash(rows, basic_cols, open_rows)
-    if placed is None:
-        return None
-    basis = logical.copy()
-    basis[placed] = basic_cols
-    if free.size:
-        # a basic free column that reads negative hands its row to its negative part
-        swap = np.flatnonzero(np.isin(basis, free) & (rows[:m, -1] < 0.0))
-        neg = n + np.searchsorted(free, basis[swap])
-        rows[swap] *= -1.0
-        rows[:, neg] = 0.0
-        rows[swap, neg] = 1.0
-        basis[swap] = neg
+    start = _from_kept(hint._tableau, ident, upper, b, logical)
+    if start is None:
+        start = _from_crash(hint, ident, upper, c_int, b, logical)
+        if start is None:
+            return None
+    rows, basis, flipped = start
 
     t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=upper[basis], flipped=flipped)
     if max_iterations is None:
@@ -470,7 +495,73 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     layout = _Layout(offset=offset, sign=sign, kept=kept, free=free, cost=c_int,
                      row_sign=given_sign, init_col=logical, logical_rows=np.arange(m),
                      logical_cols=logical)
-    return _optimal(problem, a, layout, t)
+    result = _optimal(problem, a, layout, t)
+    result.basis = Basis(result.basis.columns, result.basis.rows,
+                         _tableau=_Kept(ident, t.rows, t.basis, t.flipped))
+    return result
+
+
+def _from_kept(kept: Optional[_Kept], ident: _Identity, upper: np.ndarray,
+               b: np.ndarray, logical: np.ndarray):
+    """A copy of a kept final tableau with its rhs column re-priced, or ``None``.
+
+    The logical columns read B^-1, negated where a zero-width slack is
+    complemented, so the new rhs column ``B^-1 b'`` is one matrix-vector
+    product; ``b'`` takes each complemented column at its new width.
+    """
+    m = b.size
+    if kept is None or kept.rows.shape != (m + 1, upper.size) or not kept.ident.same_as(ident):
+        return None
+    flipped = kept.flipped.copy()
+    at_upper = np.flatnonzero(flipped)
+    if np.isinf(upper[at_upper]).any():
+        return None  # a complemented column has lost its upper bound
+    at_upper = at_upper[at_upper < ident.sign.size]  # the structural ones; slacks here have width 0
+    b = b - (ident.a[:, at_upper] * ident.sign[at_upper]) @ upper[at_upper] * ident.given_sign
+    rows = kept.rows.copy()
+    rows[:m, -1] = rows[:m, logical] @ np.where(flipped[logical], -b, b)
+    return rows, kept.basis.copy(), flipped
+
+
+def _from_crash(hint: Basis, ident: _Identity, upper: np.ndarray, c_int: np.ndarray,
+                b: np.ndarray, logical: np.ndarray):
+    """The tableau of ``hint`` built from the all-slack one, or ``None`` when singular."""
+    a, sign, free = ident.a, ident.sign, ident.free
+    m, n = a.shape
+    n_struct = n + free.size
+    rows = np.zeros((m + 1, upper.size))
+    rows[:m, :n] = a * sign * ident.given_sign[:, None]
+    rows[:m, n:n_struct] = -rows[:m, free]
+    rows[np.arange(m), logical] = 1.0
+    rows[:m, -1] = b
+    width = upper[:n]
+    flipped = np.zeros(upper.size, dtype=bool)
+    flipped[:n] = (hint.columns == AT_UPPER) & (width > 0.0) & (width < np.inf)
+    at_upper = np.flatnonzero(flipped)
+    if at_upper.size:
+        rows[:m, -1] -= rows[:m, at_upper] @ width[at_upper]
+        rows[:m, at_upper] *= -1.0
+    rows[m] = np.where(flipped, -c_int, c_int)
+
+    # B^-1 [A | I | b], and the reduced costs, by pivoting the basic columns
+    # into the all-slack tableau; rows whose slack stays basic take no pivot
+    open_rows = np.ones(m)
+    open_rows[hint.rows == BASIC] = 0.0
+    basic_cols = np.flatnonzero(hint.columns == BASIC)
+    placed = _crash(rows, basic_cols, open_rows)
+    if placed is None:
+        return None
+    basis = logical.copy()
+    basis[placed] = basic_cols
+    if free.size:
+        # a basic free column that reads negative hands its row to its negative part
+        swap = np.flatnonzero(np.isin(basis, free) & (rows[:m, -1] < 0.0))
+        neg = n + np.searchsorted(free, basis[swap])
+        rows[swap] *= -1.0
+        rows[:, neg] = 0.0
+        rows[swap, neg] = 1.0
+        basis[swap] = neg
+    return rows, basis, flipped
 
 
 def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tableau) -> SolveResult:

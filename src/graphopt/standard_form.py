@@ -36,11 +36,14 @@ class Basis:
     ``columns[j]`` is :data:`BASIC`, :data:`AT_LOWER`, :data:`AT_UPPER` or
     :data:`FREE_ZERO`; ``rows[i]`` is :data:`BASIC` when row ``i``'s slack is
     basic and :data:`NONBASIC` when the row is held at its right-hand side.
-    Exactly ``len(rows)`` entries are basic.
+    Exactly ``len(rows)`` entries are basic.  A basis returned by a warm
+    solve also keeps that solve's final tableau privately, so that the next
+    re-solve of the same matrix can start from it (see :mod:`graphopt.simplex`).
     """
 
     columns: np.ndarray
     rows: np.ndarray
+    _tableau: Optional[object] = field(default=None, repr=False)
 
 
 @dataclass

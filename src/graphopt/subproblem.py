@@ -14,7 +14,7 @@ whose theta columns simply never enter the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import SubproblemInfeasibleError
 from .model import Constraint, Graph, VariableRef
 from .solvers import LinearSolver, solve
 from .simplex import SolveResult
-from .standard_form import StandardFormProblem, flatten, lp_relaxation
+from .standard_form import BASIC, Basis, StandardFormProblem, flatten, lp_relaxation
 
 _INF = float("inf")
 
@@ -147,6 +147,10 @@ class StageProblem:
 
         self.cuts: list[CutData] = []
         self._cut_row_start = len(self._rows)
+        # the assembled problem with its kept matrix, until a cut adds a row
+        self._assembled: Optional[StandardFormProblem] = None
+        # the last optimal LP solve's basis: the next LP solve starts there
+        self._basis: Optional[Basis] = None
 
     def _new_column(self, cost: float, lower: float, upper: float, integrality: str) -> int:
         self._objective.append(cost)
@@ -173,7 +177,10 @@ class StageProblem:
                 f"expected {len(self.fixed_refs)} fixed values, got {len(vals)}"
             )
         for ref, val in zip(self.fixed_refs, vals):
-            self._rows[self.fixing_row_index[ref]].rhs = float(val)
+            row = self.fixing_row_index[ref]
+            self._rows[row].rhs = float(val)
+            if self._assembled is not None:
+                self._assembled.rhs[row] = float(val)
 
     def add_cut(self, cut: CutData) -> None:
         if not 0 <= cut.theta_index < len(self.theta_cols):
@@ -188,6 +195,7 @@ class StageProblem:
         rhs = float(cut.pi @ cut.anchor) - cut.phi
         self._rows.append(_Row(coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}"))
         self.cuts.append(cut)
+        self._assembled = None
 
     def has_equivalent_cut(self, cut: CutData, tol: float = 1e-12) -> bool:
         return any(cut.same_hyperplane(old, tol) for old in self.cuts)
@@ -221,7 +229,14 @@ class StageProblem:
         )
 
     def problem(self, relax: bool = False) -> StandardFormProblem:
-        prob = self._assemble(self._rows, self._objective, self.objective_constant, self._integrality)
+        """The stage as it stands, sharing the kept matrix and row lists; its arrays are its own."""
+        kept = self._assembled
+        if kept is None:
+            kept = self._assemble(self._rows, self._objective, self.objective_constant, self._integrality)
+            kept.keep_dense_rows()
+            self._assembled = kept
+        prob = replace(kept, objective=kept.objective.copy(), rhs=kept.rhs.copy(),
+                       lower=kept.lower.copy(), upper=kept.upper.copy())
         return lp_relaxation(prob) if relax else prob
 
     def lagrangian_problem(self, mu: np.ndarray, anchor: np.ndarray) -> StandardFormProblem:
@@ -250,7 +265,23 @@ class StageProblem:
     # -- solving and extraction -------------------------------------------
 
     def solve(self, solver: Optional[LinearSolver] = None, relax: bool = False) -> SolveResult:
-        return solve(self.problem(relax=relax), solver)
+        """Solve the stage; an LP solve starts from the last optimal LP solve's basis.
+
+        Between forward passes only the fixing rows' right-hand sides move, so
+        that basis stays dual feasible; a cut added since gets a basic slack.
+        """
+        problem = self.problem(relax=relax)
+        is_lp = relax or not self.is_mip
+        if is_lp and self._basis is not None:
+            hint = self._basis
+            new_rows = problem.n_rows - hint.rows.size
+            if new_rows:
+                hint = Basis(hint.columns, np.concatenate([hint.rows, np.full(new_rows, BASIC, np.int8)]))
+            problem.basis = hint
+        result = solve(problem, solver)
+        if result.basis is not None:  # only optimal LP solves return one
+            self._basis = result.basis
+        return result
 
     def fixing_duals(self, result: SolveResult) -> np.ndarray:
         if result.duals is None:

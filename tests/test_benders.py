@@ -25,7 +25,13 @@ from graphopt.benders import (
     run_decomposition,
     validate_structure,
 )
-from graphopt.fixtures import chain3_fixture, mini_cem_fixture, storage_fixture, storage_membership
+from graphopt.fixtures import (
+    chain3_fixture,
+    mini_cem_fixture,
+    mini_pcm_fixture,
+    storage_fixture,
+    storage_membership,
+)
 from graphopt.solvers import default_solver, solve_milp
 from graphopt.subproblem import CutData, StageProblem
 from graphopt.transform import apply_partition
@@ -237,6 +243,52 @@ class TestStageProblem:
         assert res.status == "optimal"
         assert soft.slack_activity(res) == pytest.approx(0.0, abs=1e-9)
 
+    def test_the_assembled_problem_follows_fixed_values_and_cuts(self):
+        g, x, y = toy_two_stage()
+        tree = BendersTree(g, root="p")
+        child = StageProblem(tree.stages["c"].subgraph, tree.stages["c"].relocated)
+        first = child.problem()
+        child.set_fixed_values([0.25])
+        second = child.problem()
+        assert second.rhs[child.fixing_row_index[x]] == 0.25
+        assert first.rhs[child.fixing_row_index[x]] == 0.0  # handed-out problems keep their rhs
+        assert second.dense_rows() is first.dense_rows()  # one kept matrix
+        parent = StageProblem(tree.stages["p"].subgraph, theta_count=1)
+        before = parent.problem()
+        parent.add_cut(CutData("c", (x,), np.array([-1.0]), 1.0, np.array([0.0]), "benders", 1, 0))
+        after = parent.problem()
+        assert after.n_rows == before.n_rows + 1
+        assert after.dense_rows() is not before.dense_rows()
+
+    @pytest.mark.parametrize("horizon", [20, 200])
+    def test_forward_passes_re_solve_from_the_last_basis(self, horizon):
+        """The storage operations stage at five storage sizes, as forward passes see it."""
+        graph = apply_partition(storage_fixture(T=horizon), storage_membership(T=horizon))
+        tree = BendersTree(graph, root="design")
+        st = tree.stages["operations"]
+        prob = StageProblem(st.subgraph, st.relocated, add_slacks=True)
+        warm_pivots = cold_pivots = 0
+        for size in [0.0, 1000.0, 10.0, 92.0, 100.0]:  # the sizes Benders visits at T=200
+            prob.set_fixed_values([size])
+            cold = default_solver().solve_lp(prob.problem())
+            warm = prob.solve()
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+        assert warm_pivots < cold_pivots / 2
+
+    def test_a_re_solve_after_a_cut_matches_a_cold_solve(self):
+        g, x, y = toy_two_stage()
+        tree = BendersTree(g, root="p")
+        prob = StageProblem(tree.stages["p"].subgraph, theta_count=1)
+        assert prob.solve().objective == pytest.approx(-1e9)
+        prob.add_cut(CutData("c", (x,), np.array([-1.0]), 1.0, np.array([0.0]), "benders", 1, 0))
+        warm = prob.solve()  # the kept basis plus a basic slack on the cut row
+        cold = default_solver().solve_lp(prob.problem())
+        assert warm.objective == pytest.approx(cold.objective) == pytest.approx(0.0)
+        np.testing.assert_allclose(warm.primal, cold.primal)
+
     def test_infeasible_subproblem_error_suggests_slacks(self):
         g = Graph("g")
         parent = Graph("p")
@@ -439,6 +491,36 @@ class TestConvergence:
             config=BendersConfig(max_iters=1, warm_start_cuts=True),
         )
         assert warm.lb_history[0] >= plain.lb_history[0] - 1e-9
+
+
+class TestStall:
+    """An iteration that adds no cut would repeat itself forever: the run stops."""
+
+    def test_lp_cuts_on_mip_children_stall(self, chain3_graph):
+        res = run_decomposition(
+            chain3_graph, root="g2", config=BendersConfig(multicut=True, strengthened=True)
+        )
+        assert res.status == "stalled"
+        assert [rec.cuts_added for rec in res.trace] == [2, 0]
+        assert len(res.cuts) == 2
+        assert res.objective == pytest.approx(5.8)
+        assert res.lower_bound < res.objective - 0.1
+        assert "MIPs" in res.message and "try lagrangian cuts" in res.message
+
+    def test_mini_pcm_from_b1_stalls(self):
+        res = run_decomposition(mini_pcm_fixture(), root="b1")
+        assert res.status == "stalled"
+        assert [rec.cuts_added for rec in res.trace] == [2, 2, 1, 0]
+        assert "strengthened or lagrangian" in res.message
+        assert res.max_violation <= 1e-6
+
+    def test_a_regularized_run_stalls_only_when_the_iterate_repeats(self):
+        res = run_decomposition(chain3_fixture(), root="g2", config=BendersConfig(regularize=True))
+        # iteration 2 adds no cut but its level-set iterate is new; iteration 3 repeats it
+        assert [rec.cuts_added for rec in res.trace] == [1, 0, 0]
+        assert res.status == "stalled"
+        assert res.trace[-1].regularized
+        assert "repeated the previous root iterate" in res.message
 
 
 class TestConfigAndGap:

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from graphopt.cli import EXIT_INFEASIBLE, EXIT_ITER_LIMIT, EXIT_OK, EXIT_USAGE, main
+from graphopt.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_ITER_LIMIT,
+    EXIT_OK,
+    EXIT_SOLVER_FAILURE,
+    EXIT_UNBOUNDED,
+    EXIT_USAGE,
+    main,
+)
+from graphopt.errors import NodeLimitError, NumericalBreakdownError
 from graphopt.fixtures import generate_fixture, storage_membership
 from graphopt.serialize import save_instance
 
@@ -66,6 +75,7 @@ class TestExitCodes:
                 "--mode", "benders",
                 "--root", "g2",
                 "--multicut", "--strengthened",
+                "--max-iters", "2",
                 "--output", str(out),
             ]
         )
@@ -74,6 +84,16 @@ class TestExitCodes:
         assert report["status"] == "max_iterations"
         # it still finds the optimum; only the lower bound stalls
         assert report["objective"] == pytest.approx(5.8, rel=1e-7)
+
+    def test_benders_stall(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["--fixture", "chain3_milp", "--mode", "benders", "--root", "g2",
+                "--multicut", "--strengthened", "--output", str(out)]
+        assert main(argv) == EXIT_ITER_LIMIT
+        report = read_report(out)
+        assert report["status"] == "stalled"
+        assert len(report["bounds_per_iteration"]) == 2
+        assert "try lagrangian cuts" in capsys.readouterr().err
 
     def test_lagrangian_closes_the_stalled_gap(self, tmp_path):
         out = tmp_path / "r.json"
@@ -104,6 +124,30 @@ class TestExitCodes:
         code = main(["--instance", str(path), "--output", str(out)])
         assert code == EXIT_INFEASIBLE
         assert read_report(out)["status"] == "infeasible"
+
+    def test_unbounded_monolithic(self, tmp_path):
+        from graphopt import Graph
+
+        g = Graph("open")
+        n = g.add_node("n")
+        x = n.add_variable("x", lower=-float("inf"))
+        n.add_constraint(x, "le", 2.0)
+        n.set_objective(x)
+        path = tmp_path / "open.json"
+        save_instance(g, str(path))
+        out = tmp_path / "r.json"
+        assert main(["--instance", str(path), "--output", str(out)]) == EXIT_UNBOUNDED
+        assert read_report(out)["status"] == "unbounded"
+
+    @pytest.mark.parametrize("error", [NodeLimitError, NumericalBreakdownError])
+    def test_solver_failure(self, tmp_path, monkeypatch, error):
+        def fail(problem, solver=None):
+            raise error("the solver gave up")
+
+        monkeypatch.setattr("graphopt.cli.solve", fail)
+        out = tmp_path / "r.json"
+        assert main(["--fixture", "storage", "--output", str(out)]) == EXIT_SOLVER_FAILURE
+        assert read_report(out)["status"] == "solver_failure"
 
     def test_benders_infeasible_subproblem(self, membership_file, tmp_path):
         # without slacks the operations stage cannot match a zero storage size

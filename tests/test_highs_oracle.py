@@ -9,9 +9,9 @@ import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from graphopt import flatten
+from graphopt import BendersConfig, apply_partition, flatten, run_decomposition, solve
 from graphopt.branch_bound import solve_milp
-from graphopt.fixtures import mini_pcm_fixture, storage_fixture
+from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
 from graphopt.simplex import solve_lp
 
 from conftest import assert_strong_duality, make_problem
@@ -112,6 +112,22 @@ def test_storage_fixture_matches_highs():
     assert res.status == status == "optimal"
     assert res.objective == pytest.approx(objective, rel=1e-7)
     assert_strong_duality(problem, res)
+
+
+def test_storage_at_t200_matches_highs_monolithic_and_by_benders():
+    """600 x 801: ten times the rows of the default storage fixture."""
+    graph = apply_partition(storage_fixture(T=200), storage_membership(T=200))
+    problem = flatten(graph)
+    assert (problem.n_rows, problem.n_cols) == (600, 801)
+    status, objective = highs_lp(problem)
+    assert status == "optimal"
+    mono = solve(problem)
+    assert mono.status == "optimal"
+    assert mono.objective == pytest.approx(objective, rel=1e-6)
+    benders = run_decomposition(graph, root="design", config=BendersConfig(add_slacks=True))
+    assert benders.status == "converged"
+    assert benders.objective == pytest.approx(objective, rel=1e-6)
+    assert not benders.flags["slacks_active"]
 
 
 def seeded_milp(rng, n_int=25, n_cont=8, m=12, parity_row=False):

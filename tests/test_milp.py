@@ -1,11 +1,12 @@
 """Branch-and-bound: enumeration agreement, bounds, limits."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from graphopt import NodeLimitError
+from graphopt import NodeLimitError, simplex
 from graphopt.branch_bound import solve_milp
 from graphopt.simplex import solve_lp
 from graphopt.standard_form import lp_relaxation
@@ -161,6 +162,17 @@ class TestBranchAndBound:
                 assert p.basis is not None and id(p.basis) in bases  # some solved node's basis
                 assert p.dense_rows() is matrix  # built once for the whole tree
         assert branched >= 5
+
+    def test_only_the_roots_children_build_a_tableau(self, rng):
+        """The root is solved cold; every later node re-solves its parent's kept tableau."""
+        deep = 0
+        for k in range(25):
+            prob = random_milp(rng, pure_binary=(k % 3 != 0))
+            with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as spy:
+                res = solve_milp(prob)
+            assert spy.call_count <= 2
+            deep += res.nodes_explored > 3
+        assert deep >= 5
 
     def test_warm_and_cold_trees_agree_and_warm_pivots_less(self, rng):
         def cold_solve_lp(p):

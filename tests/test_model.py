@@ -21,7 +21,9 @@ from graphopt import (
     flatten,
     linear,
 )
+from graphopt.fixtures import storage_fixture, storage_membership
 from graphopt.solvers import solve_lp
+from graphopt.transform import apply_partition
 
 from conftest import random_graph_instance, solve_flat
 
@@ -200,6 +202,17 @@ class TestFlatten:
         assert prob.n_cols == 81
         assert prob.n_rows == 60
         assert len(storage_graph.all_edges()) == 39
+
+    def test_a_longer_storage_horizon_repeats_the_price_pattern(self):
+        graph = storage_fixture(T=45)
+        prob = flatten(graph)
+        assert (len(graph.all_nodes()), prob.n_cols, prob.n_rows) == (46, 181, 135)
+        nodes = {node.id: node for node in graph.all_nodes()}
+        sell = [prob.objective[prob.var_index[nodes[f"ops{t}"].var("y_sell")]] for t in range(1, 46)]
+        assert sell[:20] == sell[20:40] == [-5.0] * 7 + [-20.0] * 3 + [-5.0] * 5 + [-50.0] * 5
+        assert sell[40:] == sell[:5]
+        apply_partition(graph, storage_membership(T=45))
+        assert sorted(sub.id for sub in graph.local_subgraphs()) == ["design", "operations"]
 
     def test_chain_instance_dimensions(self, chain3_graph):
         prob = flatten(chain3_graph)

@@ -1,11 +1,13 @@
 """Two-phase simplex: toys, dual conventions, and random-instance agreement."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from graphopt import simplex
 from graphopt.simplex import solve_lp
 from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis
 
@@ -493,3 +495,124 @@ class TestWarmStart:
             res = solve_lp(replace(child, basis=basis), max_iterations=-1)
             assert res.status == "iteration_limit"
             assert res.iterations == 0
+
+
+def crash_builds():
+    """Counts the Gauss-Jordan tableau builds while active."""
+    return mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash)
+
+
+def kept_parent(rng):
+    """A solved LP over a kept matrix whose basis keeps its final tableau, or ``None``."""
+    for _ in range(50):
+        prob = mixed_bound_feasible_lp(rng)
+        prob.keep_dense_rows()
+        cold = solve_lp(prob)
+        if cold.status == "optimal":
+            # a re-solve from its own basis takes the warm path, which keeps the tableau
+            return prob, solve_lp(replace(prob, basis=cold.basis))
+    return None
+
+
+def kind_keeping_change(rng, prob, parent, change):
+    """New rhs and/or bounds that shift, reflect and split every column as before."""
+    child = prob
+    if change in ("rhs", "rhs_and_bounds"):
+        child = replace(child, rhs=prob.rhs + rng.uniform(-1.0, 1.0, prob.n_rows))
+    if change == "rhs":
+        return child
+    lo, hi, x = prob.lower.copy(), prob.upper.copy(), parent.primal
+    if change == "fix_basic":  # a column keeps its shift when its lower bound stays finite
+        pool = np.flatnonzero(np.isfinite(lo))
+        basic = pool[parent.basis.columns[pool] == BASIC]
+        pool = basic if basic.size else pool
+    else:  # free columns stay free
+        pool = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
+    for j in rng.choice(pool, size=min(pool.size, int(rng.integers(1, 3))), replace=False):
+        if change == "fix_basic":  # a branch on a binary fixes it
+            lo[j] = hi[j] = float(np.clip(np.round(x[j]), lo[j], hi[j]))
+        elif np.isfinite(lo[j]):  # the lower bound rises past the current value
+            lo[j] = min(x[j] + rng.uniform(0.1, 2.0), hi[j])
+        else:
+            hi[j] = x[j] - rng.uniform(0.1, 2.0)
+    return with_bounds(child, lo, hi)
+
+
+class TestKeptTableau:
+    """Re-solves that start from the previous warm solve's final tableau."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        change=st.sampled_from(["rhs", "tighten", "fix_basic", "rhs_and_bounds"]),
+    )
+    def test_kept_crash_and_cold_re_solves_agree(self, seed, change):
+        rng = np.random.default_rng(seed)
+        drawn = kept_parent(rng)
+        if drawn is None:
+            pytest.skip("no bounded parent drawn")
+        prob, parent = drawn
+        assert parent.basis._tableau is not None
+        child = kind_keeping_change(rng, prob, parent, change)
+        with crash_builds() as spy:
+            kept = solve_lp(replace(child, basis=parent.basis))
+        assert spy.call_count == 0
+        crash = solve_lp(replace(child, basis=Basis(parent.basis.columns, parent.basis.rows)))
+        cold = solve_lp(child)
+        assert kept.status == crash.status == cold.status
+        if cold.status == "optimal":
+            assert kept.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert crash.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert_strong_duality(child, kept)
+            assert_primal_feasible(child, kept)
+
+    def test_repeat_solves_and_a_probe_leave_the_kept_tableau_alone(self, rng):
+        """The benchmark's tracer solves each LP twice, the second time as a set-up probe."""
+        checked = 0
+        for _ in range(30):
+            drawn = kept_parent(rng)
+            if drawn is None:
+                continue
+            prob, parent = drawn
+            kept = parent.basis._tableau
+            before = [kept.rows.copy(), kept.basis.copy(), kept.flipped.copy()]
+            child = replace(prob, rhs=prob.rhs + rng.uniform(-1.0, 1.0, prob.n_rows), basis=parent.basis)
+            first = solve_lp(child)
+            probe = solve_lp(child, max_iterations=-1)
+            assert probe.status == "iteration_limit" and probe.iterations == 0
+            second = solve_lp(child)
+            assert (first.status, first.iterations) == (second.status, second.iterations)
+            if first.status == "optimal":
+                checked += 1
+                assert first.objective == second.objective
+                np.testing.assert_array_equal(first.primal, second.primal)
+                np.testing.assert_array_equal(first.duals, second.duals)
+            for old, now in zip(before, [kept.rows, kept.basis, kept.flipped]):
+                np.testing.assert_array_equal(old, now)
+        assert checked >= 10
+
+    def boxed_lp(self):
+        return make_problem([-1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]], ["le", "ge"],
+                            [4.0, -2.0], [0.0] * 3, [3.0] * 3)
+
+    @pytest.mark.parametrize("change", [None, "matrix", "objective", "reflection"])
+    def test_a_different_matrix_objective_or_reflection_rebuilds(self, change):
+        prob = self.boxed_lp()
+        prob.keep_dense_rows()
+        parent = solve_lp(replace(prob, basis=solve_lp(prob).basis))
+        child = replace(prob, rhs=np.array([3.5, -1.0]))
+        if change == "matrix":  # equal entries, another matrix object
+            child = child.copy()
+        elif change == "objective":
+            child = replace(child, objective=child.objective + 0.25)
+        elif change == "reflection":  # column 0 becomes upper-bounded only
+            child = with_bounds(child, np.array([-np.inf, 0.0, 0.0]), child.upper)
+        with crash_builds() as spy:
+            res = solve_lp(replace(child, basis=parent.basis))
+        assert spy.call_count == (change is not None)
+        rebuilt = solve_lp(replace(child, basis=Basis(parent.basis.columns, parent.basis.rows)))
+        cold = solve_lp(child)
+        assert res.status == rebuilt.status == cold.status == "optimal"
+        assert res.objective == pytest.approx(cold.objective, rel=1e-12)
+        if change is not None:  # the same Gauss-Jordan build, pivot for pivot
+            assert res.iterations == rebuilt.iterations
+            np.testing.assert_array_equal(res.primal, rebuilt.primal)
