@@ -201,13 +201,15 @@ def _lagrangian_ascent(
     """Projected subgradient ascent on the fixing-row multipliers.
 
     Starts from the relaxation duals, keeps the best value seen, and stops
-    early on a zero subgradient or an unbounded pricing problem.
+    early on a zero subgradient or an unbounded pricing problem.  Each step
+    re-solves the stage's kept Lagrangian problem from the previous step's
+    root basis (:meth:`StageProblem.solve_lagrangian`).
     """
     mu = lam.astype(float).copy()
     best_val = -_INF
     best_mu = mu.copy()
     for t in range(1, config.lagrangian_iters + 1):
-        res = solve(prob.lagrangian_problem(mu, anchor), solver)
+        res = prob.solve_lagrangian(mu, anchor, solver)
         if res.status != "optimal":
             break
         if res.objective > best_val:
@@ -310,7 +312,7 @@ class _Decomposition:
                     phi, lam = best
                     kind = "lagrangian"
             else:
-                res = solve(prob.lagrangian_problem(lam, anchor), self.solver)
+                res = prob.solve_lagrangian(lam, anchor, self.solver)
                 if res.status == "optimal":
                     phi = res.objective
                     kind = "strengthened"

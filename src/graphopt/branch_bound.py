@@ -5,10 +5,12 @@ relaxation value (ties broken by creation order, so runs are repeatable).
 Branching picks the integer column whose value sits farthest from an
 integer; ties go to the lowest column index.  Each child starts its LP
 from its parent's final basis, which stays dual feasible when one bound
-tightens, so a few dual simplex pivots re-solve it; past the root's
-children, whose root was solved cold, the child copies its parent's kept
-final tableau instead of rebuilding it.  With the default zero
-gap the returned incumbent is exactly optimal.
+tightens, so a few dual simplex pivots re-solve it.  A node whose LP
+started from a basis keeps its final tableau, and its children copy that
+tableau instead of rebuilding it; only the children of a root solved cold
+rebuild theirs.  The root starts from ``problem.basis`` when one is given,
+such as the root basis of the previous solve, which the result returns.
+With the default zero gap the returned incumbent is exactly optimal.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def solve_milp(
     """Solve ``problem`` to proven optimality (within ``mip_gap``).
 
     Raises :class:`NodeLimitError` if the node budget runs out first.
-    Pure-LP input is passed straight to the LP solver.
+    Pure-LP input is passed straight to the LP solver.  An optimal result's
+    ``basis`` is the root relaxation's final basis.
     """
     int_cols = np.array(problem.integer_columns(), dtype=np.intp)
     relaxed = lp_relaxation(problem)
@@ -110,4 +113,5 @@ def solve_milp(
         return SolveResult(status="infeasible", iterations=lp_iterations, nodes_explored=nodes)
     incumbent.nodes_explored = nodes
     incumbent.iterations = lp_iterations
+    incumbent.basis = root.basis
     return incumbent

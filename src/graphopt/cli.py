@@ -18,6 +18,7 @@ from typing import Optional
 from .benders import BendersConfig, run_decomposition
 from .errors import (
     GraphOptError,
+    IterationLimitError,
     LevelSetInfeasibleError,
     NodeLimitError,
     NumericalBreakdownError,
@@ -222,6 +223,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         report.status = "infeasible"
         code = EXIT_INFEASIBLE
+    except IterationLimitError as exc:
+        print(f"iteration limit: {exc}", file=sys.stderr)
+        report.status = "iteration_limit"
+        code = EXIT_ITER_LIMIT
     except (NumericalBreakdownError, NodeLimitError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         report.status = "solver_failure"

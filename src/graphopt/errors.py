@@ -125,6 +125,10 @@ class NodeLimitError(GraphOptError):
     """Branch-and-bound exhausted its node budget without proving optimality."""
 
 
+class IterationLimitError(GraphOptError):
+    """A stage solve hit the simplex iteration limit before an optimum or a verdict."""
+
+
 class SubproblemInfeasibleError(GraphOptError):
     """A conditioned subproblem is infeasible at the fixed upstream values."""
 

@@ -8,6 +8,10 @@ when no elastic slack ends up active).
 
 ``relaxed_parallel_bound`` drops every parent-level edge and solves the
 subgraphs independently; the summed optima are a lower bound.
+
+An unbounded stage makes either result ``unbounded`` with an objective of
+minus infinity; a stage solve that ends at the iteration limit raises
+:class:`~graphopt.errors.IterationLimitError`.
 """
 
 from __future__ import annotations
@@ -15,14 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import SubproblemInfeasibleError, UsageError
+from .errors import IterationLimitError, SubproblemInfeasibleError, UsageError
 from .model import Constraint, Graph, VariableRef
+from .simplex import SolveResult
 from .solvers import LinearSolver
 from .standard_form import check_solution
 from .subproblem import StageProblem
 from .transform import first_level_topology
 
 _INF = float("inf")
+
+
+def _require_verdict(result: SolveResult, gid: str) -> SolveResult:
+    """``result`` if it is optimal, infeasible or unbounded; otherwise raise."""
+    if result.status not in ("optimal", "infeasible", "unbounded"):
+        raise IterationLimitError(f"stage {gid!r} stopped as {result.status!r} without a verdict")
+    return result
 
 
 @dataclass
@@ -69,7 +81,11 @@ def sequential_solve(
             slack_penalty=slack_penalty,
         )
         prob.set_fixed_values(values[ref] for ref in prob.fixed_refs)
-        res = prob.require_feasible(prob.solve(solver), "the sequential pass")
+        res = prob.require_feasible(_require_verdict(prob.solve(solver), gid), "the sequential pass")
+        if res.status == "unbounded":  # later stages have no values to fix
+            stage_costs.append((gid, -_INF))
+            return SequentialResult(status="unbounded", objective=-_INF, solution=values,
+                                    stage_costs=stage_costs, order=order, max_violation=_INF)
         values.update(prob.own_solution(res))
         cost = prob.true_cost(res)
         total += cost
@@ -99,7 +115,7 @@ def relaxed_parallel_bound(
     status = "optimal"
     for sub in subs:
         prob = StageProblem(sub)
-        res = prob.solve(solver)
+        res = _require_verdict(prob.solve(solver), sub.id)
         if res.status == "infeasible":
             raise SubproblemInfeasibleError(
                 f"subgraph {sub.id!r} is infeasible on its own; the full problem is too"

@@ -29,21 +29,33 @@ driven out.  The starting tableau comes from one of two places:
 
 * the hint's kept tableau.  A warm solve keeps its final tableau privately
   on the basis it returns.  When the next problem has the same dense matrix
-  object, the same objective, and every column shifted, reflected or split
-  as before, that tableau is copied and only its rhs column is recomputed:
-  B^-1 [A | I] and the reduced costs depend on none of the bounds' values or
-  right-hand sides, and the logical columns read B^-1, so ``B^-1 b'`` is one
-  matrix-vector product.  This is the re-solve of a branch-and-bound child
-  or of a Benders stage whose fixing rows moved;
+  object and every row signed and every column shifted, reflected or split
+  as before, that tableau is copied and re-priced: B^-1 [A | I] depends on
+  none of the bounds' values, right-hand sides or costs, and the logical
+  columns read B^-1, so the new rhs column ``B^-1 b'`` is one matrix-vector
+  product and the new reduced-cost row ``c - c_B B^-1 A`` one vector-matrix
+  product.  This is the re-solve of a branch-and-bound child, of a Benders
+  stage whose fixing rows moved, and of a Lagrangian step whose objective
+  moved;
 * otherwise, the hint's basic columns pivoted into the all-slack tableau by
   Gauss-Jordan elimination.
 
 Nonbasic boxed columns go to the bound their reduced cost favours.  If that
 leaves the basis dual feasible, a bounded dual simplex (Koberstein, *The dual
 simplex method*, 2005) restores primal feasibility; if the hint is primal
-feasible instead, primal Phase II finishes.  A hint of the wrong size, a
-singular one, or one that is neither falls back to the cold two-phase start.
-The cold path keeps no tableau, since its layout differs.
+feasible instead, as a re-priced tableau is after an objective change,
+primal Phase II finishes.  A hint of the wrong size, a singular one, or one
+that is neither falls back to the cold two-phase start.  So does a dual
+simplex run that finds a row it cannot repair without a certificate that
+the row is infeasible.  The cold path keeps no tableau, since its layout
+differs.
+
+Tolerances.  A Phase I residual is nonzero only past an absolute floor
+plus the rounding noise of its row, ``_ROUNDING`` times ``|B^-1| |b|``: the
+size of the terms whose sum is the row's value.  A residual of 1e-8 on a row
+whose data reach 1e6 is noise.  The dual simplex calls a problem infeasible
+only with a certificate that survives a recomputed rhs column (see
+:func:`_run_dual`).
 
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
@@ -65,10 +77,12 @@ from .standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis
 _RC_TOL = 1e-9          # entering threshold on reduced costs
 _PIVOT_TOL = 1e-11      # smallest usable pivot element, relative to its column
 _PIVOT_GOOD = 1e-9      # pivots below this count toward numerical breakdown
-_FEAS_TOL = 1e-7        # Phase I residual treated as infeasible above this
+_FEAS_TOL = 1e-7        # Phase I residual treated as infeasible above this plus its noise
 _PRIMAL_TOL = 1e-9      # a basic column this far outside its bounds must leave (dual simplex)
+_ROUNDING = 1e-12       # rounding noise per unit of the data a value is summed from
 _DEGEN_STALL = 60       # degenerate pivots before Bland's rule engages
 _BREAKDOWN_STALL = 50   # consecutive tiny pivots before giving up
+_NO_COLUMNS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass
@@ -79,10 +93,12 @@ class SolveResult:
     module docstring and are ``None`` for MILP solves.  ``iterations`` counts
     primal and dual simplex pivots plus bound flips (summed over the nodes of
     a MILP).  ``basis`` is the final basis of an optimal LP solve, in the
-    problem's own columns and rows; handed back as ``problem.basis`` to a
+    problem's own columns and rows, and for an optimal MILP solve the final
+    basis of its root relaxation; handed back as ``problem.basis`` to a
     problem of the same shape, it starts the simplex there.  When the solve
     itself started from a basis, ``basis`` also keeps its final tableau, and
-    a re-solve over the same matrix and objective starts from a copy of it.
+    a re-solve over the same matrix, whatever its bounds, right-hand sides
+    and objective, starts from a copy of it.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -115,12 +131,15 @@ class _Layout:
     A kept column ``j`` is ``x_j = offset_j + sign_j * t`` for its tableau
     column ``t``; the kept columns come first, in order, then the negative
     parts of the free ones (which are kept too, as their positive parts).
+    Where every column is kept, ``kept`` is a slice.
     """
 
     offset: np.ndarray
     sign: np.ndarray
-    kept: np.ndarray
+    kept: np.ndarray | slice
+    n_kept: int
     free: np.ndarray
+    free_at: np.ndarray       # the tableau column of each free column's positive part
     cost: np.ndarray          # objective over the tableau columns, uncomplemented
     row_sign: np.ndarray      # sign each given row was multiplied by
     init_col: np.ndarray      # per row, the unit column it started with: it reads B^-1
@@ -130,18 +149,16 @@ class _Layout:
 
 @dataclass(frozen=True)
 class _Identity:
-    """What a warm tableau's B^-1 [A | I] and reduced costs depend on."""
+    """What a warm tableau's B^-1 [A | I] depends on."""
 
     a: np.ndarray             # the dense matrix, compared by identity
-    objective: np.ndarray
     given_sign: np.ndarray    # -1 on "ge" rows
     sign: np.ndarray          # -1 on columns reflected about their upper bound
     free: np.ndarray          # the split columns
+    key: bytes                # the three arrays above, compared by value
 
     def same_as(self, other: _Identity) -> bool:
-        return self.a is other.a and all(np.array_equal(x, y) for x, y in (
-            (self.objective, other.objective), (self.given_sign, other.given_sign),
-            (self.sign, other.sign), (self.free, other.free)))
+        return self.a is other.a and self.key == other.key
 
 
 @dataclass(frozen=True)
@@ -192,11 +209,12 @@ def _complement_basic(t: _Tableau, row: int) -> None:
 
 
 def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
-               frozen: Optional[np.ndarray] = None) -> str:
+               can_enter: Optional[np.ndarray] = None) -> str:
     """Drive the tableau to optimality over the reduced-cost row.
 
-    Only the first ``n_price`` columns may enter, and of those none that
-    ``frozen`` marks.  Returns "optimal", "unbounded", or "iteration_limit".
+    Only the first ``n_price`` columns may enter, and of those only those
+    that ``can_enter`` marks.  Returns "optimal", "unbounded", or
+    "iteration_limit".
     """
     m = t.basis.size
     reduced = t.rows[m, :n_price]
@@ -205,7 +223,7 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
     while True:
         if t.iterations > max_iterations:
             return "iteration_limit"
-        rc = reduced if frozen is None else np.where(frozen, 0.0, reduced)
+        rc = reduced if can_enter is None else np.where(can_enter, reduced, 0.0)
         if t.bland:
             candidates = (rc < -_RC_TOL).nonzero()[0]
             if candidates.size == 0:
@@ -240,13 +258,26 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
         _pivot(t, leaving, entering)
 
 
-def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int) -> str:
+def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
+              ident: _Identity, b: np.ndarray, logical: np.ndarray) -> Optional[str]:
     """Bounded dual simplex from a tableau whose reduced costs are nonnegative.
 
     The basic column farthest outside its bounds leaves (the lowest-indexed
     one under Bland's rule); one above its upper bound is complemented first,
     so that it leaves at that bound.  Only ``can_enter`` columns may enter.
     Returns "optimal", "infeasible", or "iteration_limit".
+
+    A leaving row with no entering column is not yet proof of infeasibility:
+    its value may be rounding that the pivots left behind.  The rhs column is
+    then recomputed from B^-1 and ``b`` (see :func:`_rhs_column`) and the
+    row tested again.  "infeasible" needs a violation that no column, not
+    even one whose entry is below the pivot tolerance, can lift back, and
+    that exceeds ``_PRIMAL_TOL`` plus ``_ROUNDING * max|B^-1_i| * sum|b'|``:
+    the entries of B^-1 carry rounding too, which a product with ``|B^-1_i|``
+    would miss.  Otherwise the result is ``None``, and the caller solves cold;
+    so this bound errs wide.  A row that is merely within it still leaves when
+    a column can enter: accepting it would return values outside their
+    bounds, by as much as 1e-3 on rows that a -1e9 bound reaches.
     """
     m = t.basis.size
     rhs = t.rows[:m, -1]
@@ -255,6 +286,7 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int) -> str:
     # rule engaged after 60 of them crawls (4,198 pivots instead of 513 on a
     # 601-row storage stage), so the run it takes grows with the row count
     stall = max(_DEGEN_STALL, m)
+    fresh = None  # b' of a rhs column recomputed since the last pivot
     while True:
         if t.iterations > max_iterations:
             return "iteration_limit"
@@ -274,7 +306,16 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int) -> str:
         tol = _PIVOT_TOL * np.maximum.reduce(np.abs(row), initial=1.0)
         candidates = ((row < -tol) & can_enter).nonzero()[0]
         if candidates.size == 0:
-            return "infeasible"  # nothing can lift the leaving column to its bound
+            if fresh is None:
+                rhs[:], fresh = _rhs_column(t.rows, t.flipped, t.upper, ident, b, logical)
+                continue
+            # no pivot lifts the leaving column to its bound; proven only if
+            # every column taken to its far bound falls short too
+            lift = np.where((row < 0.0) & can_enter, t.upper[:-1], 0.0) @ -np.minimum(row, 0.0)
+            noise = _ROUNDING * np.maximum.reduce(np.abs(t.rows[leaving, logical])) * np.abs(fresh).sum()
+            if -rhs[leaving] > _PRIMAL_TOL + noise + lift:
+                return "infeasible"
+            return None
         # a reduced cost a hair below zero is rounding noise, not a negative step
         ratios = np.maximum(rc[candidates], 0.0) / -row[candidates]
         best = ratios.min()
@@ -285,6 +326,7 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int) -> str:
             entering = int(ties[np.argmin(row[ties])])
         _count_degenerate(t, best, stall)
         _pivot(t, leaving, entering)
+        fresh = None
 
 
 def _count_degenerate(t: _Tableau, step: float, stall: int = _DEGEN_STALL) -> None:
@@ -297,21 +339,23 @@ def _count_degenerate(t: _Tableau, step: float, stall: int = _DEGEN_STALL) -> No
         t.degenerate = 0
 
 
-def _column_transform(lo: np.ndarray, hi: np.ndarray, keep_fixed: bool):
+def _column_transform(lo: np.ndarray, hi: np.ndarray):
     """Offsets, signs and widths that take every column to ``0 <= t <= width``.
 
-    Returns ``(offset, sign, width, kept, free)``; fixed columns are kept only
-    when ``keep_fixed`` is set.
+    Returns ``(offset, sign, width, free)``.
     """
     has_lo = np.isfinite(lo)
-    has_hi = np.isfinite(hi)
-    width = np.full(lo.size, np.inf)
-    width[has_lo] = np.maximum(hi[has_lo] - lo[has_lo], 0.0)
-    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
-    kept = np.arange(lo.size) if keep_fixed else np.flatnonzero(width > 0.0)
-    free = np.flatnonzero(~(has_lo | has_hi))  # split: the negative part comes last
-    return offset, sign, width, kept, free
+    if has_lo.all():  # the common case: every column shifts by its lower bound
+        offset, sign, free = lo, np.ones(lo.size), _NO_COLUMNS
+        width = np.maximum(hi - lo, 0.0)
+    else:
+        has_hi = np.isfinite(hi)
+        width = np.full(lo.size, np.inf)
+        width[has_lo] = np.maximum(hi[has_lo] - lo[has_lo], 0.0)
+        offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
+        free = (~(has_lo | has_hi)).nonzero()[0]  # split: the negative part comes last
+    return offset, sign, width, free
 
 
 def _crash(rows: np.ndarray, cols: np.ndarray, open_rows: np.ndarray) -> Optional[np.ndarray]:
@@ -350,12 +394,10 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     ``iteration_limit`` right after the tableau is built.
     """
     lo, hi = problem.lower, problem.upper
-    if np.any(lo > hi + 1e-12):
+    if (lo > hi + 1e-12).any():
         return SolveResult(status="infeasible", iterations=0)
     a = problem.dense_rows()
-    senses = np.array(problem.senses, dtype=str)
-    eq = senses == "eq"
-    given_sign = np.where(senses == "ge", -1.0, 1.0)
+    eq, given_sign = problem.row_signs()
     if problem.basis is not None:
         try:
             warm = _solve_warm(problem, a, eq, given_sign, max_iterations)
@@ -370,7 +412,8 @@ def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
                 given_sign: np.ndarray, max_iterations: Optional[int]) -> SolveResult:
     """Two-phase solve from the slack-and-artificial basis."""
     m = problem.n_rows
-    offset, sign, width, kept, free = _column_transform(problem.lower, problem.upper, False)
+    offset, sign, width, free = _column_transform(problem.lower, problem.upper)
+    kept = (width > 0.0).nonzero()[0]  # fixed columns are substituted out
     cols = np.concatenate([kept, free])
     col_sign = np.concatenate([sign[kept], -np.ones(free.size)])
     n_struct = cols.size
@@ -398,7 +441,8 @@ def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     upper = np.concatenate([width[kept], np.full(n_total + 1 - kept.size, np.inf)])
     c_int = np.zeros(n_total + 1)
     c_int[:n_struct] = np.asarray(problem.objective, dtype=float)[cols] * col_sign
-    layout = _Layout(offset=offset, sign=sign, kept=kept, free=free, cost=c_int,
+    layout = _Layout(offset=offset, sign=sign, kept=kept, n_kept=kept.size, free=free,
+                     free_at=np.searchsorted(kept, free), cost=c_int,
                      row_sign=sign_of_row, init_col=basis.copy(),
                      logical_rows=np.concatenate([slack_rows, art_rows]),
                      logical_cols=np.concatenate([slack_cols, art_cols]))
@@ -417,8 +461,12 @@ def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
             return SolveResult(status="iteration_limit", iterations=t.iterations)
         if status == "unbounded":  # pragma: no cover - Phase I is bounded below
             raise NumericalBreakdownError("phase I reported unbounded")
-        # decide from the artificials' values, not the carried objective entry
-        if rows[:m, -1][t.basis >= n_free].sum() > _FEAS_TOL:
+        # decide from the artificials' values, not the carried objective
+        # entry; init_col reads B^-1, so |B^-1| |b| sizes each value's terms
+        left = t.basis >= n_free
+        residual = rows[:m, -1][left].sum()
+        if residual > _FEAS_TOL and residual > _FEAS_TOL + _ROUNDING * (
+                np.abs(rows[:m][left][:, layout.init_col]) @ np.abs(b_le)).sum():
             return SolveResult(status="infeasible", iterations=t.iterations)
         # drive leftover artificials out of the basis where possible
         for i in np.flatnonzero(t.basis >= n_free):
@@ -441,27 +489,27 @@ def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
 
 def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
                 given_sign: np.ndarray, max_iterations: Optional[int]) -> Optional[SolveResult]:
-    """Re-optimize from ``problem.basis``; ``None`` when that basis cannot be used."""
+    """Re-optimize from ``problem.basis``.
+
+    ``None`` when that basis cannot be used, or when the dual simplex finds a
+    row it can neither repair nor prove infeasible.
+    """
     hint = problem.basis
     m, n = problem.n_rows, problem.n_cols
-    if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
-        return None
-    if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint.rows == BASIC) != m:
-        return None
-
-    offset, sign, width, kept, free = _column_transform(problem.lower, problem.upper, True)
-    n_struct = n + free.size  # kept is every column, so column j sits at j
+    offset, sign, width, free = _column_transform(problem.lower, problem.upper)
+    n_struct = n + free.size  # every column is kept, so column j sits at j
     n_total = n_struct + m
     logical = np.arange(n_struct, n_total)  # row i's slack; zero width for an equality row
     upper = np.concatenate([width, np.full(free.size, np.inf), np.where(eq, 0.0, np.inf), [np.inf]])
     c_int = np.zeros(n_total + 1)
     c_int[:n] = problem.objective * sign
-    c_int[n:n_struct] = -c_int[free]
+    if free.size:
+        c_int[n:n_struct] = -c_int[free]
     b = given_sign * (problem.rhs - a @ offset)
-    ident = _Identity(a=a, objective=np.array(problem.objective, dtype=float),
-                      given_sign=given_sign, sign=sign, free=free)
+    ident = _Identity(a=a, given_sign=given_sign, sign=sign, free=free,
+                      key=given_sign.tobytes() + sign.tobytes() + free.tobytes())
 
-    start = _from_kept(hint._tableau, ident, upper, b, logical)
+    start = _from_kept(hint._tableau, ident, upper, c_int, b, logical)
     if start is None:
         start = _from_crash(hint, ident, upper, c_int, b, logical)
         if start is None:
@@ -471,16 +519,18 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=upper[basis], flipped=flipped)
     if max_iterations is None:
         max_iterations = max(5000, 50 * (m + n_total))
-    frozen = upper[:-1] == 0.0  # fixed columns and equality rows' slacks never enter
-    wrong_side = (rows[m, :-1] < -_RC_TOL) & ~frozen
+    can_enter = upper[:-1] != 0.0  # fixed columns and equality rows' slacks never enter
+    wrong_side = (rows[m, :-1] < -_RC_TOL) & can_enter
     if not (wrong_side & (upper[:-1] == np.inf)).any():
         # every nonbasic column can rest where its reduced cost is nonnegative
-        move = np.flatnonzero(wrong_side)
+        move = wrong_side.nonzero()[0]
         if move.size:
             rows[:, -1] -= rows[:, move] @ upper[move]
             rows[:, move] *= -1.0
             flipped[move] = ~flipped[move]
-        status = _run_dual(t, ~frozen, max_iterations)
+        status = _run_dual(t, can_enter, max_iterations, ident, b, logical)
+        if status is None:
+            return None
     elif (np.maximum(-rows[:m, -1], rows[:m, -1] - t.row_upper) <= _PRIMAL_TOL).all():
         status = "optimal"  # primal feasible: Phase II below does the work
     else:
@@ -489,45 +539,65 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
         # also repairs reduced costs that rounding left a hair below zero
         t.bland = False
         t.degenerate = 0
-        status = _run_phase(t, n_total, max_iterations, frozen)
+        status = _run_phase(t, n_total, max_iterations, can_enter)
     if status != "optimal":
         return SolveResult(status=status, iterations=t.iterations)
-    layout = _Layout(offset=offset, sign=sign, kept=kept, free=free, cost=c_int,
-                     row_sign=given_sign, init_col=logical, logical_rows=np.arange(m),
+    layout = _Layout(offset=offset, sign=sign, kept=slice(None), n_kept=n, free=free, free_at=free,
+                     cost=c_int, row_sign=given_sign, init_col=logical, logical_rows=np.arange(m),
                      logical_cols=logical)
-    result = _optimal(problem, a, layout, t)
-    result.basis = Basis(result.basis.columns, result.basis.rows,
-                         _tableau=_Kept(ident, t.rows, t.basis, t.flipped))
-    return result
+    return _optimal(problem, a, layout, t, ident)
 
 
-def _from_kept(kept: Optional[_Kept], ident: _Identity, upper: np.ndarray,
+def _from_kept(kept: Optional[_Kept], ident: _Identity, upper: np.ndarray, c_int: np.ndarray,
                b: np.ndarray, logical: np.ndarray):
-    """A copy of a kept final tableau with its rhs column re-priced, or ``None``.
+    """A copy of a kept final tableau, re-priced for new bounds, rhs and costs, or ``None``.
 
-    The logical columns read B^-1, negated where a zero-width slack is
-    complemented, so the new rhs column ``B^-1 b'`` is one matrix-vector
-    product; ``b'`` takes each complemented column at its new width.
+    The new rhs column ``B^-1 b'`` is one matrix-vector product (see
+    :func:`_rhs_column`), with each complemented column at its new width.
+    The reduced costs ``c - c_B B^-1 A``, with ``c`` under the kept
+    complementing, are one vector-matrix product.
     """
     m = b.size
     if kept is None or kept.rows.shape != (m + 1, upper.size) or not kept.ident.same_as(ident):
         return None
     flipped = kept.flipped.copy()
-    at_upper = np.flatnonzero(flipped)
-    if np.isinf(upper[at_upper]).any():
+    if (upper[flipped] == np.inf).any():
         return None  # a complemented column has lost its upper bound
-    at_upper = at_upper[at_upper < ident.sign.size]  # the structural ones; slacks here have width 0
-    b = b - (ident.a[:, at_upper] * ident.sign[at_upper]) @ upper[at_upper] * ident.given_sign
     rows = kept.rows.copy()
-    rows[:m, -1] = rows[:m, logical] @ np.where(flipped[logical], -b, b)
+    rows[:m, -1] = _rhs_column(rows, flipped, upper, ident, b, logical)[0]
+    cost = np.where(flipped, -c_int, c_int)
+    rows[m] = cost - cost[kept.basis] @ rows[:m]
     return rows, kept.basis.copy(), flipped
+
+
+def _rhs_column(rows: np.ndarray, flipped: np.ndarray, upper: np.ndarray, ident: _Identity,
+                b: np.ndarray, logical: np.ndarray):
+    """``(B^-1 b', b')``: the rhs column of a warm tableau, from its logical columns.
+
+    The logical columns read B^-1, negated where a zero-width slack is
+    complemented; ``b'`` is ``b`` less each complemented structural column
+    at its width, negated on those slacks' rows.
+    """
+    at_upper = flipped[:ident.sign.size].nonzero()[0]  # the structural ones; slacks have width 0
+    if at_upper.size:
+        b = b - (ident.a[:, at_upper] * ident.sign[at_upper]) @ upper[at_upper] * ident.given_sign
+    b = np.where(flipped[logical], -b, b)
+    return rows[:b.size, logical] @ b, b
 
 
 def _from_crash(hint: Basis, ident: _Identity, upper: np.ndarray, c_int: np.ndarray,
                 b: np.ndarray, logical: np.ndarray):
-    """The tableau of ``hint`` built from the all-slack one, or ``None`` when singular."""
+    """The tableau of ``hint`` built from the all-slack one.
+
+    ``None`` when the hint has the wrong size or number of basic entries, or
+    is singular.
+    """
     a, sign, free = ident.a, ident.sign, ident.free
     m, n = a.shape
+    if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
+        return None
+    if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint.rows == BASIC) != m:
+        return None
     n_struct = n + free.size
     rows = np.zeros((m + 1, upper.size))
     rows[:m, :n] = a * sign * ident.given_sign[:, None]
@@ -564,21 +634,26 @@ def _from_crash(hint: Basis, ident: _Identity, upper: np.ndarray, c_int: np.ndar
     return rows, basis, flipped
 
 
-def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tableau) -> SolveResult:
-    """Primal, duals, reduced costs and basis of an optimal tableau."""
+def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tableau,
+             ident: Optional[_Identity] = None) -> SolveResult:
+    """Primal, duals, reduced costs and basis of an optimal tableau.
+
+    Given the tableau's ``ident``, the basis keeps the tableau for re-solves.
+    """
     m = t.basis.size
     rows = t.rows
     x_int = np.zeros(rows.shape[1])
     x_int[t.basis] = rows[:m, -1]
     x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
-    nk, nf = lay.kept.size, lay.free.size
+    nk, nf = lay.n_kept, lay.free.size
     x = lay.offset.copy()
     x[lay.kept] += lay.sign[lay.kept] * x_int[:nk]
-    x[lay.free] -= x_int[nk:nk + nf]
+    if nf:
+        x[lay.free] -= x_int[nk:nk + nf]
 
     # y = c_B B^-1, priced afresh under the final complementing; slacks and
     # artificials cost nothing
-    c = np.asarray(problem.objective, dtype=float)
+    c = problem.objective
     cost = np.where(t.flipped, -lay.cost, lay.cost)
     y = (cost[t.basis] @ rows[:m, lay.init_col]) * lay.row_sign
     reduced = c - a.T @ y
@@ -588,8 +663,9 @@ def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tabl
     columns = np.full(problem.n_cols, AT_LOWER, dtype=np.int8)  # substituted fixed columns too
     at_upper = t.flipped[:nk] | (lay.sign[lay.kept] < 0.0)
     columns[lay.kept] = np.where(in_basis[:nk], BASIC, np.where(at_upper, AT_UPPER, AT_LOWER))
-    split_basic = in_basis[np.searchsorted(lay.kept, lay.free)] | in_basis[nk:nk + nf]
-    columns[lay.free] = np.where(split_basic, BASIC, FREE_ZERO)
+    if nf:
+        split_basic = in_basis[lay.free_at] | in_basis[nk:nk + nf]
+        columns[lay.free] = np.where(split_basic, BASIC, FREE_ZERO)
     row_status = np.full(m, NONBASIC, dtype=np.int8)
     row_status[lay.logical_rows[in_basis[lay.logical_cols]]] = BASIC
 
@@ -600,5 +676,5 @@ def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tabl
         duals=y,
         reduced_costs=reduced,
         iterations=t.iterations,
-        basis=Basis(columns=columns, rows=row_status),
+        basis=Basis(columns, row_status, None if ident is None else _Kept(ident, rows, t.basis, t.flipped)),
     )

@@ -60,7 +60,8 @@ class StandardFormProblem:
     integrality: list[str]
     row_provenance: dict[int, str] = field(default_factory=dict)
     basis: Optional[Basis] = None      # a starting basis for the simplex to try first
-    # (triplets, their count, read-only matrix) once keep_dense_rows() has run
+    # (triplets, their count, read-only matrix, senses, their count, row signs)
+    # once keep_dense_rows() has run
     _dense: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -89,12 +90,24 @@ class StandardFormProblem:
     def keep_dense_rows(self) -> None:
         """Build the dense matrix once and share it with every ``replace()`` of this problem.
 
-        The kept matrix is read-only.  It is rebuilt when ``triplets`` is
-        replaced or grows, and ``copy()`` does not carry it over.
+        The kept matrix is read-only, and so are the row signs kept with it.
+        The matrix is rebuilt when ``triplets`` is replaced or grows, the signs
+        when ``senses`` is, and ``copy()`` carries neither over.
         """
         a = self.dense_rows()
         a.flags.writeable = False
-        self._dense = (self.triplets, len(self.triplets), a)
+        signs = self.row_signs()
+        for array in signs:
+            array.flags.writeable = False
+        self._dense = (self.triplets, len(self.triplets), a, self.senses, len(self.senses), signs)
+
+    def row_signs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(eq, sign)``: a mask of the equality rows, and -1 on "ge" rows, 1 elsewhere."""
+        kept = self._dense
+        if kept is not None and kept[3] is self.senses and kept[4] == len(self.senses):
+            return kept[5]
+        senses = np.array(self.senses, dtype=str)
+        return senses == "eq", np.where(senses == "ge", -1.0, 1.0)
 
     def integer_columns(self) -> list[int]:
         return [j for j, kind in enumerate(self.integrality) if kind != "continuous"]
@@ -176,14 +189,18 @@ def flatten(graph: Graph) -> StandardFormProblem:
 
 
 def lp_relaxation(problem: StandardFormProblem) -> StandardFormProblem:
-    """Drop integrality; binary columns keep their [0, 1] domain."""
-    relaxed = problem.copy()
-    for j, kind in enumerate(problem.integrality):
-        if kind == "binary":
-            relaxed.lower[j] = max(relaxed.lower[j], 0.0)
-            relaxed.upper[j] = min(relaxed.upper[j], 1.0)
-    relaxed.integrality = ["continuous"] * problem.n_cols
-    return relaxed
+    """Drop integrality; binary columns keep their [0, 1] domain.
+
+    The relaxation has its own bounds and shares everything else, the kept
+    matrix included, so that a basis it returns can re-solve ``problem``.
+    """
+    binary = np.array([kind == "binary" for kind in problem.integrality], dtype=bool)
+    return replace(
+        problem,
+        lower=np.where(binary, np.maximum(problem.lower, 0.0), problem.lower),
+        upper=np.where(binary, np.minimum(problem.upper, 1.0), problem.upper),
+        integrality=["continuous"] * problem.n_cols,
+    )
 
 
 def check_solution(

@@ -65,6 +65,14 @@ class CutData:
         return abs(rhs_self - rhs_other) <= tol
 
 
+def _extended(basis: Optional[Basis], n_rows: int) -> Optional[Basis]:
+    """``basis`` with a basic slack on every row appended since it was taken."""
+    if basis is None or basis.rows.size == n_rows:
+        return basis
+    rows = np.concatenate([basis.rows, np.full(n_rows - basis.rows.size, BASIC, np.int8)])
+    return Basis(basis.columns, rows)
+
+
 class StageProblem:
     """Solvable form of one subgraph with relocated rows, fixing rows and cuts."""
 
@@ -147,10 +155,14 @@ class StageProblem:
 
         self.cuts: list[CutData] = []
         self._cut_row_start = len(self._rows)
-        # the assembled problem with its kept matrix, until a cut adds a row
+        # the assembled problem and the Lagrangian one, each with its kept
+        # matrix, until a cut adds a row
         self._assembled: Optional[StandardFormProblem] = None
-        # the last optimal LP solve's basis: the next LP solve starts there
+        self._lagrangian: Optional[StandardFormProblem] = None
+        # the last optimal solve's basis (a MILP's root basis), and the last
+        # Lagrangian solve's: the next solve of each starts there
         self._basis: Optional[Basis] = None
+        self._lagrangian_basis: Optional[Basis] = None
 
     def _new_column(self, cost: float, lower: float, upper: float, integrality: str) -> int:
         self._objective.append(cost)
@@ -196,6 +208,7 @@ class StageProblem:
         self._rows.append(_Row(coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}"))
         self.cuts.append(cut)
         self._assembled = None
+        self._lagrangian = None
 
     def has_equivalent_cut(self, cut: CutData, tol: float = 1e-12) -> bool:
         return any(cut.same_hyperplane(old, tol) for old in self.cuts)
@@ -243,13 +256,20 @@ class StageProblem:
         """Fixing rows dropped; their violation priced into the objective.
 
         min  c'y + theta - mu' (z - anchor)  over all remaining rows.
+
+        Only the objective moves with ``mu`` and ``anchor``, so every call
+        shares one kept matrix and row lists until a cut adds a row.
         """
-        rows = self._rows[: self._fix_row_start] + self._rows[self._cut_row_start :]
-        objective = list(self._objective)
-        for j, ref in enumerate(self.fixed_refs):
-            objective[self.copy_col[ref]] -= float(mu[j])
+        kept = self._lagrangian
+        if kept is None:
+            rows = self._rows[: self._fix_row_start] + self._rows[self._cut_row_start :]
+            kept = self._assemble(rows, self._objective, self.objective_constant, self._integrality)
+            kept.keep_dense_rows()
+            self._lagrangian = kept
+        objective = kept.objective.copy()
+        objective[[self.copy_col[ref] for ref in self.fixed_refs]] -= mu
         constant = self.objective_constant + float(mu @ anchor)
-        return self._assemble(rows, objective, constant, self._integrality)
+        return replace(kept, objective=objective, objective_constant=constant)
 
     def level_set_problem(self, level: float) -> StandardFormProblem:
         """Zero objective plus a cap on the original objective value."""
@@ -265,22 +285,34 @@ class StageProblem:
     # -- solving and extraction -------------------------------------------
 
     def solve(self, solver: Optional[LinearSolver] = None, relax: bool = False) -> SolveResult:
-        """Solve the stage; an LP solve starts from the last optimal LP solve's basis.
+        """Solve the stage, starting from the last optimal solve's basis.
 
-        Between forward passes only the fixing rows' right-hand sides move, so
-        that basis stays dual feasible; a cut added since gets a basic slack.
+        That is the final basis of an LP solve or the root basis of a MILP
+        solve; a MIP stage's relaxation and its MILP share it, since the
+        MILP's root is that relaxation.  Between forward passes only the
+        fixing rows' right-hand sides move, so the basis stays dual feasible;
+        a cut added since gets a basic slack.
         """
         problem = self.problem(relax=relax)
-        is_lp = relax or not self.is_mip
-        if is_lp and self._basis is not None:
-            hint = self._basis
-            new_rows = problem.n_rows - hint.rows.size
-            if new_rows:
-                hint = Basis(hint.columns, np.concatenate([hint.rows, np.full(new_rows, BASIC, np.int8)]))
-            problem.basis = hint
+        problem.basis = _extended(self._basis, problem.n_rows)
         result = solve(problem, solver)
-        if result.basis is not None:  # only optimal LP solves return one
+        if result.basis is not None:  # only optimal solves return one
             self._basis = result.basis
+        return result
+
+    def solve_lagrangian(self, mu: np.ndarray, anchor: np.ndarray,
+                         solver: Optional[LinearSolver] = None) -> SolveResult:
+        """Solve :meth:`lagrangian_problem`, starting from the last such solve's root basis.
+
+        Successive multipliers change only the objective, so the MILP root
+        re-prices the kept tableau of the last root and primal Phase II
+        finishes it.
+        """
+        problem = self.lagrangian_problem(mu, anchor)
+        problem.basis = _extended(self._lagrangian_basis, problem.n_rows)
+        result = solve(problem, solver)
+        if result.basis is not None:
+            self._lagrangian_basis = result.basis
         return result
 
     def fixing_duals(self, result: SolveResult) -> np.ndarray:

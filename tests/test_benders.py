@@ -1,6 +1,8 @@
 """Graph-based Benders decomposition: structure, cuts, convergence."""
 
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from graphopt.fixtures import (
     storage_fixture,
     storage_membership,
 )
+from graphopt import simplex
 from graphopt.solvers import default_solver, solve_milp
 from graphopt.subproblem import CutData, StageProblem
 from graphopt.transform import apply_partition
@@ -301,6 +304,59 @@ class TestStageProblem:
         g.add_link_constraint(y + x, "ge", 2.0)  # unsatisfiable: 1.25 max
         with pytest.raises(SubproblemInfeasibleError, match="slack"):
             run_decomposition(g, root="p")
+
+
+class TestKeptLagrangianProblem:
+    """Ascent steps re-solve one kept problem whose objective alone moves."""
+
+    def test_it_matches_a_freshly_assembled_problem(self):
+        # rooted at b1, stage b2 has fixing rows from b1 and a theta for b3
+        tree = BendersTree(mini_pcm_fixture(), root="b1")
+        st = tree.stages["b2"]
+
+        def make():
+            return StageProblem(st.subgraph, st.relocated, theta_count=1, add_slacks=True)
+
+        kept = make()
+        rng = np.random.default_rng(7)
+        anchor = np.array([8.0])
+        b3 = tree.stages["b3"]
+        refs = tuple(StageProblem(b3.subgraph, b3.relocated).fixed_refs)  # b2's state of charge
+        cut = CutData("b3", refs, np.full(len(refs), -3.0), 40.0, np.full(len(refs), 5.0), "lagrangian", 1, 0)
+        for step in range(8):
+            if step == 4:  # a cut adds a row, so the kept problem is rebuilt
+                kept.add_cut(cut)
+            mu = rng.uniform(-20.0, 20.0, len(kept.fixed_refs))
+            fresh = make()
+            for old in kept.cuts:
+                fresh.add_cut(old)
+            expected = fresh.lagrangian_problem(mu, anchor)
+            problem = kept.lagrangian_problem(mu, anchor)
+            np.testing.assert_array_equal(problem.objective, expected.objective)
+            assert problem.objective_constant == expected.objective_constant
+            np.testing.assert_array_equal(problem.dense_rows(), expected.dense_rows())
+            res = kept.solve_lagrangian(mu, anchor)  # from the last step's root basis
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(solve_milp(expected).objective, rel=1e-9, abs=1e-9)
+
+    def test_steps_start_cold_at_most_once_per_stage_and_cut_set(self, monkeypatch):
+        cold_starts, steps = Counter(), []
+        solve_lagrangian = StageProblem.solve_lagrangian
+
+        def counted(prob, mu, anchor, solver=None):
+            before = spy.call_count
+            res = solve_lagrangian(prob, mu, anchor, solver)
+            cold_starts[prob.graph.id, len(prob.cuts)] += spy.call_count - before
+            steps.append(prob.graph.id)
+            return res
+
+        monkeypatch.setattr(StageProblem, "solve_lagrangian", counted)
+        with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as spy:
+            res = run_decomposition(mini_pcm_fixture(), root="b2",
+                                    config=BendersConfig(lagrangian=True, add_slacks=True))
+        assert res.status == "converged"
+        assert max(cold_starts.values()) <= 1
+        assert len(steps) >= 10 * len(cold_starts)
 
 
 class TestCuts:

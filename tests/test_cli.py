@@ -13,7 +13,7 @@ from graphopt.cli import (
     EXIT_USAGE,
     main,
 )
-from graphopt.errors import NodeLimitError, NumericalBreakdownError
+from graphopt.errors import IterationLimitError, NodeLimitError, NumericalBreakdownError
 from graphopt.fixtures import generate_fixture, storage_membership
 from graphopt.serialize import save_instance
 
@@ -148,6 +148,16 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert main(["--fixture", "storage", "--output", str(out)]) == EXIT_SOLVER_FAILURE
         assert read_report(out)["status"] == "solver_failure"
+
+    def test_a_stage_at_the_iteration_limit(self, tmp_path, monkeypatch):
+        def stop(*args, **kwargs):
+            raise IterationLimitError("stage 'g2' stopped as 'iteration_limit'")
+
+        monkeypatch.setattr("graphopt.cli.sequential_solve", stop)
+        out = tmp_path / "r.json"
+        code = main(["--fixture", "chain3_milp", "--mode", "sequential", "--output", str(out)])
+        assert code == EXIT_ITER_LIMIT
+        assert read_report(out)["status"] == "iteration_limit"
 
     def test_benders_infeasible_subproblem(self, membership_file, tmp_path):
         # without slacks the operations stage cannot match a zero storage size

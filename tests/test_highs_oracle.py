@@ -4,6 +4,9 @@ HiGHS is a test-only oracle: numpy stays the library's one runtime
 dependency, and this module is skipped where scipy is missing.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,13 @@ from graphopt import BendersConfig, apply_partition, flatten, run_decomposition,
 from graphopt.branch_bound import solve_milp
 from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
 from graphopt.simplex import solve_lp
+from graphopt.standard_form import BASIC
 
 from conftest import assert_strong_duality, make_problem
+
+# the benchmark's seeded model generators, which build through the public API
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import generators  # noqa: E402
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -128,6 +136,55 @@ def test_storage_at_t200_matches_highs_monolithic_and_by_benders():
     assert benders.status == "converged"
     assert benders.objective == pytest.approx(objective, rel=1e-6)
     assert not benders.flags["slacks_active"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cem_star_by_multicut_benders_matches_highs(seed):
+    """Scenario stages pin capacities up to ~1e5 next to O(1) coefficients."""
+    graph, membership = generators.cem_star_build(
+        generators.cem_star_data(np.random.default_rng(seed), S=2))
+    apply_partition(graph, membership)
+    status, objective = highs_lp(flatten(graph))
+    assert status == "optimal"
+    res = run_decomposition(graph, root="planning", config=BendersConfig(multicut=True))
+    assert res.status == "converged"
+    assert res.objective == pytest.approx(objective, rel=1e-6)
+
+
+def test_duals_match_highs_marginals_at_non_degenerate_optima():
+    """``y_i = dV/db_i`` for the row as given: HiGHS's marginals, negated on "ge" rows.
+
+    A "ge" row reaches ``linprog`` negated, as an upper-bound row.  Only an
+    optimum whose basic columns and basic slacks all sit strictly inside
+    their bounds is compared, since only there are the duals unique.
+    """
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(30):
+        problem = mixed_bound_lp(rng, m=30, n=40)
+        res = solve_lp(problem)
+        assert res.status == "optimal"
+        x, basic = res.primal, res.basis.columns == BASIC
+        activity = problem.dense_rows() @ x
+        inside = min(np.min(x[basic] - problem.lower[basic], initial=np.inf),
+                     np.min(problem.upper[basic] - x[basic], initial=np.inf),
+                     np.min(np.abs(activity - problem.rhs)[res.basis.rows == BASIC], initial=np.inf))
+        if inside < 1e-6:
+            continue
+        senses = np.array(problem.senses)
+        a, ub, eq = problem.dense_rows(), senses != "eq", senses == "eq"
+        sign = np.where(senses == "ge", -1.0, 1.0)
+        highs = optimize.linprog(
+            problem.objective, A_ub=a[ub] * sign[ub, None], b_ub=problem.rhs[ub] * sign[ub],
+            A_eq=a[eq], b_eq=problem.rhs[eq], bounds=list(zip(problem.lower, problem.upper)),
+            method="highs")
+        assert highs.status == 0
+        marginals = np.zeros(problem.n_rows)
+        marginals[ub] = highs.ineqlin.marginals * sign[ub]
+        marginals[eq] = highs.eqlin.marginals
+        np.testing.assert_allclose(res.duals, marginals, rtol=1e-7, atol=1e-7)
+        checked += 1
+    assert checked >= 20, checked
 
 
 def seeded_milp(rng, n_int=25, n_cont=8, m=12, parity_row=False):

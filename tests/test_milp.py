@@ -174,6 +174,26 @@ class TestBranchAndBound:
             deep += res.nodes_explored > 3
         assert deep >= 5
 
+    def test_the_result_basis_is_the_root_relaxations(self, rng):
+        """Handed back, it re-solves the root from its kept tableau without a pivot."""
+        checked = 0
+        for k in range(25):
+            prob = random_milp(rng, pure_binary=(k % 3 != 0))
+            res = solve_milp(prob)
+            if res.status != "optimal":
+                assert res.basis is None
+                continue
+            root = solve_lp(lp_relaxation(prob))
+            np.testing.assert_array_equal(res.basis.columns, root.basis.columns)
+            np.testing.assert_array_equal(res.basis.rows, root.basis.rows)
+            again = solve_milp(replace(prob, basis=res.basis))
+            assert again.objective == pytest.approx(res.objective, abs=1e-9)
+            warm_root = solve_lp(replace(lp_relaxation(prob), basis=res.basis))
+            assert warm_root.iterations == 0
+            assert again.basis._tableau is not None  # so the next root starts from it
+            checked += 1
+        assert checked >= 10
+
     def test_warm_and_cold_trees_agree_and_warm_pivots_less(self, rng):
         def cold_solve_lp(p):
             return solve_lp(replace(p, basis=None))

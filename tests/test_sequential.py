@@ -6,8 +6,10 @@ import pytest
 
 from graphopt import (
     Graph,
+    IterationLimitError,
     LocalNodesAtRootError,
     NoSubgraphsError,
+    SolveResult,
     SubproblemInfeasibleError,
     UsageError,
 )
@@ -185,3 +187,41 @@ class TestRelaxedParallelBound:
         bound = relaxed_parallel_bound(g)
         assert bound.status == "unbounded"
         assert bound.objective == -math.inf
+
+
+class TestStagesWithoutAnOptimum:
+    """A stage that is unbounded or stops at the iteration limit."""
+
+    def graph(self):
+        # the first stage minimizes a variable with no lower bound
+        g = Graph("g")
+        wild = Graph("wild")
+        n = wild.add_node("n")
+        x = n.add_variable("x", upper=1.0)
+        n.set_objective(1.0 * x)
+        g.add_subgraph(wild)
+        tame = Graph("tame")
+        y = tame.add_node("m").add_variable("y", lower=0.0, upper=1.0)
+        g.add_subgraph(tame)
+        g.add_link_constraint(x + y, "le", 1.0)
+        return g
+
+    def test_an_unbounded_stage_makes_the_sequential_pass_unbounded(self):
+        res = sequential_solve(self.graph(), ["wild", "tame"])
+        assert res.status == "unbounded"
+        assert res.objective == -math.inf
+        assert res.stage_costs == [("wild", -math.inf)]
+
+    @pytest.mark.parametrize("mode", ["sequential", "bound"])
+    def test_a_stage_at_the_iteration_limit_raises(self, mode):
+        class Stopping:
+            def solve_lp(self, problem):
+                return SolveResult(status="iteration_limit")
+
+            solve_milp = solve_lp
+
+        with pytest.raises(IterationLimitError, match="iteration_limit"):
+            if mode == "sequential":
+                sequential_solve(self.graph(), ["tame", "wild"], solver=Stopping())
+            else:
+                relaxed_parallel_bound(self.graph(), solver=Stopping())
