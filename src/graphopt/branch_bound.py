@@ -1,7 +1,13 @@
 """Best-first branch-and-bound for mixed-integer problems.
 
 Nodes are LP relaxations with tightened bounds, explored in order of their
-relaxation value (ties broken by creation order, so runs are repeatable).
+relaxation value.  Ties go to the newest node, so among equal bounds the
+search plunges depth-first; each parent pushes its down child and then its
+up child, so the plunge follows the up child.  When the relaxation is
+already as tight as the integer optimum, every node ties and one dive of a
+node per fractional column reaches an integer point that closes the
+search, where taking the oldest first would also solve the down children
+on the way.  The order is fixed, so runs are repeatable.
 Branching picks the integer column whose value sits farthest from an
 integer; ties go to the lowest column index.  Each child starts its LP
 from its parent's final basis, which stays dual feasible when one bound
@@ -44,7 +50,10 @@ def solve_milp(
 ) -> SolveResult:
     """Solve ``problem`` to proven optimality (within ``mip_gap``).
 
-    Raises :class:`NodeLimitError` if the node budget runs out first.
+    Nodes are taken best bound first, the newest of equal bounds first.
+    Raises :class:`NodeLimitError` if the node budget runs out first.  A node
+    LP that stops at its iteration limit stops the search too: the result's
+    status is then ``iteration_limit``, with the nodes and pivots so far.
     Pure-LP input is passed straight to the LP solver.  An optimal result's
     ``basis`` is the root relaxation's final basis.
     """
@@ -58,13 +67,13 @@ def solve_milp(
     if root.status in ("infeasible", "unbounded", "iteration_limit"):
         return SolveResult(status=root.status, iterations=root.iterations)
 
-    # a node is (bound, creation order, lower, upper, its parent's basis, its
-    # LP result if solved): the root's LP is reused as node 1.  Nodes share
-    # bound arrays, which are never written to, and solve_lp never writes to
-    # the rest of ``relaxed``.
+    # a node is (bound, minus its creation order, lower, upper, its parent's
+    # basis, its LP result if solved): the root's LP is reused as node 1.
+    # Nodes share bound arrays, which are never written to, and solve_lp never
+    # writes to the rest of ``relaxed``.
     counter = itertools.count()
     heap: list[tuple[float, int, np.ndarray, np.ndarray, Basis | None, SolveResult | None]] = [
-        (root.objective, next(counter), relaxed.lower, relaxed.upper, None, root)
+        (root.objective, -next(counter), relaxed.lower, relaxed.upper, None, root)
     ]
 
     incumbent: SolveResult | None = None
@@ -86,6 +95,8 @@ def solve_milp(
         if res is None:
             res = solve_lp_fn(replace(relaxed, lower=lo, upper=hi, basis=basis))
             lp_iterations += res.iterations
+        if res.status == "iteration_limit":
+            return SolveResult(status=res.status, iterations=lp_iterations, nodes_explored=nodes)
         if res.status != "optimal":
             continue  # infeasible branch (unbounded cannot appear below a bounded root)
         if incumbent is not None and incumbent.objective - res.objective <= 1e-9:
@@ -105,9 +116,9 @@ def solve_milp(
         up_lo = lo.copy()
         up_lo[branch_col] = math.ceil(value)
         if down_hi[branch_col] >= lo[branch_col]:
-            heapq.heappush(heap, (res.objective, next(counter), lo, down_hi, res.basis, None))
+            heapq.heappush(heap, (res.objective, -next(counter), lo, down_hi, res.basis, None))
         if up_lo[branch_col] <= hi[branch_col]:
-            heapq.heappush(heap, (res.objective, next(counter), up_lo, hi, res.basis, None))
+            heapq.heappush(heap, (res.objective, -next(counter), up_lo, hi, res.basis, None))
 
     if incumbent is None:
         return SolveResult(status="infeasible", iterations=lp_iterations, nodes_explored=nodes)

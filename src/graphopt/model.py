@@ -446,10 +446,19 @@ class Graph:
         if self.objective_mode == "explicit":
             assert self._explicit_objective is not None
             return self._explicit_objective
-        total = LinearExpression()
+        # one pass, summing in node order and dropping a term the moment it
+        # cancels, exactly as folding ``total + node.objective`` would
+        terms: dict[VariableRef, float] = {}
+        constant = 0.0
         for node in self.all_nodes():
-            total = total + node.objective
-        return total
+            constant += node.objective.constant
+            for ref, coef in node.objective.terms.items():
+                value = terms.get(ref, 0.0) + coef
+                if value:
+                    terms[ref] = value
+                else:
+                    terms.pop(ref, None)
+        return LinearExpression(terms, constant)
 
     # -- queries used throughout the library -------------------------------
     def all_variables(self) -> list[VariableRef]:

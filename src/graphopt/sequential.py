@@ -19,22 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import IterationLimitError, SubproblemInfeasibleError, UsageError
+from .errors import SubproblemInfeasibleError, UsageError
 from .model import Constraint, Graph, VariableRef
-from .simplex import SolveResult
 from .solvers import LinearSolver
 from .standard_form import check_solution
 from .subproblem import StageProblem
 from .transform import first_level_topology
 
 _INF = float("inf")
-
-
-def _require_verdict(result: SolveResult, gid: str) -> SolveResult:
-    """``result`` if it is optimal, infeasible or unbounded; otherwise raise."""
-    if result.status not in ("optimal", "infeasible", "unbounded"):
-        raise IterationLimitError(f"stage {gid!r} stopped as {result.status!r} without a verdict")
-    return result
 
 
 @dataclass
@@ -81,7 +73,7 @@ def sequential_solve(
             slack_penalty=slack_penalty,
         )
         prob.set_fixed_values(values[ref] for ref in prob.fixed_refs)
-        res = prob.require_feasible(_require_verdict(prob.solve(solver), gid), "the sequential pass")
+        res = prob.require_feasible(prob.solve(solver), "the sequential pass")
         if res.status == "unbounded":  # later stages have no values to fix
             stage_costs.append((gid, -_INF))
             return SequentialResult(status="unbounded", objective=-_INF, solution=values,
@@ -115,7 +107,7 @@ def relaxed_parallel_bound(
     status = "optimal"
     for sub in subs:
         prob = StageProblem(sub)
-        res = _require_verdict(prob.solve(solver), sub.id)
+        res = prob.require_verdict(prob.solve(solver), "the relaxed bound")
         if res.status == "infeasible":
             raise SubproblemInfeasibleError(
                 f"subgraph {sub.id!r} is infeasible on its own; the full problem is too"

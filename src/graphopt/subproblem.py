@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import SubproblemInfeasibleError
+from .errors import IterationLimitError, SubproblemInfeasibleError
 from .model import Constraint, Graph, VariableRef
 from .solvers import LinearSolver, solve
 from .simplex import SolveResult
@@ -358,7 +358,18 @@ class StageProblem:
             out[j] = result.primal[col]
         return out
 
+    def require_verdict(self, result: SolveResult, context: str) -> SolveResult:
+        """``result`` if it is optimal, infeasible or unbounded; otherwise raise."""
+        if result.status not in ("optimal", "infeasible", "unbounded"):
+            raise IterationLimitError(
+                f"stage {self.graph.id!r} stopped as {result.status!r} without a verdict "
+                f"during {context}"
+            )
+        return result
+
     def require_feasible(self, result: SolveResult, context: str) -> SolveResult:
+        """``result`` unless it is infeasible or has no verdict; then raise."""
+        self.require_verdict(result, context)
         if result.status == "infeasible":
             hint = "" if self.slack_cols else " (consider enabling elastic slacks)"
             raise SubproblemInfeasibleError(

@@ -12,6 +12,7 @@ from graphopt import (
     DisconnectedError,
     Graph,
     HyperedgeSpanError,
+    IterationLimitError,
     LocalNodesAtRootError,
     NoSubgraphsError,
     OverlapUnsupportedError,
@@ -35,6 +36,7 @@ from graphopt.fixtures import (
     storage_membership,
 )
 from graphopt import simplex
+from graphopt.simplex import SolveResult
 from graphopt.solvers import default_solver, solve_milp
 from graphopt.subproblem import CutData, StageProblem
 from graphopt.transform import apply_partition
@@ -577,6 +579,31 @@ class TestStall:
         assert res.status == "stalled"
         assert res.trace[-1].regularized
         assert "repeated the previous root iterate" in res.message
+
+
+class TestIterationLimit:
+    """A stage solve that stops without a verdict is an error, never a result."""
+
+    @pytest.mark.parametrize(
+        "real_solves, stage, context",
+        [(0, "design", "the root solve"), (1, "operations", "the forward pass")],
+    )
+    def test_a_stage_at_the_iteration_limit_raises(self, real_solves, stage, context):
+        class StopsLater:
+            """The built-in solver for ``real_solves`` calls, then out of iterations."""
+
+            calls = 0
+
+            def solve_lp(self, problem):
+                self.calls += 1
+                if self.calls > real_solves:
+                    return SolveResult(status="iteration_limit", iterations=7)
+                return default_solver().solve_lp(problem)
+
+            solve_milp = solve_lp
+
+        with pytest.raises(IterationLimitError, match=f"stage '{stage}'.*iteration_limit.*{context}"):
+            run_decomposition(partitioned_storage(), root="design", solver=StopsLater())
 
 
 class TestConfigAndGap:

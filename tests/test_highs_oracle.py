@@ -251,3 +251,21 @@ def test_mini_pcm_fixture_matches_highs_milp():
     res = solve_milp(problem)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(objective, rel=1e-7)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pcm_milp_monolithic_and_by_lagrangian_benders_match_highs(seed):
+    """Tight relaxations at fractional commitments: every B&B tree ties."""
+    graph, membership = generators.pcm_milp_build(
+        generators.pcm_milp_data(np.random.default_rng(seed)))
+    apply_partition(graph, membership)
+    problem = flatten(graph)
+    status, objective = highs_milp(problem)
+    assert status == "optimal"
+    mono = solve_milp(problem)
+    assert mono.status == "optimal"
+    assert mono.objective == pytest.approx(objective, rel=1e-6)
+    config = BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True)
+    res = run_decomposition(graph, root="b2", config=config)
+    assert res.status == "converged"
+    assert res.objective == pytest.approx(objective, rel=1e-6)

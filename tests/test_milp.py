@@ -8,7 +8,7 @@ import pytest
 
 from graphopt import NodeLimitError, simplex
 from graphopt.branch_bound import solve_milp
-from graphopt.simplex import solve_lp
+from graphopt.simplex import SolveResult, solve_lp
 from graphopt.standard_form import lp_relaxation
 
 from conftest import binary_enumeration_milp, make_problem, random_milp
@@ -75,6 +75,65 @@ class TestBranchAndBound:
                     solve_milp(prob, node_limit=1)
                 return
         pytest.fail("no instance needed branching")
+
+    def test_a_node_lp_at_the_iteration_limit_stops_the_search(self, rng):
+        """It is no verdict on the node, so the search reports the limit, not infeasibility."""
+        for _ in range(20):
+            prob = random_milp(rng)
+            if solve_milp(prob).nodes_explored < 2:
+                continue
+            calls = []
+
+            def first_child_stops(p):
+                calls.append(p)
+                if len(calls) == 2:
+                    return SolveResult(status="iteration_limit", iterations=7)
+                return solve_lp(p)
+
+            root = solve_lp(lp_relaxation(prob))
+            res = solve_milp(prob, solve_lp_fn=first_child_stops)
+            assert res.status == "iteration_limit"
+            assert res.nodes_explored == 2
+            assert res.iterations == root.iterations + 7
+            assert res.primal is None
+            return
+        pytest.fail("no instance needed branching")
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_a_tight_relaxation_plunges_down_its_up_children(self, k):
+        """Every node ties with the root, so the newest-first tie-break dives.
+
+        Each pair ``p_t - 15 u_t <= 0``, ``p_t = d_t`` with cost on ``p``
+        alone leaves the relaxation as tight as the MILP at a fractional
+        ``u_t``.  Each node after the root fixes one more ``u`` at one, and
+        the k-th reaches the integer optimum, which closes the search.
+        """
+        demand = [7.0 + t for t in range(k)]
+        rows, senses, rhs = [], [], []
+        for t, d in enumerate(demand):
+            cap = np.zeros(2 * k)
+            cap[t], cap[k + t] = 1.0, -15.0
+            meet = np.zeros(2 * k)
+            meet[t] = 1.0
+            rows += [cap, meet]
+            senses += ["le", "eq"]
+            rhs += [0.0, d]
+        prob = make_problem(
+            [1.0] * k + [0.0] * k, rows, senses, rhs, [0.0] * (2 * k), [20.0] * k + [1.0] * k,
+            integrality=["continuous"] * k + ["binary"] * k,
+        )
+        fixed_on = []
+
+        def spy_solve_lp(p):
+            fixed_on.append(int(np.count_nonzero(p.lower[k:] == 1.0)))
+            return solve_lp(p)
+
+        res = solve_milp(prob, solve_lp_fn=spy_solve_lp)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(sum(demand))
+        assert res.nodes_explored == k + 1
+        assert fixed_on == list(range(k + 1))
+        np.testing.assert_allclose(res.primal[k:], 1.0)
 
     def test_mip_gap_allows_early_stop(self):
         prob = knapsack([6.0, 5.0, 4.0, 3.0], [3.0, 2.0, 2.0, 1.0], 5.0)

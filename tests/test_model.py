@@ -105,6 +105,32 @@ class TestModelBuilding:
         assert eff.terms[y] == 1.0
         assert eff.constant == 1.0
 
+    def test_effective_objective_matches_folding_the_node_objectives(self, rng):
+        """Same terms, same order, same floats as ``total = total + node.objective``."""
+
+        def folded(graph):
+            total = LinearExpression()
+            for node in graph.all_nodes():
+                total = total + node.objective
+            return total
+
+        g, a, b, x, y = two_node_graph()
+        inner = Graph("inner")
+        c = inner.add_node("c")
+        z = c.add_variable("z")
+        g.add_subgraph(inner)
+        # assigned directly, past the ownership check, so that nodes share refs:
+        # x cancels after b and comes back after c, y sums to a value near zero
+        a.objective = LinearExpression({x: 2.0, y: 0.1}, 1.5)
+        b.objective = LinearExpression({x: -2.0, z: 1.0, y: 0.2}, -0.25)
+        c.objective = LinearExpression({y: -0.3, x: 4.0}, 0.1)
+        graphs = [g] + [random_graph_instance(rng) for _ in range(5)]
+        for graph in graphs:
+            got, want = graph.effective_objective(), folded(graph)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert got.constant == want.constant
+        assert list(g.effective_objective().terms) == [y, z, x]
+
     def test_explicit_graph_objective_overrides_node_sum(self):
         g, a, b, x, y = two_node_graph()
         a.set_objective(3 * x)
