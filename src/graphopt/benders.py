@@ -25,7 +25,9 @@ import numpy as np
 from .errors import (
     CyclicStructureError,
     DisconnectedError,
+    GraphOptError,
     HyperedgeSpanError,
+    IterationLimitError,
     LevelSetInfeasibleError,
     RelaxationInfeasibleError,
     RootNotFoundError,
@@ -189,6 +191,23 @@ def _relative_gap(upper: float, lower: float) -> float:
     if lower == 0.0:
         return upper - lower
     return (upper - lower) / abs(lower)
+
+
+def _require_optimal(result: SolveResult, what: str, infeasible_error: type[GraphOptError]) -> SolveResult:
+    """``result`` if it is optimal; otherwise raise the error that its status names.
+
+    Only an infeasible solve raises ``infeasible_error``.  One that stopped
+    at its iteration limit has no verdict, and raises
+    :class:`IterationLimitError`.
+    """
+    if result.status == "optimal":
+        return result
+    message = f"{what} is {result.status}"
+    if result.status == "infeasible":
+        raise infeasible_error(message)
+    if result.status == "iteration_limit":
+        raise IterationLimitError(message)
+    raise GraphOptError(message)
 
 
 def _lagrangian_ascent(
@@ -366,11 +385,9 @@ class _Decomposition:
         exact.
         """
         base = flatten(self.graph)
-        res = self.solver.solve_lp(lp_relaxation(base))
-        if res.status != "optimal":
-            raise RelaxationInfeasibleError(
-                f"monolithic relaxation is {res.status}; cannot seed warm-start cuts"
-            )
+        res = _require_optimal(self.solver.solve_lp(lp_relaxation(base)),
+                               "the monolithic relaxation for warm-start cuts",
+                               RelaxationInfeasibleError)
         assert res.primal is not None and res.duals is not None
         rows = base.dense_rows()
         row_of_uid = {uid: r for r, uid in base.row_provenance.items()}
@@ -429,11 +446,9 @@ class _Decomposition:
             regularized = False
             if config.regularize and math.isfinite(best_ub):
                 level = lower + config.alpha * (best_ub - lower)
-                level_res = solve(root_prob.level_set_problem(level), self.solver)
-                if level_res.status != "optimal":
-                    raise LevelSetInfeasibleError(
-                        f"level-set solve at iteration {k} is {level_res.status}"
-                    )
+                level_res = _require_optimal(solve(root_prob.level_set_problem(level), self.solver),
+                                             f"the level-set solve at iteration {k}",
+                                             LevelSetInfeasibleError)
                 audit.append((k, root_prob.full_objective_value(level_res), level))
                 iterate_res = level_res
                 regularized = True

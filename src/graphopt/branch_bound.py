@@ -16,6 +16,13 @@ started from a basis keeps its final tableau, and its children copy that
 tableau instead of rebuilding it; only the children of a root solved cold
 rebuild theirs.  The root starts from ``problem.basis`` when one is given,
 such as the root basis of the previous solve, which the result returns.
+
+A MIP start.  ``problem.start``, such as the previous solve's optimum when
+only the objective has moved since, becomes the first incumbent if it is
+integral and meets every bound and row to the simplex's primal tolerance;
+otherwise it is ignored.  Its objective value then prunes from the first
+node on, where the search would otherwise have to find an integer point
+first.  Every node the search explores with it, it explores without it.
 With the default zero gap the returned incumbent is exactly optimal.
 """
 
@@ -24,12 +31,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
 from .errors import NodeLimitError
-from .simplex import SolveResult, solve_lp
+from .simplex import _PRIMAL_TOL, SolveResult, solve_lp
 from .standard_form import Basis, StandardFormProblem, lp_relaxation
 
 INT_TOL = 1e-6
@@ -39,6 +46,29 @@ def _fractional_column(x: np.ndarray, int_cols: np.ndarray) -> int | None:
     frac = np.abs(x[int_cols] - np.round(x[int_cols]))
     k = int(frac.argmax())  # the first of equals: the lowest column index
     return int(int_cols[k]) if frac[k] > INT_TOL else None
+
+
+def _start_incumbent(relaxed: StandardFormProblem, int_cols: np.ndarray) -> Optional[SolveResult]:
+    """``relaxed.start``, its integer columns rounded, if it is a feasible integer point; else ``None``.
+
+    Integrality, bounds and rows must hold to ``_PRIMAL_TOL``.
+    """
+    x = relaxed.start
+    if x is None or np.shape(x) != (relaxed.n_cols,):
+        return None
+    x = np.array(x, dtype=float)
+    rounded = np.round(x[int_cols])
+    if (np.abs(x[int_cols] - rounded) > _PRIMAL_TOL).any():
+        return None
+    x[int_cols] = rounded
+    if (x < relaxed.lower - _PRIMAL_TOL).any() or (x > relaxed.upper + _PRIMAL_TOL).any():
+        return None
+    eq, sign = relaxed.row_signs()
+    excess = sign * (relaxed.dense_rows() @ x - relaxed.rhs)
+    if (np.where(eq, np.abs(excess), excess) > _PRIMAL_TOL).any():
+        return None
+    objective = float(relaxed.objective @ x) + relaxed.objective_constant
+    return SolveResult(status="optimal", objective=objective, primal=x)
 
 
 def solve_milp(
@@ -55,7 +85,10 @@ def solve_milp(
     LP that stops at its iteration limit stops the search too: the result's
     status is then ``iteration_limit``, with the nodes and pivots so far.
     Pure-LP input is passed straight to the LP solver.  An optimal result's
-    ``basis`` is the root relaxation's final basis.
+    ``basis`` is the root relaxation's final basis.  A feasible
+    ``problem.start`` is the first incumbent, and is returned when no node
+    improves on it; the root counts as a node even when the start's value
+    closes the search there.
     """
     int_cols = np.array(problem.integer_columns(), dtype=np.intp)
     relaxed = lp_relaxation(problem)
@@ -76,8 +109,8 @@ def solve_milp(
         (root.objective, -next(counter), relaxed.lower, relaxed.upper, None, root)
     ]
 
-    incumbent: SolveResult | None = None
-    nodes = 0
+    incumbent = _start_incumbent(relaxed, int_cols)
+    nodes = 1  # the root
     lp_iterations = root.iterations
 
     def gap_closed(bound: float) -> bool:
@@ -88,12 +121,11 @@ def solve_milp(
         bound, _, lo, hi, basis, res = heapq.heappop(heap)
         if incumbent is not None and gap_closed(bound):
             break
-        nodes += 1
-        if nodes > node_limit:
-            raise NodeLimitError(f"exceeded {node_limit} branch-and-bound nodes")
-
         if res is None:
-            res = solve_lp_fn(replace(relaxed, lower=lo, upper=hi, basis=basis))
+            nodes += 1
+            if nodes > node_limit:
+                raise NodeLimitError(f"exceeded {node_limit} branch-and-bound nodes")
+            res = solve_lp_fn(relaxed.with_changes(lower=lo, upper=hi, basis=basis))
             lp_iterations += res.iterations
         if res.status == "iteration_limit":
             return SolveResult(status=res.status, iterations=lp_iterations, nodes_explored=nodes)

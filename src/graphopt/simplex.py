@@ -36,7 +36,12 @@ driven out.  The starting tableau comes from one of two places:
   product and the new reduced-cost row ``c - c_B B^-1 A`` one vector-matrix
   product.  This is the re-solve of a branch-and-bound child, of a Benders
   stage whose fixing rows moved, and of a Lagrangian step whose objective
-  moved;
+  moved.  Such a re-solve pays only for what moved.  Its layout, the
+  column transform included, is the kept one while the pattern of finite
+  bounds holds (:class:`_Frame`).  Under the same objective it copies a
+  reduced-cost row priced once per kept tableau: the kept row itself has
+  been through the pivots, and its rounding would steer the next ones
+  elsewhere;
 * otherwise, the hint's basic columns pivoted into the all-slack tableau by
   Gauss-Jordan elimination.
 
@@ -65,6 +70,7 @@ are reported as `c - A'y` over the rows as given.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -72,7 +78,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalBreakdownError
-from .standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis, StandardFormProblem
+from .standard_form import (
+    AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis, Deferred, StandardFormProblem,
+)
 
 _RC_TOL = 1e-9          # entering threshold on reduced costs
 _PIVOT_TOL = 1e-11      # smallest usable pivot element, relative to its column
@@ -98,17 +106,22 @@ class SolveResult:
     problem of the same shape, it starts the simplex there.  When the solve
     itself started from a basis, ``basis`` also keeps its final tableau, and
     a re-solve over the same matrix, whatever its bounds, right-hand sides
-    and objective, starts from a copy of it.
+    and objective, starts from a copy of it.  Such a solve works out
+    ``duals``, ``reduced_costs`` and the basis status codes from that kept
+    tableau when they are first read; the tableau is never written to, so
+    they read the same whenever that is.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
     objective: float = math.nan
     primal: Optional[np.ndarray] = None
-    duals: Optional[np.ndarray] = None
-    reduced_costs: Optional[np.ndarray] = None
+    duals: Optional[np.ndarray] = Deferred()
+    reduced_costs: Optional[np.ndarray] = Deferred()
     iterations: int = 0
     nodes_explored: int = 0
     basis: Optional[Basis] = None
+
+    __getstate__ = Deferred.state
 
 
 @dataclass
@@ -131,44 +144,96 @@ class _Layout:
     A kept column ``j`` is ``x_j = offset_j + sign_j * t`` for its tableau
     column ``t``; the kept columns come first, in order, then the negative
     parts of the free ones (which are kept too, as their positive parts).
-    Where every column is kept, ``kept`` is a slice.
+    Where every column is kept, ``kept`` is a slice.  The offsets and costs
+    move with the bounds and the objective, and are not part of it.
     """
 
-    offset: np.ndarray
     sign: np.ndarray
     kept: np.ndarray | slice
     n_kept: int
     free: np.ndarray
     free_at: np.ndarray       # the tableau column of each free column's positive part
-    cost: np.ndarray          # objective over the tableau columns, uncomplemented
     row_sign: np.ndarray      # sign each given row was multiplied by
     init_col: np.ndarray      # per row, the unit column it started with: it reads B^-1
     logical_rows: np.ndarray  # slack and artificial columns, and the row each belongs to
     logical_cols: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Identity:
-    """What a warm tableau's B^-1 [A | I] depends on."""
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The warm layout of one matrix, one set of row senses and one pattern of finite bounds.
+
+    Problems with the same matrix object and the same ``lookup`` share a
+    frame, which a kept tableau carries to the next re-solve.  B^-1 [A | I]
+    depends only on the matrix and on ``key``: the row signs and each
+    column's reflection and split.
+    """
 
     a: np.ndarray             # the dense matrix, compared by identity
     given_sign: np.ndarray    # -1 on "ge" rows
+    lookup: bytes             # the equality rows, the row signs and which bounds are finite
+    key: bytes
+    shifted: bool             # every lower bound is finite, so every column just shifts
     sign: np.ndarray          # -1 on columns reflected about their upper bound
     free: np.ndarray          # the split columns
-    key: bytes                # the three arrays above, compared by value
+    logical: np.ndarray       # row i's slack column; zero width for an equality row
+    tail: np.ndarray          # widths past the structural columns: negative parts, logicals, rhs
+    layout: _Layout
 
-    def same_as(self, other: _Identity) -> bool:
-        return self.a is other.a and self.key == other.key
+    @staticmethod
+    def build(a: np.ndarray, eq: np.ndarray, given_sign: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray, lookup: bytes) -> _Frame:
+        _, sign, _, free = _column_transform(lo, hi)
+        n_struct = lo.size + free.size
+        logical = np.arange(n_struct, n_struct + eq.size)
+        layout = _Layout(sign=sign, kept=slice(None), n_kept=lo.size, free=free, free_at=free,
+                         row_sign=given_sign, init_col=logical, logical_rows=np.arange(eq.size),
+                         logical_cols=logical)
+        return _Frame(a=a, given_sign=given_sign, lookup=lookup,
+                      key=given_sign.tobytes() + sign.tobytes() + free.tobytes(),
+                      shifted=bool(np.isfinite(lo).all()), sign=sign, free=free, logical=logical,
+                      tail=np.concatenate([np.full(free.size, np.inf), np.where(eq, 0.0, np.inf), [np.inf]]),
+                      layout=layout)
+
+    def same_tableau(self, other: _Frame) -> bool:
+        return self is other or (self.a is other.a and self.key == other.key)
+
+    def place(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The offset and width of every structural column."""
+        if self.shifted:
+            return lo, np.maximum(hi - lo, 0.0)
+        offset, _, width, _ = _column_transform(lo, hi)
+        return offset, width
+
+    def internal_cost(self, c: np.ndarray) -> np.ndarray:
+        """The objective over the tableau columns, uncomplemented."""
+        c_int = np.zeros(c.size + self.tail.size)
+        c_int[:c.size] = c * self.sign
+        if self.free.size:
+            c_int[c.size:c.size + self.free.size] = -c_int[self.free]
+        return c_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Kept:
     """A warm solve's final tableau; never written to once kept."""
 
-    ident: _Identity
+    frame: _Frame
     rows: np.ndarray
     basis: np.ndarray
     flipped: np.ndarray
+    objective: bytes          # the problem's objective, as bytes
+    cost: np.ndarray          # that objective over the tableau columns
+
+    @functools.cached_property
+    def priced(self) -> np.ndarray:
+        """The reduced-cost row priced afresh, which every re-solve under the same objective copies.
+
+        The kept row itself has been through the solve's pivots, so its
+        rounding differs from a fresh price, and with it the next pivots.
+        """
+        cost = np.where(self.flipped, -self.cost, self.cost)
+        return cost - cost[self.basis] @ self.rows[:-1]
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
@@ -259,7 +324,7 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
 
 
 def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
-              ident: _Identity, b: np.ndarray, logical: np.ndarray) -> Optional[str]:
+              frame: _Frame, b: np.ndarray) -> Optional[str]:
     """Bounded dual simplex from a tableau whose reduced costs are nonnegative.
 
     The basic column farthest outside its bounds leaves (the lowest-indexed
@@ -307,12 +372,13 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
         candidates = ((row < -tol) & can_enter).nonzero()[0]
         if candidates.size == 0:
             if fresh is None:
-                rhs[:], fresh = _rhs_column(t.rows, t.flipped, t.upper, ident, b, logical)
+                rhs[:], fresh = _rhs_column(t.rows, t.flipped, t.upper, frame, b)
                 continue
             # no pivot lifts the leaving column to its bound; proven only if
             # every column taken to its far bound falls short too
             lift = np.where((row < 0.0) & can_enter, t.upper[:-1], 0.0) @ -np.minimum(row, 0.0)
-            noise = _ROUNDING * np.maximum.reduce(np.abs(t.rows[leaving, logical])) * np.abs(fresh).sum()
+            inverse_row = np.abs(t.rows[leaving, frame.logical])  # |B^-1_i|
+            noise = _ROUNDING * np.maximum.reduce(inverse_row) * np.abs(fresh).sum()
             if -rhs[leaving] > _PRIMAL_TOL + noise + lift:
                 return "infeasible"
             return None
@@ -441,9 +507,8 @@ def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     upper = np.concatenate([width[kept], np.full(n_total + 1 - kept.size, np.inf)])
     c_int = np.zeros(n_total + 1)
     c_int[:n_struct] = np.asarray(problem.objective, dtype=float)[cols] * col_sign
-    layout = _Layout(offset=offset, sign=sign, kept=kept, n_kept=kept.size, free=free,
-                     free_at=np.searchsorted(kept, free), cost=c_int,
-                     row_sign=sign_of_row, init_col=basis.copy(),
+    layout = _Layout(sign=sign, kept=kept, n_kept=kept.size, free=free,
+                     free_at=np.searchsorted(kept, free), row_sign=sign_of_row, init_col=basis.copy(),
                      logical_rows=np.concatenate([slack_rows, art_rows]),
                      logical_cols=np.concatenate([slack_cols, art_cols]))
 
@@ -484,7 +549,7 @@ def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     status = _run_phase(t, n_free, max_iterations) if n_free else "optimal"
     if status != "optimal":
         return SolveResult(status=status, iterations=t.iterations)
-    return _optimal(problem, a, layout, t)
+    return _optimal(problem, a, layout, t, offset, c_int)
 
 
 def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
@@ -492,33 +557,38 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     """Re-optimize from ``problem.basis``.
 
     ``None`` when that basis cannot be used, or when the dual simplex finds a
-    row it can neither repair nor prove infeasible.
+    row it can neither repair nor prove infeasible.  A re-solve of the kept
+    tableau pays only for what moved: the frame is the kept one while the
+    pattern of finite bounds holds, and the reduced costs are re-priced only
+    when the objective changed.
     """
     hint = problem.basis
-    m, n = problem.n_rows, problem.n_cols
-    offset, sign, width, free = _column_transform(problem.lower, problem.upper)
-    n_struct = n + free.size  # every column is kept, so column j sits at j
-    n_total = n_struct + m
-    logical = np.arange(n_struct, n_total)  # row i's slack; zero width for an equality row
-    upper = np.concatenate([width, np.full(free.size, np.inf), np.where(eq, 0.0, np.inf), [np.inf]])
-    c_int = np.zeros(n_total + 1)
-    c_int[:n] = problem.objective * sign
-    if free.size:
-        c_int[n:n_struct] = -c_int[free]
+    kept = hint._tableau
+    lo, hi, c = problem.lower, problem.upper, problem.objective
+    m = problem.n_rows
+    lookup = eq.tobytes() + given_sign.tobytes() + np.isfinite(lo).tobytes() + np.isfinite(hi).tobytes()
+    if kept is not None and kept.frame.a is a and kept.frame.lookup == lookup:
+        frame = kept.frame
+    else:
+        frame = _Frame.build(a, eq, given_sign, lo, hi, lookup)
+    offset, width = frame.place(lo, hi)
+    upper = np.concatenate((width, frame.tail))
     b = given_sign * (problem.rhs - a @ offset)
-    ident = _Identity(a=a, given_sign=given_sign, sign=sign, free=free,
-                      key=given_sign.tobytes() + sign.tobytes() + free.tobytes())
 
-    start = _from_kept(hint._tableau, ident, upper, c_int, b, logical)
+    objective = c.tobytes()
+    reuse = kept is not None and kept.frame.same_tableau(frame)
+    same_cost = reuse and objective == kept.objective
+    c_int = kept.cost if same_cost else frame.internal_cost(c)
+    start = _from_kept(kept, frame, upper, None if same_cost else c_int, b) if reuse else None
     if start is None:
-        start = _from_crash(hint, ident, upper, c_int, b, logical)
+        start = _from_crash(hint, frame, upper, c_int, b)
         if start is None:
             return None
     rows, basis, flipped = start
 
     t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=upper[basis], flipped=flipped)
     if max_iterations is None:
-        max_iterations = max(5000, 50 * (m + n_total))
+        max_iterations = max(5000, 50 * (upper.size - 1 + m))
     can_enter = upper[:-1] != 0.0  # fixed columns and equality rows' slacks never enter
     wrong_side = (rows[m, :-1] < -_RC_TOL) & can_enter
     if not (wrong_side & (upper[:-1] == np.inf)).any():
@@ -528,7 +598,7 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
             rows[:, -1] -= rows[:, move] @ upper[move]
             rows[:, move] *= -1.0
             flipped[move] = ~flipped[move]
-        status = _run_dual(t, can_enter, max_iterations, ident, b, logical)
+        status = _run_dual(t, can_enter, max_iterations, frame, b)
         if status is None:
             return None
     elif (np.maximum(-rows[:m, -1], rows[:m, -1] - t.row_upper) <= _PRIMAL_TOL).all():
@@ -539,60 +609,59 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
         # also repairs reduced costs that rounding left a hair below zero
         t.bland = False
         t.degenerate = 0
-        status = _run_phase(t, n_total, max_iterations, can_enter)
+        status = _run_phase(t, upper.size - 1, max_iterations, can_enter)
     if status != "optimal":
         return SolveResult(status=status, iterations=t.iterations)
-    layout = _Layout(offset=offset, sign=sign, kept=slice(None), n_kept=n, free=free, free_at=free,
-                     cost=c_int, row_sign=given_sign, init_col=logical, logical_rows=np.arange(m),
-                     logical_cols=logical)
-    return _optimal(problem, a, layout, t, ident)
+    return _optimal(problem, a, frame.layout, t, offset, c_int,
+                    _Kept(frame, rows, basis, flipped, objective, c_int))
 
 
-def _from_kept(kept: Optional[_Kept], ident: _Identity, upper: np.ndarray, c_int: np.ndarray,
-               b: np.ndarray, logical: np.ndarray):
-    """A copy of a kept final tableau, re-priced for new bounds, rhs and costs, or ``None``.
+def _from_kept(kept: _Kept, frame: _Frame, upper: np.ndarray, c_int: Optional[np.ndarray],
+               b: np.ndarray):
+    """A copy of a kept final tableau with a new rhs column, or ``None``.
 
     The new rhs column ``B^-1 b'`` is one matrix-vector product (see
     :func:`_rhs_column`), with each complemented column at its new width.
     The reduced costs ``c - c_B B^-1 A``, with ``c`` under the kept
-    complementing, are one vector-matrix product.
+    complementing, are one vector-matrix product: for new costs ``c_int``
+    here, and otherwise once per kept tableau (:attr:`_Kept.priced`).
     """
     m = b.size
-    if kept is None or kept.rows.shape != (m + 1, upper.size) or not kept.ident.same_as(ident):
-        return None
     flipped = kept.flipped.copy()
     if (upper[flipped] == np.inf).any():
         return None  # a complemented column has lost its upper bound
     rows = kept.rows.copy()
-    rows[:m, -1] = _rhs_column(rows, flipped, upper, ident, b, logical)[0]
-    cost = np.where(flipped, -c_int, c_int)
-    rows[m] = cost - cost[kept.basis] @ rows[:m]
+    rows[:m, -1] = _rhs_column(rows, flipped, upper, frame, b)[0]
+    if c_int is None:
+        rows[m] = kept.priced
+    else:
+        cost = np.where(flipped, -c_int, c_int)
+        rows[m] = cost - cost[kept.basis] @ rows[:m]
     return rows, kept.basis.copy(), flipped
 
 
-def _rhs_column(rows: np.ndarray, flipped: np.ndarray, upper: np.ndarray, ident: _Identity,
-                b: np.ndarray, logical: np.ndarray):
+def _rhs_column(rows: np.ndarray, flipped: np.ndarray, upper: np.ndarray, frame: _Frame,
+                b: np.ndarray):
     """``(B^-1 b', b')``: the rhs column of a warm tableau, from its logical columns.
 
     The logical columns read B^-1, negated where a zero-width slack is
     complemented; ``b'`` is ``b`` less each complemented structural column
     at its width, negated on those slacks' rows.
     """
-    at_upper = flipped[:ident.sign.size].nonzero()[0]  # the structural ones; slacks have width 0
+    at_upper = flipped[:frame.sign.size].nonzero()[0]  # the structural ones; slacks have width 0
     if at_upper.size:
-        b = b - (ident.a[:, at_upper] * ident.sign[at_upper]) @ upper[at_upper] * ident.given_sign
-    b = np.where(flipped[logical], -b, b)
-    return rows[:b.size, logical] @ b, b
+        b = b - (frame.a[:, at_upper] * frame.sign[at_upper]) @ upper[at_upper] * frame.given_sign
+    b = np.where(flipped[frame.logical], -b, b)
+    return rows[:b.size, frame.logical] @ b, b
 
 
-def _from_crash(hint: Basis, ident: _Identity, upper: np.ndarray, c_int: np.ndarray,
-                b: np.ndarray, logical: np.ndarray):
+def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray):
     """The tableau of ``hint`` built from the all-slack one.
 
     ``None`` when the hint has the wrong size or number of basic entries, or
     is singular.
     """
-    a, sign, free = ident.a, ident.sign, ident.free
+    a, sign, free, logical = frame.a, frame.sign, frame.free, frame.logical
     m, n = a.shape
     if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
         return None
@@ -600,7 +669,7 @@ def _from_crash(hint: Basis, ident: _Identity, upper: np.ndarray, c_int: np.ndar
         return None
     n_struct = n + free.size
     rows = np.zeros((m + 1, upper.size))
-    rows[:m, :n] = a * sign * ident.given_sign[:, None]
+    rows[:m, :n] = a * sign * frame.given_sign[:, None]
     rows[:m, n:n_struct] = -rows[:m, free]
     rows[np.arange(m), logical] = 1.0
     rows[:m, -1] = b
@@ -634,11 +703,26 @@ def _from_crash(hint: Basis, ident: _Identity, upper: np.ndarray, c_int: np.ndar
     return rows, basis, flipped
 
 
-def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tableau,
-             ident: Optional[_Identity] = None) -> SolveResult:
-    """Primal, duals, reduced costs and basis of an optimal tableau.
+def _once(compute):
+    """``compute``, run on the first call only; ``functools.cache`` costs more to set up."""
+    memo = []
 
-    Given the tableau's ``ident``, the basis keeps the tableau for re-solves.
+    def once():
+        if not memo:
+            memo.append(compute())
+        return memo[0]
+    return once
+
+
+def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tableau,
+             offset: np.ndarray, c_int: np.ndarray, kept: Optional[_Kept] = None) -> SolveResult:
+    """The result of an optimal tableau.
+
+    The primal point and the objective are worked out here.  Given
+    ``kept``, the basis keeps the tableau for re-solves, and the duals, the
+    reduced costs and the basis status codes are worked out from it on first
+    read, since no branch-and-bound node reads them; otherwise they are
+    worked out now.
     """
     m = t.basis.size
     rows = t.rows
@@ -646,35 +730,43 @@ def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tabl
     x_int[t.basis] = rows[:m, -1]
     x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
     nk, nf = lay.n_kept, lay.free.size
-    x = lay.offset.copy()
+    x = offset.copy()
     x[lay.kept] += lay.sign[lay.kept] * x_int[:nk]
     if nf:
         x[lay.free] -= x_int[nk:nk + nf]
+    c, n = problem.objective, problem.n_cols
 
-    # y = c_B B^-1, priced afresh under the final complementing; slacks and
-    # artificials cost nothing
-    c = problem.objective
-    cost = np.where(t.flipped, -lay.cost, lay.cost)
-    y = (cost[t.basis] @ rows[:m, lay.init_col]) * lay.row_sign
-    reduced = c - a.T @ y
+    @_once
+    def duals():
+        # y = c_B B^-1, priced afresh under the final complementing; slacks
+        # and artificials cost nothing
+        cost = np.where(t.flipped, -c_int, c_int)
+        return (cost[t.basis] @ rows[:m, lay.init_col]) * lay.row_sign
 
-    in_basis = np.zeros(rows.shape[1], dtype=bool)
-    in_basis[t.basis] = True
-    columns = np.full(problem.n_cols, AT_LOWER, dtype=np.int8)  # substituted fixed columns too
-    at_upper = t.flipped[:nk] | (lay.sign[lay.kept] < 0.0)
-    columns[lay.kept] = np.where(in_basis[:nk], BASIC, np.where(at_upper, AT_UPPER, AT_LOWER))
-    if nf:
-        split_basic = in_basis[lay.free_at] | in_basis[nk:nk + nf]
-        columns[lay.free] = np.where(split_basic, BASIC, FREE_ZERO)
-    row_status = np.full(m, NONBASIC, dtype=np.int8)
-    row_status[lay.logical_rows[in_basis[lay.logical_cols]]] = BASIC
+    @_once
+    def codes():
+        in_basis = np.zeros(rows.shape[1], dtype=bool)
+        in_basis[t.basis] = True
+        columns = np.full(n, AT_LOWER, dtype=np.int8)  # substituted fixed columns too
+        at_upper = t.flipped[:nk] | (lay.sign[lay.kept] < 0.0)
+        columns[lay.kept] = np.where(in_basis[:nk], BASIC, np.where(at_upper, AT_UPPER, AT_LOWER))
+        if nf:
+            split_basic = in_basis[lay.free_at] | in_basis[nk:nk + nf]
+            columns[lay.free] = np.where(split_basic, BASIC, FREE_ZERO)
+        row_status = np.full(m, NONBASIC, dtype=np.int8)
+        row_status[lay.logical_rows[in_basis[lay.logical_cols]]] = BASIC
+        return columns, row_status
 
-    return SolveResult(
+    result = SolveResult(
         status="optimal",
         objective=float(c @ x) + problem.objective_constant,
         primal=x,
-        duals=y,
-        reduced_costs=reduced,
+        duals=duals,
+        reduced_costs=lambda: c - a.T @ duals(),
         iterations=t.iterations,
-        basis=Basis(columns, row_status, None if ident is None else _Kept(ident, rows, t.basis, t.flipped)),
+        basis=Basis(lambda: codes()[0], lambda: codes()[1], kept),
     )
+    if kept is None:  # nothing else holds this tableau, so the result must not either
+        Deferred.settle(result)
+        Deferred.settle(result.basis)
+    return result

@@ -29,6 +29,42 @@ FREE_ZERO = -3     # a nonbasic free column, resting at zero
 NONBASIC = AT_LOWER
 
 
+class Deferred:
+    """A dataclass field that may be given a function of no arguments instead of its value.
+
+    The function runs on the first read, and its value replaces it.  A field
+    given a plain value, ``None`` by default, reads as that value.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the default, as ``dataclass`` reads it
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+    @staticmethod
+    def state(obj) -> dict:
+        """``obj.__dict__`` with every deferred field worked out: a pickled state."""
+        state = dict(obj.__dict__)
+        for name, attr in vars(type(obj)).items():
+            if isinstance(attr, Deferred):
+                state[attr.slot] = getattr(obj, name)
+        return state
+
+    @staticmethod
+    def settle(obj) -> None:
+        """Work out every deferred field of ``obj`` now, releasing what its functions hold."""
+        obj.__dict__.update(Deferred.state(obj))
+
+
 @dataclass(frozen=True, eq=False)
 class Basis:
     """A simplex basis, stated over the problem's own columns and rows.
@@ -38,16 +74,29 @@ class Basis:
     basic and :data:`NONBASIC` when the row is held at its right-hand side.
     Exactly ``len(rows)`` entries are basic.  A basis returned by a warm
     solve also keeps that solve's final tableau privately, so that the next
-    re-solve of the same matrix can start from it (see :mod:`graphopt.simplex`).
+    re-solve of the same matrix can start from it (see :mod:`graphopt.simplex`);
+    such a re-solve reads no status code, so a basis that keeps a tableau
+    works its codes out from it on first read (see :class:`Deferred`).
     """
 
-    columns: np.ndarray
-    rows: np.ndarray
+    columns: np.ndarray = Deferred()
+    rows: np.ndarray = Deferred()
     _tableau: Optional[object] = field(default=None, repr=False)
+
+    __getstate__ = Deferred.state
 
 
 @dataclass
 class StandardFormProblem:
+    """One problem in standard form (see the module docstring), with two optional hints.
+
+    ``basis`` is a starting basis for the simplex to try first.  ``start``
+    is a point over the columns that branch-and-bound takes as its first
+    incumbent when it is integral and meets every bound and row to the
+    simplex's primal tolerance, and ignores otherwise (see
+    :func:`graphopt.branch_bound.solve_milp`); the simplex ignores it.
+    """
+
     columns: list[VariableRef]
     var_index: dict[VariableRef, int]
     objective: np.ndarray
@@ -59,7 +108,8 @@ class StandardFormProblem:
     upper: np.ndarray
     integrality: list[str]
     row_provenance: dict[int, str] = field(default_factory=dict)
-    basis: Optional[Basis] = None      # a starting basis for the simplex to try first
+    basis: Optional[Basis] = None
+    start: Optional[np.ndarray] = None
     # (triplets, their count, read-only matrix, senses, their count, row signs)
     # once keep_dense_rows() has run
     _dense: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -108,6 +158,15 @@ class StandardFormProblem:
             return kept[5]
         senses = np.array(self.senses, dtype=str)
         return senses == "eq", np.where(senses == "ge", -1.0, 1.0)
+
+    def with_changes(self, **changes) -> "StandardFormProblem":
+        """A shallow copy with ``changes`` set: ``dataclasses.replace`` at the cost of a dict copy.
+
+        Branch-and-bound makes one per node.
+        """
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        return new
 
     def integer_columns(self) -> list[int]:
         return [j for j, kind in enumerate(self.integrality) if kind != "continuous"]
@@ -195,8 +254,7 @@ def lp_relaxation(problem: StandardFormProblem) -> StandardFormProblem:
     matrix included, so that a basis it returns can re-solve ``problem``.
     """
     binary = np.array([kind == "binary" for kind in problem.integrality], dtype=bool)
-    return replace(
-        problem,
+    return problem.with_changes(
         lower=np.where(binary, np.maximum(problem.lower, 0.0), problem.lower),
         upper=np.where(binary, np.minimum(problem.upper, 1.0), problem.upper),
         integrality=["continuous"] * problem.n_cols,

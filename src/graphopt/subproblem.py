@@ -160,9 +160,11 @@ class StageProblem:
         self._assembled: Optional[StandardFormProblem] = None
         self._lagrangian: Optional[StandardFormProblem] = None
         # the last optimal solve's basis (a MILP's root basis), and the last
-        # Lagrangian solve's: the next solve of each starts there
+        # Lagrangian solve's: the next solve of each starts there.  The last
+        # optimal Lagrangian point is the next Lagrangian MILP's start.
         self._basis: Optional[Basis] = None
         self._lagrangian_basis: Optional[Basis] = None
+        self._lagrangian_point: Optional[np.ndarray] = None
 
     def _new_column(self, cost: float, lower: float, upper: float, integrality: str) -> int:
         self._objective.append(cost)
@@ -269,7 +271,7 @@ class StageProblem:
         objective = kept.objective.copy()
         objective[[self.copy_col[ref] for ref in self.fixed_refs]] -= mu
         constant = self.objective_constant + float(mu @ anchor)
-        return replace(kept, objective=objective, objective_constant=constant)
+        return kept.with_changes(objective=objective, objective_constant=constant)
 
     def level_set_problem(self, level: float) -> StandardFormProblem:
         """Zero objective plus a cap on the original objective value."""
@@ -302,17 +304,22 @@ class StageProblem:
 
     def solve_lagrangian(self, mu: np.ndarray, anchor: np.ndarray,
                          solver: Optional[LinearSolver] = None) -> SolveResult:
-        """Solve :meth:`lagrangian_problem`, starting from the last such solve's root basis.
+        """Solve :meth:`lagrangian_problem`, starting from the last such solve's root basis and point.
 
         Successive multipliers change only the objective, so the MILP root
         re-prices the kept tableau of the last root and primal Phase II
-        finishes it.
+        finishes it, and the last optimal point is still feasible: it is the
+        search's first incumbent (``problem.start``).  After :meth:`add_cut`
+        the MILP checks that the point meets the new row, and ignores it if
+        it does not.
         """
         problem = self.lagrangian_problem(mu, anchor)
         problem.basis = _extended(self._lagrangian_basis, problem.n_rows)
+        problem.start = self._lagrangian_point
         result = solve(problem, solver)
-        if result.basis is not None:
+        if result.basis is not None:  # only optimal solves return one
             self._lagrangian_basis = result.basis
+            self._lagrangian_point = result.primal
         return result
 
     def fixing_duals(self, result: SolveResult) -> np.ndarray:

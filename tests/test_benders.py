@@ -13,9 +13,11 @@ from graphopt import (
     Graph,
     HyperedgeSpanError,
     IterationLimitError,
+    LevelSetInfeasibleError,
     LocalNodesAtRootError,
     NoSubgraphsError,
     OverlapUnsupportedError,
+    RelaxationInfeasibleError,
     RootNotFoundError,
     StructureError,
     SubproblemInfeasibleError,
@@ -604,6 +606,41 @@ class TestIterationLimit:
 
         with pytest.raises(IterationLimitError, match=f"stage '{stage}'.*iteration_limit.*{context}"):
             run_decomposition(partitioned_storage(), root="design", solver=StopsLater())
+
+    @pytest.mark.parametrize(
+        "status, error", [("iteration_limit", IterationLimitError), ("infeasible", RelaxationInfeasibleError)]
+    )
+    def test_the_warm_start_relaxation_raises_what_its_status_says(self, status, error):
+        """Only an infeasible relaxation is reported as infeasible (CLI exit 3); a limit exits 2."""
+
+        class Stops:
+            def solve_lp(self, problem):
+                return SolveResult(status=status, iterations=7)
+
+            solve_milp = solve_lp
+
+        with pytest.raises(error, match=f"monolithic relaxation.*{status}"):
+            run_decomposition(partitioned_storage(), root="design",
+                              config=BendersConfig(add_slacks=True, warm_start_cuts=True), solver=Stops())
+
+    @pytest.mark.parametrize(
+        "status, error", [("iteration_limit", IterationLimitError), ("infeasible", LevelSetInfeasibleError)]
+    )
+    def test_the_level_set_solve_raises_what_its_status_says(self, cem_graph, status, error):
+        class LevelSetStops:
+            """The built-in solver, except on the level-set problem."""
+
+            def solve_lp(self, problem):
+                if "level_set" in problem.row_provenance.values():
+                    return SolveResult(status=status, iterations=7)
+                return default_solver().solve_lp(problem)
+
+            def solve_milp(self, problem):
+                return default_solver().solve_milp(problem)
+
+        with pytest.raises(error, match=f"level-set solve at iteration 2 is {status}"):
+            run_decomposition(cem_graph, root="planning", config=BendersConfig(regularize=True),
+                              solver=LevelSetStops())
 
 
 class TestConfigAndGap:

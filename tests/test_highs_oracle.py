@@ -269,3 +269,39 @@ def test_pcm_milp_monolithic_and_by_lagrangian_benders_match_highs(seed):
     res = run_decomposition(graph, root="b2", config=config)
     assert res.status == "converged"
     assert res.objective == pytest.approx(objective, rel=1e-6)
+
+
+class CountingSolver:
+    """The built-in backend, counting B&B nodes; ``use_start=False`` clears every MIP start."""
+
+    def __init__(self, use_start=True):
+        self.use_start = use_start
+        self.nodes = 0
+
+    def solve_lp(self, problem):
+        return solve_lp(problem)
+
+    def solve_milp(self, problem):
+        if not self.use_start:
+            problem = problem.with_changes(start=None)
+        res = solve_milp(problem)
+        self.nodes += res.nodes_explored
+        return res
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pcm_milp_lagrangian_starts_save_nodes_and_change_no_bound(seed):
+    """Each Lagrangian step's MILP starts from the last step's point (``problem.start``)."""
+    config = BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True)
+    runs = {}
+    for use_start in (False, True):
+        graph, membership = generators.pcm_milp_build(
+            generators.pcm_milp_data(np.random.default_rng(seed)))
+        apply_partition(graph, membership)
+        solver = CountingSolver(use_start)
+        runs[use_start] = (run_decomposition(graph, root="b2", config=config, solver=solver), solver.nodes)
+    (plain, plain_nodes), (started, started_nodes) = runs[False], runs[True]
+    assert started.iterations == plain.iterations
+    assert len(started.cuts) == len(plain.cuts)
+    np.testing.assert_allclose(started.lb_history, plain.lb_history, rtol=1e-9)
+    assert started_nodes < plain_nodes

@@ -6,10 +6,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from graphopt import NodeLimitError, simplex
+from graphopt import BendersConfig, NodeLimitError, run_decomposition, simplex
 from graphopt.branch_bound import solve_milp
+from graphopt.fixtures import storage_fixture, storage_membership
 from graphopt.simplex import SolveResult, solve_lp
-from graphopt.standard_form import lp_relaxation
+from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, Basis, lp_relaxation
+from graphopt.transform import apply_partition
 
 from conftest import binary_enumeration_milp, make_problem, random_milp
 
@@ -24,6 +26,27 @@ def knapsack(values, weights, budget):
         [0.0] * n,
         [1.0] * n,
         integrality=["binary"] * n,
+    )
+
+
+def tight_relaxation_milp(k):
+    """The MILP of ``test_a_tight_relaxation_plunges_down_its_up_children``.
+
+    Pairs ``p_t - 15 u_t <= 0``, ``p_t = 7 + t`` with cost on ``p`` alone
+    leave the relaxation as tight as the MILP, at a fractional ``u_t``.
+    """
+    rows, senses, rhs = [], [], []
+    for t in range(k):
+        cap = np.zeros(2 * k)
+        cap[t], cap[k + t] = 1.0, -15.0
+        meet = np.zeros(2 * k)
+        meet[t] = 1.0
+        rows += [cap, meet]
+        senses += ["le", "eq"]
+        rhs += [0.0, 7.0 + t]
+    return make_problem(
+        [1.0] * k + [0.0] * k, rows, senses, rhs, [0.0] * (2 * k), [20.0] * k + [1.0] * k,
+        integrality=["continuous"] * k + ["binary"] * k,
     )
 
 
@@ -309,3 +332,160 @@ class TestKeptDenseRows:
         np.testing.assert_array_equal(prob.dense_rows(), [[2.0, 2.0], [0.0, 3.0]])
         swapped = replace(prob, triplets=[(1, 1, 1.0)])
         np.testing.assert_array_equal(swapped.dense_rows(), [[0.0, 0.0], [0.0, 1.0]])
+
+
+def optimal_milps(rng, count, branched_only=False):
+    """``count`` seeded ``random_milp`` draws with an optimum, with ``solve_milp``'s result."""
+    found = []
+    for k in range(40 * count):
+        prob = random_milp(rng, pure_binary=(k % 3 != 0))
+        res = solve_milp(prob)
+        if res.status == "optimal" and (res.nodes_explored > 1 or not branched_only):
+            found.append((prob, res))
+            if len(found) == count:
+                return found
+    pytest.fail(f"drew only {len(found)} instances")
+
+
+def assert_same_result(res, ref):
+    assert (res.status, res.objective, res.nodes_explored, res.iterations) == (
+        ref.status, ref.objective, ref.nodes_explored, ref.iterations)
+    np.testing.assert_array_equal(res.primal, ref.primal)
+
+
+class TestMipStart:
+    """``problem.start`` is the first incumbent when it is a feasible integer point."""
+
+    def test_a_feasible_start_keeps_the_optimum_and_no_node_is_added(self, rng):
+        for prob, res in optimal_milps(rng, 15, branched_only=True):
+            started = solve_milp(replace(prob, start=res.primal))
+            assert started.status == "optimal"
+            assert started.objective == pytest.approx(res.objective, abs=1e-9)
+            assert started.nodes_explored <= res.nodes_explored
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_a_start_as_good_as_the_root_bound_closes_the_search_at_the_root(self, k):
+        """Where every node ties, the search would otherwise dive k nodes to prove it."""
+        prob = tight_relaxation_milp(k)
+        res = solve_milp(prob)
+        assert res.nodes_explored == k + 1
+        calls = []
+
+        def counting_solve_lp(p):
+            calls.append(p)
+            return solve_lp(p)
+
+        started = solve_milp(replace(prob, start=res.primal), solve_lp_fn=counting_solve_lp)
+        assert started.nodes_explored == len(calls) == 1
+        assert started.objective == res.objective
+        np.testing.assert_array_equal(started.primal, res.primal)
+
+    @pytest.mark.parametrize("flaw", ["length", "fractional", "bound", "row"])
+    def test_a_start_that_is_not_a_feasible_integer_point_is_ignored(self, rng, flaw):
+        checked = 0
+        for prob, res in optimal_milps(rng, 30):
+            x = res.primal.copy()
+            int_cols = np.array(prob.integer_columns())
+            if flaw == "length":
+                x = np.append(x, 0.0)
+            elif flaw == "fractional":
+                x[int_cols[0]] = 0.5
+            elif flaw == "bound":
+                x[int_cols[0]] = 2.0  # a binary column, still integral
+            else:
+                # move one row's right-hand side to 1e-6 short of the optimum's row value
+                eq, sign = prob.row_signs()
+                value = prob.dense_rows() @ x
+                rows = np.flatnonzero(~eq)
+                if not rows.size:
+                    continue
+                i = rows[0]
+                rhs = prob.rhs.copy()
+                rhs[i] = value[i] - 1e-6 * sign[i]
+                prob = replace(prob, rhs=rhs)
+                res = solve_milp(prob)
+            assert_same_result(solve_milp(replace(prob, start=x)), res)
+            checked += 1
+        assert checked >= 20
+
+
+def c_b_b_inverse(problem, basis):
+    """``c_B B^-1`` over the rows as given, by a dense solve with ``B = [A_J | I_R]``."""
+    m = problem.n_rows
+    cols = np.flatnonzero(basis.columns == BASIC)
+    slack_rows = np.flatnonzero(basis.rows == BASIC)
+    b_matrix = np.hstack([problem.dense_rows()[:, cols], np.eye(m)[:, slack_rows]])
+    c_b = np.concatenate([problem.objective[cols], np.zeros(slack_rows.size)])
+    return np.linalg.solve(b_matrix.T, c_b)
+
+
+def assert_eager_sensitivities(problem, res):
+    """Duals, reduced costs and basis codes read now, after later solves, match eager ones."""
+    y = c_b_b_inverse(problem, res.basis)
+    scale = max(1.0, float(np.abs(y).max(initial=0.0)))
+    np.testing.assert_allclose(res.duals, y, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(res.reduced_costs, problem.objective - problem.dense_rows().T @ y,
+                               rtol=0.0, atol=1e-12 * scale)
+    x, codes = res.primal, res.basis.columns
+    assert np.count_nonzero(codes == BASIC) + np.count_nonzero(res.basis.rows == BASIC) == problem.n_rows
+    np.testing.assert_allclose(x[codes == AT_LOWER], problem.lower[codes == AT_LOWER], atol=1e-9)
+    np.testing.assert_allclose(x[codes == AT_UPPER], problem.upper[codes == AT_UPPER], atol=1e-9)
+
+
+class TestNodeEquivalence:
+    """A node re-solved from its parent's kept tableau matches one rebuilt by Gauss-Jordan elimination."""
+
+    def test_every_node_matches_a_fresh_crash_and_its_lazy_fields_the_eager_ones(self, rng):
+        trees = nodes = 0
+        for k in range(200):
+            prob = random_milp(rng, pure_binary=(k % 3 != 0))
+            seen = []
+
+            def spy_solve_lp(p):
+                res = solve_lp(p)
+                seen.append((p, res))
+                return res
+
+            milp = solve_milp(prob, solve_lp_fn=spy_solve_lp)
+            if len(seen) < 3:
+                continue
+            trees += 1
+            # read only now, after every later node has re-solved from the kept tableaux
+            for p, res in seen:
+                if p.basis is not None:
+                    fresh = solve_lp(p.with_changes(basis=Basis(p.basis.columns, p.basis.rows)))
+                    assert res.status == fresh.status
+                    if res.status == "optimal":
+                        assert res.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+                        np.testing.assert_allclose(res.primal, fresh.primal, rtol=1e-9, atol=1e-9)
+                    nodes += 1
+                if res.status == "optimal":
+                    assert_eager_sensitivities(p, res)
+            if milp.status == "optimal":  # the root basis, handed back
+                _, root = seen[0]
+                np.testing.assert_array_equal(milp.basis.columns, root.basis.columns)
+                np.testing.assert_array_equal(milp.basis.rows, root.basis.rows)
+            if trees == 25:
+                break
+        assert trees == 25 and nodes >= 100
+
+    def test_lp_stage_duals_read_after_later_re_solves_are_the_eager_ones(self):
+        """Benders stages re-solve from kept tableaux, which later re-solves copy, never write."""
+        solved = []
+
+        class Spy:
+            def solve_lp(self, problem):
+                res = solve_lp(problem)
+                solved.append((problem, res))
+                return res
+
+            def solve_milp(self, problem):
+                return solve_milp(problem, solve_lp_fn=self.solve_lp)
+
+        graph = apply_partition(storage_fixture(), storage_membership())
+        run_decomposition(graph, root="design", config=BendersConfig(add_slacks=True), solver=Spy())
+        warm = [(p, res) for p, res in solved if p.basis is not None and res.status == "optimal"]
+        assert len(warm) >= 4
+        for problem, res in solved:
+            if res.status == "optimal":
+                assert_eager_sensitivities(problem, res)

@@ -1,5 +1,6 @@
 """Two-phase simplex: toys, dual conventions, and random-instance agreement."""
 
+import pickle
 from dataclasses import replace
 from unittest import mock
 
@@ -672,3 +673,17 @@ class TestLargeRightHandSides:
                 assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
                 assert_strong_duality(child, warm, tol=1e-7)
                 basis = warm.basis
+
+
+def test_a_result_read_later_or_pickled_has_its_duals_and_codes(rng):
+    """Duals, reduced costs and basis codes are worked out on first read, pickling included."""
+    drawn = kept_parent(rng)
+    assert drawn is not None
+    prob, parent = drawn
+    eager = solve_lp(replace(prob, basis=parent.basis))
+    expected = (eager.duals, eager.reduced_costs, eager.basis.columns, eager.basis.rows)
+    lazy = solve_lp(replace(prob, basis=parent.basis))
+    solve_lp(replace(prob, rhs=prob.rhs + 1.0, basis=lazy.basis))  # re-solves copy, never write
+    for res in (lazy, pickle.loads(pickle.dumps(solve_lp(replace(prob, basis=parent.basis))))):
+        for got, want in zip((res.duals, res.reduced_costs, res.basis.columns, res.basis.rows), expected):
+            np.testing.assert_array_equal(got, want)
