@@ -11,11 +11,11 @@ on the way.  The order is fixed, so runs are repeatable.
 Branching picks the integer column whose value sits farthest from an
 integer; ties go to the lowest column index.  Each child starts its LP
 from its parent's final basis, which stays dual feasible when one bound
-tightens, so a few dual simplex pivots re-solve it.  A node whose LP
-started from a basis keeps its final tableau, and its children copy that
-tableau instead of rebuilding it; only the children of a root solved cold
-rebuild theirs.  The root starts from ``problem.basis`` when one is given,
-such as the root basis of the previous solve, which the result returns.
+tightens, so a few dual simplex pivots re-solve it.  Every node's LP,
+the root's included, keeps its final tableau, and its children copy that
+tableau instead of rebuilding it.  The root starts from ``problem.basis``
+when one is given, such as the root basis of the previous solve, which the
+result returns.
 
 A MIP start.  ``problem.start``, such as the previous solve's optimum when
 only the objective has moved since, becomes the first incumbent if it is

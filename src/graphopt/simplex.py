@@ -3,47 +3,50 @@
 The solver works on a :class:`~graphopt.standard_form.StandardFormProblem`.
 Every column is moved to a lower bound of zero: shifted by a finite lower
 bound, reflected about its upper bound when only that one is finite, or
-split in two when it is free.  A column with ``lower == upper`` is
-substituted out.  A finite width ``u = upper - lower`` stays data and never
-becomes a row: this is the upper-bounding technique (Dantzig 1955; Chvatal,
-*Linear Programming*, ch. 8).  A nonbasic column at its upper bound is stored
-complemented, ``x -> u - x``, so that every nonbasic column reads zero.  The
-ratio test stops a basic column at zero or at its upper bound; when the
-entering column's own bound binds first, the column just flips to its
-complement and no pivot is made.
+split in two when it is free.  A finite width ``u = upper - lower`` stays
+data and never becomes a row: this is the upper-bounding technique (Dantzig
+1955; Chvatal, *Linear Programming*, ch. 8).  A fixed column stays in the
+tableau at zero width and never enters.  A nonbasic column at its upper
+bound is stored complemented, ``x -> u - x``, so that every nonbasic column
+reads zero.  The ratio test stops a basic column at zero or at its upper
+bound; when the entering column's own bound binds first, the column just
+flips to its complement and no pivot is made.
 
-The reduced costs are carried as one extra tableau row that every pivot
-updates like any other row, and the rank-1 update only touches rows with a
-nonzero entry in the pivot column.  Phase I minimizes the sum of the
-artificials, Phase II the true objective.  Dantzig pricing is used until the
+One layout (:class:`_Frame`) serves every solve: the structural columns,
+the negative parts of the free ones, one logical column per row (the slacks
+of the inequality rows, then a zero-width column for each equality row) and
+the rhs.  The reduced costs are carried as one extra tableau row that every
+pivot updates like any other row, and the rank-1 update only touches rows
+with a nonzero in the pivot column.  Dantzig pricing is used until the
 iteration count stalls on degenerate pivots (60 in a row; in the dual
 simplex, as many as there are rows, if more), after which Bland's rule takes
 over so the method cannot cycle.
 
-Warm starts.  A problem may carry a :class:`~graphopt.standard_form.Basis`
-hint, such as its parent's final basis in branch-and-bound.  The tableau is
-then laid out for that basis: every row has one logical column (its slack,
-or a zero-width column for an equality row), and fixed columns stay in the
-tableau with zero width, so that a basic column a child fixes is simply
-driven out.  The starting tableau comes from one of two places:
+A cold start runs two phases from the all-logical basis (Maros,
+*Computational Techniques of the Simplex Method*, 2003).  Each row is signed
+so that its rhs is nonnegative.  During Phase I an equality row's logical
+column is its artificial, complemented where the row was negated; an
+inequality row whose slack would start negative gets an artificial column
+of its own, dropped after Phase I.  Phase I minimizes the sum of the
+artificials, Phase II the true objective.  What is left is B^-1 [A | I | b],
+the same tableau a warm start ends with.
 
-* the hint's kept tableau.  A warm solve keeps its final tableau privately
-  on the basis it returns.  When the next problem has the same dense matrix
-  object and every row signed and every column shifted, reflected or split
-  as before, that tableau is copied and re-priced: B^-1 [A | I] depends on
-  none of the bounds' values, right-hand sides or costs, and the logical
-  columns read B^-1, so the new rhs column ``B^-1 b'`` is one matrix-vector
-  product and the new reduced-cost row ``c - c_B B^-1 A`` one vector-matrix
-  product.  This is the re-solve of a branch-and-bound child, of a Benders
-  stage whose fixing rows moved, and of a Lagrangian step whose objective
-  moved.  Such a re-solve pays only for what moved.  Its layout, the
-  column transform included, is the kept one while the pattern of finite
-  bounds holds (:class:`_Frame`).  Under the same objective it copies a
-  reduced-cost row priced once per kept tableau: the kept row itself has
-  been through the pivots, and its rounding would steer the next ones
-  elsewhere;
-* otherwise, the hint's basic columns pivoted into the all-slack tableau by
-  Gauss-Jordan elimination.
+Warm starts.  A problem may carry a :class:`~graphopt.standard_form.Basis`
+hint, such as its parent's final basis in branch-and-bound.  Every optimal
+solve keeps its final tableau privately on the basis it returns.  When the
+hint keeps one, the problem has the same dense matrix object, and every row
+is signed and every column shifted, reflected or split as before, that
+tableau is copied and re-priced: B^-1 [A | I] depends on none of the
+bounds' values, right-hand sides or costs, and the logical columns read
+B^-1, so the new rhs column ``B^-1 b'`` is one matrix-vector product and the
+new reduced-cost row ``c - c_B B^-1 A`` one vector-matrix product.  This is
+the re-solve of a branch-and-bound child, of a Benders stage whose fixing
+rows moved, and of a Lagrangian step whose objective moved; it pays only for
+what moved.  Under the same objective it copies a reduced-cost row priced
+once per kept tableau: the kept row itself has been through the pivots, and
+its rounding would steer the next ones elsewhere.  Otherwise the hint's
+basic columns are pivoted into the all-logical tableau by Gauss-Jordan
+elimination.
 
 Nonbasic boxed columns go to the bound their reduced cost favours.  If that
 leaves the basis dual feasible, a bounded dual simplex (Koberstein, *The dual
@@ -52,8 +55,7 @@ feasible instead, as a re-priced tableau is after an objective change,
 primal Phase II finishes.  A hint of the wrong size, a singular one, or one
 that is neither falls back to the cold two-phase start.  So does a dual
 simplex run that finds a row it cannot repair without a certificate that
-the row is infeasible.  The cold path keeps no tableau, since its layout
-differs.
+the row is infeasible, or that would have to pivot on rounding noise.
 
 Tolerances.  A Phase I residual is nonzero only past an absolute floor
 plus the rounding noise of its row, ``_ROUNDING`` times ``|B^-1| |b|``: the
@@ -103,13 +105,12 @@ class SolveResult:
     a MILP).  ``basis`` is the final basis of an optimal LP solve, in the
     problem's own columns and rows, and for an optimal MILP solve the final
     basis of its root relaxation; handed back as ``problem.basis`` to a
-    problem of the same shape, it starts the simplex there.  When the solve
-    itself started from a basis, ``basis`` also keeps its final tableau, and
-    a re-solve over the same matrix, whatever its bounds, right-hand sides
-    and objective, starts from a copy of it.  Such a solve works out
-    ``duals``, ``reduced_costs`` and the basis status codes from that kept
-    tableau when they are first read; the tableau is never written to, so
-    they read the same whenever that is.
+    problem of the same shape, it starts the simplex there.  Every optimal
+    LP solve keeps its final tableau on ``basis``, and a re-solve over the
+    same matrix, whatever its bounds, right-hand sides and objective, starts
+    from a copy of it.  ``duals``, ``reduced_costs`` and the basis status
+    codes are worked out from that tableau when they are first read; the
+    tableau is never written to, so they read the same whenever that is.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -137,31 +138,9 @@ class _Tableau:
     bland: bool = False
 
 
-@dataclass
-class _Layout:
-    """How the problem's columns and rows sit in the tableau.
-
-    A kept column ``j`` is ``x_j = offset_j + sign_j * t`` for its tableau
-    column ``t``; the kept columns come first, in order, then the negative
-    parts of the free ones (which are kept too, as their positive parts).
-    Where every column is kept, ``kept`` is a slice.  The offsets and costs
-    move with the bounds and the objective, and are not part of it.
-    """
-
-    sign: np.ndarray
-    kept: np.ndarray | slice
-    n_kept: int
-    free: np.ndarray
-    free_at: np.ndarray       # the tableau column of each free column's positive part
-    row_sign: np.ndarray      # sign each given row was multiplied by
-    init_col: np.ndarray      # per row, the unit column it started with: it reads B^-1
-    logical_rows: np.ndarray  # slack and artificial columns, and the row each belongs to
-    logical_cols: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """The warm layout of one matrix, one set of row senses and one pattern of finite bounds.
+    """The layout of one matrix, one set of row senses and one pattern of finite bounds.
 
     Problems with the same matrix object and the same ``lookup`` share a
     frame, which a kept tableau carries to the next re-solve.  B^-1 [A | I]
@@ -170,30 +149,31 @@ class _Frame:
     """
 
     a: np.ndarray             # the dense matrix, compared by identity
+    eq: np.ndarray            # the equality rows
     given_sign: np.ndarray    # -1 on "ge" rows
     lookup: bytes             # the equality rows, the row signs and which bounds are finite
     key: bytes
     shifted: bool             # every lower bound is finite, so every column just shifts
     sign: np.ndarray          # -1 on columns reflected about their upper bound
     free: np.ndarray          # the split columns
-    logical: np.ndarray       # row i's slack column; zero width for an equality row
+    logical: np.ndarray       # row i's logical column: inequality slacks first, then equality rows
+    n_price: int              # the columns before the equality rows' logicals, which never enter
     tail: np.ndarray          # widths past the structural columns: negative parts, logicals, rhs
-    layout: _Layout
 
     @staticmethod
     def build(a: np.ndarray, eq: np.ndarray, given_sign: np.ndarray, lo: np.ndarray,
               hi: np.ndarray, lookup: bytes) -> _Frame:
         _, sign, _, free = _column_transform(lo, hi)
         n_struct = lo.size + free.size
-        logical = np.arange(n_struct, n_struct + eq.size)
-        layout = _Layout(sign=sign, kept=slice(None), n_kept=lo.size, free=free, free_at=free,
-                         row_sign=given_sign, init_col=logical, logical_rows=np.arange(eq.size),
-                         logical_cols=logical)
-        return _Frame(a=a, given_sign=given_sign, lookup=lookup,
+        order = np.argsort(eq, kind="stable")  # the rows in the order of their logicals
+        logical = np.empty(eq.size, dtype=np.intp)
+        logical[order] = np.arange(n_struct, n_struct + eq.size)
+        return _Frame(a=a, eq=eq, given_sign=given_sign, lookup=lookup,
                       key=given_sign.tobytes() + sign.tobytes() + free.tobytes(),
                       shifted=bool(np.isfinite(lo).all()), sign=sign, free=free, logical=logical,
-                      tail=np.concatenate([np.full(free.size, np.inf), np.where(eq, 0.0, np.inf), [np.inf]]),
-                      layout=layout)
+                      n_price=n_struct + eq.size - np.count_nonzero(eq),
+                      tail=np.concatenate([np.full(free.size, np.inf), np.where(eq[order], 0.0, np.inf),
+                                           [np.inf]]))
 
     def same_tableau(self, other: _Frame) -> bool:
         return self is other or (self.a is other.a and self.key == other.key)
@@ -216,7 +196,7 @@ class _Frame:
 
 @dataclass(frozen=True, eq=False)
 class _Kept:
-    """A warm solve's final tableau; never written to once kept."""
+    """An optimal solve's final tableau; never written to once kept."""
 
     frame: _Frame
     rows: np.ndarray
@@ -227,11 +207,7 @@ class _Kept:
 
     @functools.cached_property
     def priced(self) -> np.ndarray:
-        """The reduced-cost row priced afresh, which every re-solve under the same objective copies.
-
-        The kept row itself has been through the solve's pivots, so its
-        rounding differs from a fresh price, and with it the next pivots.
-        """
+        """The reduced-cost row priced afresh, which every re-solve under the same objective copies."""
         cost = np.where(self.flipped, -self.cost, self.cost)
         return cost - cost[self.basis] @ self.rows[:-1]
 
@@ -278,7 +254,7 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
     """Drive the tableau to optimality over the reduced-cost row.
 
     Only the first ``n_price`` columns may enter, and of those only those
-    that ``can_enter`` marks.  Returns "optimal", "unbounded", or
+    that ``can_enter`` marks, if given.  Returns "optimal", "unbounded", or
     "iteration_limit".
     """
     m = t.basis.size
@@ -343,6 +319,11 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
     so this bound errs wide.  A row that is merely within it still leaves when
     a column can enter: accepting it would return values outside their
     bounds, by as much as 1e-3 on rows that a -1e9 bound reaches.
+
+    An entry below ``_PIVOT_GOOD`` times the row's largest is no pivot
+    while a larger one can enter: a pivot of -1.2e-10 on a row whose largest
+    entry is 2 left entries near 1e10 in B^-1 and a feasible LP called
+    infeasible.  Where only such entries can enter, the result is ``None``.
     """
     m = t.basis.size
     rhs = t.rows[:m, -1]
@@ -352,6 +333,8 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
     # 601-row storage stage), so the run it takes grows with the row count
     stall = max(_DEGEN_STALL, m)
     fresh = None  # b' of a rhs column recomputed since the last pivot
+    if not m:
+        return "optimal"  # no basic column to repair
     while True:
         if t.iterations > max_iterations:
             return "iteration_limit"
@@ -368,9 +351,14 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
         if rhs[leaving] > 0.0:
             _complement_basic(t, leaving)
         row = t.rows[leaving, :-1]
-        tol = _PIVOT_TOL * np.maximum.reduce(np.abs(row), initial=1.0)
-        candidates = ((row < -tol) & can_enter).nonzero()[0]
-        if candidates.size == 0:
+        largest = np.maximum.reduce(np.abs(row), initial=1.0)
+        candidates = ((row < -_PIVOT_TOL * largest) & can_enter).nonzero()[0]
+        if candidates.size:
+            usable = candidates[row[candidates] < -_PIVOT_GOOD * largest]
+            if usable.size == 0:
+                return None
+            candidates = usable
+        else:
             if fresh is None:
                 rhs[:], fresh = _rhs_column(t.rows, t.flipped, t.upper, frame, b)
                 continue
@@ -464,108 +452,8 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
         return SolveResult(status="infeasible", iterations=0)
     a = problem.dense_rows()
     eq, given_sign = problem.row_signs()
-    if problem.basis is not None:
-        try:
-            warm = _solve_warm(problem, a, eq, given_sign, max_iterations)
-        except NumericalBreakdownError:
-            warm = None  # the hinted basis is unreliable: start over cold
-        if warm is not None:
-            return warm
-    return _solve_cold(problem, a, eq, given_sign, max_iterations)
-
-
-def _solve_cold(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
-                given_sign: np.ndarray, max_iterations: Optional[int]) -> SolveResult:
-    """Two-phase solve from the slack-and-artificial basis."""
-    m = problem.n_rows
-    offset, sign, width, free = _column_transform(problem.lower, problem.upper)
-    kept = (width > 0.0).nonzero()[0]  # fixed columns are substituted out
-    cols = np.concatenate([kept, free])
-    col_sign = np.concatenate([sign[kept], -np.ones(free.size)])
-    n_struct = cols.size
-
-    # --- rows: "ge" becomes "le", then each row is signed so its rhs is >= 0
-    b_le = given_sign * (problem.rhs - a @ offset)
-    row_sign = np.where(b_le < 0.0, -1.0, 1.0)
-    sign_of_row = given_sign * row_sign
-    slack_rows = np.flatnonzero(~eq)
-    art_rows = np.flatnonzero(eq | (row_sign < 0.0))
-    n_free = n_struct + slack_rows.size   # columns allowed to enter in Phase II
-    n_total = n_free + art_rows.size
-    slack_cols = np.arange(n_struct, n_free)
-    art_cols = np.arange(n_free, n_total)
-
-    rows = np.zeros((m + 1, n_total + 1))
-    rows[:m, :n_struct] = a[:, cols] * col_sign * sign_of_row[:, None]
-    rows[slack_rows, slack_cols] = row_sign[slack_rows]
-    rows[art_rows, art_cols] = 1.0
-    rows[:m, -1] = row_sign * b_le
-    basis = np.zeros(m, dtype=int)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols
-    # per tableau column; the rhs column never flips
-    upper = np.concatenate([width[kept], np.full(n_total + 1 - kept.size, np.inf)])
-    c_int = np.zeros(n_total + 1)
-    c_int[:n_struct] = np.asarray(problem.objective, dtype=float)[cols] * col_sign
-    layout = _Layout(sign=sign, kept=kept, n_kept=kept.size, free=free,
-                     free_at=np.searchsorted(kept, free), row_sign=sign_of_row, init_col=basis.copy(),
-                     logical_rows=np.concatenate([slack_rows, art_rows]),
-                     logical_cols=np.concatenate([slack_cols, art_cols]))
-
-    t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=np.full(m, np.inf),
-                 flipped=np.zeros(n_total + 1, dtype=bool))
-    if max_iterations is None:
-        max_iterations = max(5000, 50 * (m + n_total))
-
-    # --- Phase I: minimize the artificials ----------------------------------
-    if art_rows.size:
-        rows[m] = -rows[art_rows].sum(axis=0)
-        rows[m, art_cols] = 0.0
-        status = _run_phase(t, n_total, max_iterations)
-        if status == "iteration_limit":
-            return SolveResult(status="iteration_limit", iterations=t.iterations)
-        if status == "unbounded":  # pragma: no cover - Phase I is bounded below
-            raise NumericalBreakdownError("phase I reported unbounded")
-        # decide from the artificials' values, not the carried objective
-        # entry; init_col reads B^-1, so |B^-1| |b| sizes each value's terms
-        left = t.basis >= n_free
-        residual = rows[:m, -1][left].sum()
-        if residual > _FEAS_TOL and residual > _FEAS_TOL + _ROUNDING * (
-                np.abs(rows[:m][left][:, layout.init_col]) @ np.abs(b_le)).sum():
-            return SolveResult(status="infeasible", iterations=t.iterations)
-        # drive leftover artificials out of the basis where possible
-        for i in np.flatnonzero(t.basis >= n_free):
-            nz = np.flatnonzero(np.abs(rows[i, :n_free]) > _PIVOT_GOOD)
-            if nz.size:
-                _pivot(t, i, int(nz[0]))
-            # an all-zero row is redundant; its artificial stays basic at 0
-
-    # --- Phase II: the true objective over the complemented columns ---------
-    cost = np.where(t.flipped, -c_int, c_int)
-    rows[m] = cost - cost[t.basis] @ rows[:m]
-    t.bland = False
-    t.degenerate = 0
-    # with every column fixed and no slack, nothing can enter
-    status = _run_phase(t, n_free, max_iterations) if n_free else "optimal"
-    if status != "optimal":
-        return SolveResult(status=status, iterations=t.iterations)
-    return _optimal(problem, a, layout, t, offset, c_int)
-
-
-def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
-                given_sign: np.ndarray, max_iterations: Optional[int]) -> Optional[SolveResult]:
-    """Re-optimize from ``problem.basis``.
-
-    ``None`` when that basis cannot be used, or when the dual simplex finds a
-    row it can neither repair nor prove infeasible.  A re-solve of the kept
-    tableau pays only for what moved: the frame is the kept one while the
-    pattern of finite bounds holds, and the reduced costs are re-priced only
-    when the objective changed.
-    """
     hint = problem.basis
-    kept = hint._tableau
-    lo, hi, c = problem.lower, problem.upper, problem.objective
-    m = problem.n_rows
+    kept = None if hint is None else hint._tableau
     lookup = eq.tobytes() + given_sign.tobytes() + np.isfinite(lo).tobytes() + np.isfinite(hi).tobytes()
     if kept is not None and kept.frame.a is a and kept.frame.lookup == lookup:
         frame = kept.frame
@@ -574,11 +462,91 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     offset, width = frame.place(lo, hi)
     upper = np.concatenate((width, frame.tail))
     b = given_sign * (problem.rhs - a @ offset)
+    if max_iterations is None:
+        max_iterations = max(5000, 50 * (upper.size - 1 + b.size))
+    if hint is not None:
+        try:
+            warm = _solve_warm(problem, frame, offset, upper, b, max_iterations)
+        except NumericalBreakdownError:
+            warm = None  # the hinted basis is unreliable: start over cold
+        if warm is not None:
+            return warm
+    return _solve_cold(problem, frame, offset, upper, b, max_iterations)
 
-    objective = c.tobytes()
+
+def _solve_cold(problem: StandardFormProblem, frame: _Frame, offset: np.ndarray, upper: np.ndarray,
+                b: np.ndarray, max_iterations: int) -> SolveResult:
+    """Two-phase solve from the all-logical basis."""
+    m = b.size
+    n_struct = upper.size - 1 - m
+    n_free = frame.n_price  # past these, Phase I's artificials
+    # each row is signed so that its rhs is >= 0; a negated equality row's
+    # logical is complemented, a negated inequality row gets an artificial
+    negated = np.flatnonzero(b < 0.0)
+    neg_eq = negated[frame.eq[negated]]
+    extra = negated[~frame.eq[negated]]
+    rows = _all_logical(frame, b, extra.size)
+    rows[negated] *= -1.0
+    rows[neg_eq, frame.logical[neg_eq]] = 1.0
+    basis = frame.logical.copy()
+    basis[extra] = np.arange(n_struct + m, n_struct + m + extra.size)
+    rows[extra, basis[extra]] = 1.0
+    flipped = np.zeros(rows.shape[1], dtype=bool)
+    flipped[frame.logical[neg_eq]] = True
+    # in Phase I the artificials, equality logicals included, are unbounded above
+    phase_one = np.concatenate((upper[:n_struct], np.full(m + extra.size + 1, np.inf)))
+    t = _Tableau(rows=rows, basis=basis, upper=phase_one, row_upper=np.full(m, np.inf), flipped=flipped)
+    can_enter = phase_one[:-1] != 0.0  # fixed columns never enter
+
+    # --- Phase I: minimize the artificials ----------------------------------
+    art_rows = np.flatnonzero(basis >= n_free)
+    if art_rows.size:
+        rows[m] = -rows[art_rows].sum(axis=0)
+        rows[m, basis[art_rows]] = 0.0
+        status = _run_phase(t, can_enter.size, max_iterations, None if can_enter.all() else can_enter)
+        if status == "iteration_limit":
+            return SolveResult(status="iteration_limit", iterations=t.iterations)
+        if status == "unbounded":  # pragma: no cover - Phase I is bounded below
+            raise NumericalBreakdownError("phase I reported unbounded")
+        # decide from the artificials' values, not the carried objective entry;
+        # the logical columns read +-B^-1, so |B^-1| |b| sizes each value's terms
+        left = t.basis >= n_free
+        residual = rows[:m, -1][left].sum()
+        if residual > _FEAS_TOL and residual > _FEAS_TOL + _ROUNDING * (
+                np.abs(rows[:m][left][:, frame.logical]) @ np.abs(b)).sum():
+            return SolveResult(status="infeasible", iterations=t.iterations)
+        # drive leftover artificials out of the basis where possible; a
+        # negated inequality row's slack always can, being minus its artificial
+        for i in np.flatnonzero(t.basis >= n_free):
+            nz = np.flatnonzero((np.abs(rows[i, :n_free]) > _PIVOT_GOOD) & can_enter[:n_free])
+            if nz.size:
+                _pivot(t, i, int(nz[0]))
+            # an all-zero equality row is redundant; its logical stays basic at 0
+        if extra.size:  # what is left is the warm layout: drop the extra artificials
+            t.rows = np.concatenate((rows[:, :n_struct + m], rows[:, -1:]), axis=1)
+            t.flipped = np.append(t.flipped[:n_struct + m], False)
+    t.upper, t.row_upper = upper, upper[t.basis]
+
+    # --- Phase II: the true objective over the complemented columns ---------
+    c_int = frame.internal_cost(problem.objective)
+    cost = np.where(t.flipped, -c_int, c_int)
+    t.rows[m] = cost - cost[t.basis] @ t.rows[:m]
+    return _phase_two(problem, frame, t, offset, c_int, max_iterations)
+
+
+def _solve_warm(problem: StandardFormProblem, frame: _Frame, offset: np.ndarray, upper: np.ndarray,
+                b: np.ndarray, max_iterations: int) -> Optional[SolveResult]:
+    """Re-optimize from ``problem.basis``.
+
+    ``None`` when that basis cannot be used, or when the dual simplex finds a
+    row it can neither repair nor prove infeasible.
+    """
+    hint = problem.basis
+    kept = hint._tableau
+    m = b.size
     reuse = kept is not None and kept.frame.same_tableau(frame)
-    same_cost = reuse and objective == kept.objective
-    c_int = kept.cost if same_cost else frame.internal_cost(c)
+    same_cost = reuse and problem.objective.tobytes() == kept.objective
+    c_int = kept.cost if same_cost else frame.internal_cost(problem.objective)
     start = _from_kept(kept, frame, upper, None if same_cost else c_int, b) if reuse else None
     if start is None:
         start = _from_crash(hint, frame, upper, c_int, b)
@@ -587,9 +555,7 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
     rows, basis, flipped = start
 
     t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=upper[basis], flipped=flipped)
-    if max_iterations is None:
-        max_iterations = max(5000, 50 * (upper.size - 1 + m))
-    can_enter = upper[:-1] != 0.0  # fixed columns and equality rows' slacks never enter
+    can_enter = upper[:-1] != 0.0  # fixed columns and equality rows' logicals never enter
     wrong_side = (rows[m, :-1] < -_RC_TOL) & can_enter
     if not (wrong_side & (upper[:-1] == np.inf)).any():
         # every nonbasic column can rest where its reduced cost is nonnegative
@@ -601,19 +567,27 @@ def _solve_warm(problem: StandardFormProblem, a: np.ndarray, eq: np.ndarray,
         status = _run_dual(t, can_enter, max_iterations, frame, b)
         if status is None:
             return None
-    elif (np.maximum(-rows[:m, -1], rows[:m, -1] - t.row_upper) <= _PRIMAL_TOL).all():
-        status = "optimal"  # primal feasible: Phase II below does the work
-    else:
-        return None
-    if status == "optimal":
-        # also repairs reduced costs that rounding left a hair below zero
-        t.bland = False
-        t.degenerate = 0
-        status = _run_phase(t, upper.size - 1, max_iterations, can_enter)
+        if status != "optimal":
+            return SolveResult(status=status, iterations=t.iterations)
+    elif (np.maximum(-rows[:m, -1], rows[:m, -1] - t.row_upper) > _PRIMAL_TOL).any():
+        return None  # neither primal nor dual feasible
+    return _phase_two(problem, frame, t, offset, c_int, max_iterations)
+
+
+def _phase_two(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: np.ndarray,
+               c_int: np.ndarray, max_iterations: int) -> SolveResult:
+    """Primal Phase II over the final layout, and the result it ends with.
+
+    After a dual simplex run it repairs reduced costs that rounding left a
+    hair below zero.
+    """
+    t.bland = False
+    t.degenerate = 0
+    can_enter = t.upper[:frame.n_price] != 0.0  # fixed columns never enter
+    status = _run_phase(t, frame.n_price, max_iterations, None if can_enter.all() else can_enter)
     if status != "optimal":
         return SolveResult(status=status, iterations=t.iterations)
-    return _optimal(problem, a, frame.layout, t, offset, c_int,
-                    _Kept(frame, rows, basis, flipped, objective, c_int))
+    return _optimal(problem, frame, t, offset, c_int)
 
 
 def _from_kept(kept: _Kept, frame: _Frame, upper: np.ndarray, c_int: Optional[np.ndarray],
@@ -644,35 +618,45 @@ def _rhs_column(rows: np.ndarray, flipped: np.ndarray, upper: np.ndarray, frame:
                 b: np.ndarray):
     """``(B^-1 b', b')``: the rhs column of a warm tableau, from its logical columns.
 
-    The logical columns read B^-1, negated where a zero-width slack is
+    The logical columns read B^-1, negated where a zero-width logical is
     complemented; ``b'`` is ``b`` less each complemented structural column
-    at its width, negated on those slacks' rows.
+    at its width, negated on those logicals' rows.
     """
-    at_upper = flipped[:frame.sign.size].nonzero()[0]  # the structural ones; slacks have width 0
+    at_upper = flipped[:frame.sign.size].nonzero()[0]  # the structural ones; logicals have width 0
     if at_upper.size:
         b = b - (frame.a[:, at_upper] * frame.sign[at_upper]) @ upper[at_upper] * frame.given_sign
     b = np.where(flipped[frame.logical], -b, b)
     return rows[:b.size, frame.logical] @ b, b
 
 
+def _all_logical(frame: _Frame, b: np.ndarray, extra: int = 0) -> np.ndarray:
+    """``[A | I | b]`` over the frame's columns, with a zero reduced-cost row.
+
+    ``extra`` zero columns go between the logical columns and the rhs.
+    """
+    a, free = frame.a, frame.free
+    m, n = a.shape
+    rows = np.zeros((m + 1, n + frame.tail.size + extra))
+    rows[:m, :n] = a * frame.sign * frame.given_sign[:, None]
+    rows[:m, n:n + free.size] = -rows[:m, free]
+    rows[np.arange(m), frame.logical] = 1.0
+    rows[:m, -1] = b
+    return rows
+
+
 def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray):
-    """The tableau of ``hint`` built from the all-slack one.
+    """The tableau of ``hint`` built from the all-logical one.
 
     ``None`` when the hint has the wrong size or number of basic entries, or
     is singular.
     """
-    a, sign, free, logical = frame.a, frame.sign, frame.free, frame.logical
-    m, n = a.shape
+    free, logical = frame.free, frame.logical
+    m, n = frame.a.shape
     if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
         return None
     if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint.rows == BASIC) != m:
         return None
-    n_struct = n + free.size
-    rows = np.zeros((m + 1, upper.size))
-    rows[:m, :n] = a * sign * frame.given_sign[:, None]
-    rows[:m, n:n_struct] = -rows[:m, free]
-    rows[np.arange(m), logical] = 1.0
-    rows[:m, -1] = b
+    rows = _all_logical(frame, b)
     width = upper[:n]
     flipped = np.zeros(upper.size, dtype=bool)
     flipped[:n] = (hint.columns == AT_UPPER) & (width > 0.0) & (width < np.inf)
@@ -683,7 +667,7 @@ def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray
     rows[m] = np.where(flipped, -c_int, c_int)
 
     # B^-1 [A | I | b], and the reduced costs, by pivoting the basic columns
-    # into the all-slack tableau; rows whose slack stays basic take no pivot
+    # into the all-logical tableau; rows whose logical stays basic take no pivot
     open_rows = np.ones(m)
     open_rows[hint.rows == BASIC] = 0.0
     basic_cols = np.flatnonzero(hint.columns == BASIC)
@@ -714,59 +698,50 @@ def _once(compute):
     return once
 
 
-def _optimal(problem: StandardFormProblem, a: np.ndarray, lay: _Layout, t: _Tableau,
-             offset: np.ndarray, c_int: np.ndarray, kept: Optional[_Kept] = None) -> SolveResult:
-    """The result of an optimal tableau.
+def _optimal(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: np.ndarray,
+             c_int: np.ndarray) -> SolveResult:
+    """The result of an optimal tableau, which its basis keeps for re-solves.
 
-    The primal point and the objective are worked out here.  Given
-    ``kept``, the basis keeps the tableau for re-solves, and the duals, the
-    reduced costs and the basis status codes are worked out from it on first
-    read, since no branch-and-bound node reads them; otherwise they are
-    worked out now.
+    The primal point and the objective are worked out here; the duals, the
+    reduced costs and the basis status codes on first read, since no
+    branch-and-bound node reads them.
     """
     m = t.basis.size
     rows = t.rows
     x_int = np.zeros(rows.shape[1])
     x_int[t.basis] = rows[:m, -1]
     x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
-    nk, nf = lay.n_kept, lay.free.size
-    x = offset.copy()
-    x[lay.kept] += lay.sign[lay.kept] * x_int[:nk]
+    c, n, nf = problem.objective, problem.n_cols, frame.free.size
+    x = offset + frame.sign * x_int[:n]
     if nf:
-        x[lay.free] -= x_int[nk:nk + nf]
-    c, n = problem.objective, problem.n_cols
+        x[frame.free] -= x_int[n:n + nf]
 
     @_once
     def duals():
-        # y = c_B B^-1, priced afresh under the final complementing; slacks
-        # and artificials cost nothing
+        # y = c_B B^-1, priced afresh under the final complementing; the
+        # logical columns read B^-1, negated where a logical is complemented
         cost = np.where(t.flipped, -c_int, c_int)
-        return (cost[t.basis] @ rows[:m, lay.init_col]) * lay.row_sign
+        sign = np.where(t.flipped[frame.logical], -frame.given_sign, frame.given_sign)
+        return (cost[t.basis] @ rows[:m, frame.logical]) * sign
 
     @_once
     def codes():
         in_basis = np.zeros(rows.shape[1], dtype=bool)
         in_basis[t.basis] = True
-        columns = np.full(n, AT_LOWER, dtype=np.int8)  # substituted fixed columns too
-        at_upper = t.flipped[:nk] | (lay.sign[lay.kept] < 0.0)
-        columns[lay.kept] = np.where(in_basis[:nk], BASIC, np.where(at_upper, AT_UPPER, AT_LOWER))
+        at_upper = t.flipped[:n] | (frame.sign < 0.0)
+        columns = np.where(in_basis[:n], BASIC, np.where(at_upper, AT_UPPER, AT_LOWER)).astype(np.int8)
         if nf:
-            split_basic = in_basis[lay.free_at] | in_basis[nk:nk + nf]
-            columns[lay.free] = np.where(split_basic, BASIC, FREE_ZERO)
-        row_status = np.full(m, NONBASIC, dtype=np.int8)
-        row_status[lay.logical_rows[in_basis[lay.logical_cols]]] = BASIC
-        return columns, row_status
+            split_basic = in_basis[frame.free] | in_basis[n:n + nf]
+            columns[frame.free] = np.where(split_basic, BASIC, FREE_ZERO)
+        return columns, np.where(in_basis[frame.logical], BASIC, NONBASIC).astype(np.int8)
 
-    result = SolveResult(
+    return SolveResult(
         status="optimal",
         objective=float(c @ x) + problem.objective_constant,
         primal=x,
         duals=duals,
-        reduced_costs=lambda: c - a.T @ duals(),
+        reduced_costs=lambda: c - frame.a.T @ duals(),
         iterations=t.iterations,
-        basis=Basis(lambda: codes()[0], lambda: codes()[1], kept),
+        basis=Basis(lambda: codes()[0], lambda: codes()[1],
+                    _Kept(frame, rows, t.basis, t.flipped, c.tobytes(), c_int)),
     )
-    if kept is None:  # nothing else holds this tableau, so the result must not either
-        Deferred.settle(result)
-        Deferred.settle(result.basis)
-    return result

@@ -59,11 +59,6 @@ class Deferred:
                 state[attr.slot] = getattr(obj, name)
         return state
 
-    @staticmethod
-    def settle(obj) -> None:
-        """Work out every deferred field of ``obj`` now, releasing what its functions hold."""
-        obj.__dict__.update(Deferred.state(obj))
-
 
 @dataclass(frozen=True, eq=False)
 class Basis:
@@ -72,7 +67,7 @@ class Basis:
     ``columns[j]`` is :data:`BASIC`, :data:`AT_LOWER`, :data:`AT_UPPER` or
     :data:`FREE_ZERO`; ``rows[i]`` is :data:`BASIC` when row ``i``'s slack is
     basic and :data:`NONBASIC` when the row is held at its right-hand side.
-    Exactly ``len(rows)`` entries are basic.  A basis returned by a warm
+    Exactly ``len(rows)`` entries are basic.  A basis returned by an optimal
     solve also keeps that solve's final tableau privately, so that the next
     re-solve of the same matrix can start from it (see :mod:`graphopt.simplex`);
     such a re-solve reads no status code, so a basis that keeps a tableau

@@ -5,18 +5,20 @@ dependency, and this module is skipped where scipy is missing.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from graphopt import BendersConfig, apply_partition, flatten, run_decomposition, solve
+from graphopt import BendersConfig, apply_partition, flatten, run_decomposition, simplex, solve
 from graphopt.branch_bound import solve_milp
 from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
 from graphopt.simplex import solve_lp
-from graphopt.standard_form import BASIC
+from graphopt.standard_form import AT_LOWER, BASIC, Basis
 
 from conftest import assert_strong_duality, make_problem
 
@@ -111,6 +113,41 @@ def test_rounding_noise_is_not_taken_for_a_pivot():
         problem = mixed_bound_lp(rng, kind=kind)
     assert highs_lp(problem)[0] == "unbounded"
     assert solve_lp(problem).status == "unbounded"
+
+
+def test_a_dual_pivot_below_the_good_pivot_size_is_not_taken():
+    # from the all-slack basis the dual simplex took -1.16e-10 for a pivot on
+    # a row whose largest entry is 2; B^-1 then reached 1e10 and this
+    # feasible LP was reported infeasible
+    problem = make_problem(
+        [0.0, 0.0, 1.0],
+        [[-899999.9999999999, 1e6, -1.0], [899999.9999999998, -1e6, -1.0]],
+        ["le", "le"],
+        [2e7, -20.0],
+        [0.0, 0.0, -1e9],
+        [5.0, 20.0, np.inf],
+    )
+    status, objective = highs_lp(problem)
+    assert status == "optimal"
+    all_slack = Basis(np.full(3, AT_LOWER), np.full(2, BASIC))
+    for res in (solve_lp(problem), solve_lp(replace(problem, basis=all_slack))):
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(objective, rel=1e-9)
+
+
+def test_a_cold_result_re_solves_from_its_own_tableau():
+    """Fixed, free and upper-only columns, equality rows and negative rhs: the cold tableau is the warm one."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(12):
+        problem = mixed_bound_lp(rng)
+        problem.keep_dense_rows()
+        cold = solve_lp(problem)
+        assert cold.status == "optimal"
+        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as spy:
+            warm = solve_lp(replace(problem, basis=cold.basis))
+        assert spy.call_count == 0
+        assert warm.status == "optimal" and warm.iterations == 0
+        np.testing.assert_allclose(warm.duals, cold.duals, rtol=1e-9, atol=1e-9)
 
 
 def test_storage_fixture_matches_highs():

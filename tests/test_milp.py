@@ -256,6 +256,24 @@ class TestBranchAndBound:
             deep += res.nodes_explored > 3
         assert deep >= 5
 
+    def test_no_node_builds_a_tableau(self, rng):
+        """The cold root keeps its tableau too, so every node re-solves a kept one."""
+        deep = 0
+        for k in range(25):
+            prob = random_milp(rng, pure_binary=(k % 3 != 0))
+            with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as spy:
+                res = solve_milp(prob)
+            assert spy.call_count == 0
+            deep += res.nodes_explored > 3
+        assert deep >= 5
+
+    def test_a_milp_without_rows(self):
+        prob = make_problem([-1.0], np.zeros((0, 1)), [], [], [0.0], [2.5], integrality=["integer"])
+        res = solve_milp(prob)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(-2.0)
+        np.testing.assert_allclose(res.primal, [2.0])
+
     def test_the_result_basis_is_the_root_relaxations(self, rng):
         """Handed back, it re-solves the root from its kept tableau without a pivot."""
         checked = 0

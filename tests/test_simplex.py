@@ -453,6 +453,30 @@ class TestWarmStart:
             assert_strong_duality(child, warm)
             assert warm.iterations == 1
 
+    def test_a_complemented_equality_logical_keeps_its_dual_sign(self):
+        # min x s.t. x = 2: the row's zero-width logical starts basic at 2,
+        # above its bound, so the dual simplex complements it before x enters
+        prob = make_problem([1.0], [[1.0]], ["eq"], [2.0], [0.0], [5.0])
+        cold = solve_lp(prob)
+        with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as spy:
+            warm = solve_lp(replace(prob, basis=Basis(np.array([AT_LOWER]), np.array([BASIC]))))
+        assert spy.call_count == 0 and warm.iterations == 1
+        assert warm.objective == cold.objective == pytest.approx(2.0)
+        np.testing.assert_allclose(warm.duals, [1.0])
+        np.testing.assert_allclose(warm.reduced_costs, [0.0])
+        np.testing.assert_array_equal(warm.duals, cold.duals)
+        assert_strong_duality(prob, warm)
+
+    def test_a_row_less_lp_re_solves_from_its_own_basis(self):
+        prob = make_problem([-1.0, 2.0, -0.5], np.zeros((0, 3)), [], [], [0.0, -1.0, -np.inf], [2.5, 3.0, 4.0])
+        cold = solve_lp(prob)
+        assert cold.status == "optimal" and cold.objective == pytest.approx(-6.5)
+        for hint in (cold.basis, Basis(cold.basis.columns, cold.basis.rows)):  # kept, then rebuilt
+            warm = solve_lp(replace(prob, basis=hint))
+            assert warm.status == "optimal" and warm.iterations == 0
+            np.testing.assert_array_equal(warm.primal, cold.primal)
+            assert warm.duals.size == 0
+
     def unusable_hint_lp(self):
         # columns 0 and 1 share their coefficients; the all-slack basis is
         # primal infeasible (x2 >= 1) and dual infeasible (x2's cost)
