@@ -32,6 +32,7 @@ from .errors import (
     RelaxationInfeasibleError,
     RootNotFoundError,
     StructureError,
+    UnboundedError,
 )
 from .model import Constraint, Graph, VariableRef
 from .simplex import SolveResult
@@ -196,15 +197,17 @@ def _relative_gap(upper: float, lower: float) -> float:
 def _require_optimal(result: SolveResult, what: str, infeasible_error: type[GraphOptError]) -> SolveResult:
     """``result`` if it is optimal; otherwise raise the error that its status names.
 
-    Only an infeasible solve raises ``infeasible_error``.  One that stopped
-    at its iteration limit has no verdict, and raises
-    :class:`IterationLimitError`.
+    Only an infeasible solve raises ``infeasible_error``, and only an
+    unbounded one :class:`UnboundedError`.  One that stopped at its
+    iteration limit has no verdict, and raises :class:`IterationLimitError`.
     """
     if result.status == "optimal":
         return result
     message = f"{what} is {result.status}"
     if result.status == "infeasible":
         raise infeasible_error(message)
+    if result.status == "unbounded":
+        raise UnboundedError(message)
     if result.status == "iteration_limit":
         raise IterationLimitError(message)
     raise GraphOptError(message)
@@ -217,12 +220,13 @@ def _lagrangian_ascent(
     config: BendersConfig,
     solver: LinearSolver,
 ) -> Optional[tuple[float, np.ndarray]]:
-    """Projected subgradient ascent on the fixing-row multipliers.
+    """Projected subgradient ascent on the multipliers of the copy constraints ``z = anchor``.
 
-    Starts from the relaxation duals, keeps the best value seen, and stops
-    early on a zero subgradient or an unbounded pricing problem.  Each step
-    re-solves the stage's kept Lagrangian problem from the previous step's
-    root basis (:meth:`StageProblem.solve_lagrangian`).
+    Starts from the pinned copies' reduced costs, keeps the best value seen,
+    and stops early on a zero subgradient or an unbounded pricing problem.
+    Each step unpins the copies of the stage's kept problem, prices them by
+    the multipliers and re-solves from the previous step's root basis
+    (:meth:`StageProblem.solve_lagrangian`).
     """
     mu = lam.astype(float).copy()
     best_val = -_INF
@@ -349,7 +353,7 @@ class _Decomposition:
             parent = self.tree.stages[gid].parent
             anchor = self.problems[parent].values_for(prob.fixed_refs, results[parent])
             prob.set_fixed_values(anchor)
-            results[gid] = prob.require_feasible(prob.solve(self.solver), "the forward pass")
+            results[gid] = prob.require_optimal(prob.solve(self.solver), "the forward pass")
         return results
 
     def backward(self, results: dict[str, SolveResult], iteration: int) -> int:
@@ -366,7 +370,7 @@ class _Decomposition:
                 continue
             prob = self.problems[gid]
             if prob.is_mip or fresh[gid]:
-                res = prob.require_feasible(prob.solve(self.solver, relax=True), "the backward pass")
+                res = prob.require_optimal(prob.solve(self.solver, relax=True), "the backward pass")
             else:
                 res = results[gid]
             pending.setdefault(self.tree.stages[gid].parent, []).append(
@@ -439,7 +443,7 @@ class _Decomposition:
 
         for k in range(1, config.max_iters + 1):
             started = time.perf_counter()
-            root_res = root_prob.require_feasible(root_prob.solve(self.solver), "the root solve")
+            root_res = root_prob.require_optimal(root_prob.solve(self.solver), "the root solve")
             lower = root_res.objective
 
             iterate_res = root_res
@@ -447,7 +451,7 @@ class _Decomposition:
             if config.regularize and math.isfinite(best_ub):
                 level = lower + config.alpha * (best_ub - lower)
                 level_res = _require_optimal(solve(root_prob.level_set_problem(level), self.solver),
-                                             f"the level-set solve at iteration {k}",
+                                             f"stage {tree.root!r}'s level-set solve at iteration {k}",
                                              LevelSetInfeasibleError)
                 audit.append((k, root_prob.full_objective_value(level_res), level))
                 iterate_res = level_res

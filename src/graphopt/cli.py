@@ -24,6 +24,7 @@ from .errors import (
     NumericalBreakdownError,
     RelaxationInfeasibleError,
     SubproblemInfeasibleError,
+    UnboundedError,
     UsageError,
 )
 from .fixtures import FIXTURE_NAMES, generate_fixture
@@ -223,6 +224,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         report.status = "infeasible"
         code = EXIT_INFEASIBLE
+    except UnboundedError as exc:
+        print(f"unbounded: {exc}", file=sys.stderr)
+        report.status = "unbounded"
+        code = EXIT_UNBOUNDED
     except IterationLimitError as exc:
         print(f"iteration limit: {exc}", file=sys.stderr)
         report.status = "iteration_limit"

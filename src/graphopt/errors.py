@@ -133,6 +133,10 @@ class SubproblemInfeasibleError(GraphOptError):
     """A conditioned subproblem is infeasible at the fixed upstream values."""
 
 
+class UnboundedError(GraphOptError):
+    """A stage, level-set or relaxation solve that must reach an optimum is unbounded."""
+
+
 class LevelSetInfeasibleError(GraphOptError):
     """The level-set restricted problem is infeasible (bounds inconsistent)."""
 

@@ -40,13 +40,12 @@ tableau is copied and re-priced: B^-1 [A | I] depends on none of the
 bounds' values, right-hand sides or costs, and the logical columns read
 B^-1, so the new rhs column ``B^-1 b'`` is one matrix-vector product and the
 new reduced-cost row ``c - c_B B^-1 A`` one vector-matrix product.  This is
-the re-solve of a branch-and-bound child, of a Benders stage whose fixing
-rows moved, and of a Lagrangian step whose objective moved; it pays only for
-what moved.  Under the same objective it copies a reduced-cost row priced
-once per kept tableau: the kept row itself has been through the pivots, and
-its rounding would steer the next ones elsewhere.  Otherwise the hint's
-basic columns are pivoted into the all-logical tableau by Gauss-Jordan
-elimination.
+the re-solve of a branch-and-bound child, of a Benders stage whose pinned
+copies moved, and of a Lagrangian step whose objective moved; it pays only
+for what moved.  The reduced-cost row is priced afresh even under the same
+objective: the kept row has been through the pivots, and its rounding would
+steer the next ones elsewhere.  Otherwise the hint's basic columns are
+pivoted into the all-logical tableau by Gauss-Jordan elimination.
 
 Nonbasic boxed columns go to the bound their reduced cost favours.  If that
 leaves the basis dual feasible, a bounded dual simplex (Koberstein, *The dual
@@ -72,7 +71,6 @@ are reported as `c - A'y` over the rows as given.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -202,14 +200,6 @@ class _Kept:
     rows: np.ndarray
     basis: np.ndarray
     flipped: np.ndarray
-    objective: bytes          # the problem's objective, as bytes
-    cost: np.ndarray          # that objective over the tableau columns
-
-    @functools.cached_property
-    def priced(self) -> np.ndarray:
-        """The reduced-cost row priced afresh, which every re-solve under the same objective copies."""
-        cost = np.where(self.flipped, -self.cost, self.cost)
-        return cost - cost[self.basis] @ self.rows[:-1]
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
@@ -544,10 +534,9 @@ def _solve_warm(problem: StandardFormProblem, frame: _Frame, offset: np.ndarray,
     hint = problem.basis
     kept = hint._tableau
     m = b.size
+    c_int = frame.internal_cost(problem.objective)
     reuse = kept is not None and kept.frame.same_tableau(frame)
-    same_cost = reuse and problem.objective.tobytes() == kept.objective
-    c_int = kept.cost if same_cost else frame.internal_cost(problem.objective)
-    start = _from_kept(kept, frame, upper, None if same_cost else c_int, b) if reuse else None
+    start = _from_kept(kept, frame, upper, c_int, b) if reuse else None
     if start is None:
         start = _from_crash(hint, frame, upper, c_int, b)
         if start is None:
@@ -590,15 +579,13 @@ def _phase_two(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset:
     return _optimal(problem, frame, t, offset, c_int)
 
 
-def _from_kept(kept: _Kept, frame: _Frame, upper: np.ndarray, c_int: Optional[np.ndarray],
-               b: np.ndarray):
+def _from_kept(kept: _Kept, frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray):
     """A copy of a kept final tableau with a new rhs column, or ``None``.
 
     The new rhs column ``B^-1 b'`` is one matrix-vector product (see
     :func:`_rhs_column`), with each complemented column at its new width.
     The reduced costs ``c - c_B B^-1 A``, with ``c`` under the kept
-    complementing, are one vector-matrix product: for new costs ``c_int``
-    here, and otherwise once per kept tableau (:attr:`_Kept.priced`).
+    complementing, are one vector-matrix product.
     """
     m = b.size
     flipped = kept.flipped.copy()
@@ -606,11 +593,8 @@ def _from_kept(kept: _Kept, frame: _Frame, upper: np.ndarray, c_int: Optional[np
         return None  # a complemented column has lost its upper bound
     rows = kept.rows.copy()
     rows[:m, -1] = _rhs_column(rows, flipped, upper, frame, b)[0]
-    if c_int is None:
-        rows[m] = kept.priced
-    else:
-        cost = np.where(flipped, -c_int, c_int)
-        rows[m] = cost - cost[kept.basis] @ rows[:m]
+    cost = np.where(flipped, -c_int, c_int)
+    rows[m] = cost - cost[kept.basis] @ rows[:m]
     return rows, kept.basis.copy(), flipped
 
 
@@ -743,5 +727,5 @@ def _optimal(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: n
         reduced_costs=lambda: c - frame.a.T @ duals(),
         iterations=t.iterations,
         basis=Basis(lambda: codes()[0], lambda: codes()[1],
-                    _Kept(frame, rows, t.basis, t.flipped, c.tobytes(), c_int)),
+                    _Kept(frame, rows, t.basis, t.flipped)),
     )

@@ -1,11 +1,13 @@
 """Per-stage problems: a subgraph plus relocated linking rows.
 
 A stage owns its subgraph's variables and rows.  Linking rows handed to it
-from the parent level are rewritten over *copy variables* (one per foreign
-variable, bounds inherited from the original), which are then pinned to the
-parent's iterate through equality fixing rows.  Optional elastic slacks keep
-relocated rows feasible for any parent iterate; optional value-function
-columns (theta) and cut rows support the decomposition loop.
+from the parent level are rewritten over *copy variables*, one per foreign
+variable, which are pinned to the parent's iterate by setting both of their
+bounds to it.  A pinned copy's reduced cost is the stage's sensitivity to
+that value, and a Lagrangian step unpins the copies back to the bounds of
+the variables they copy.  Optional elastic slacks keep relocated rows
+feasible for any parent iterate; optional value-function columns (theta)
+and cut rows support the decomposition loop.
 
 Column layout is fixed as ``[own variables][copies][slacks][thetas]`` so a
 stage built without thetas produces exactly the same pivot sequence as one
@@ -19,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IterationLimitError, SubproblemInfeasibleError
+from .errors import IterationLimitError, SubproblemInfeasibleError, UnboundedError
 from .model import Constraint, Graph, VariableRef
 from .solvers import LinearSolver, solve
 from .simplex import SolveResult
@@ -74,7 +76,7 @@ def _extended(basis: Optional[Basis], n_rows: int) -> Optional[Basis]:
 
 
 class StageProblem:
-    """Solvable form of one subgraph with relocated rows, fixing rows and cuts."""
+    """Solvable form of one subgraph with relocated rows, pinned copies and cuts."""
 
     def __init__(
         self,
@@ -109,16 +111,20 @@ class StageProblem:
             )
 
         # Copy columns for foreign variables, in first-seen order over the
-        # relocated rows.  Bounds (and only bounds) carry over; copies stay
-        # continuous because a fixing row pins them anyway.
+        # relocated rows, pinned at zero until set_fixed_values moves them.
+        # Copies stay continuous, since their bounds pin them anyway; only
+        # a Lagrangian step frees them, within the original's bounds.
         self.fixed_refs: list[VariableRef] = []
         self.copy_col: dict[VariableRef, int] = {}
         for con in relocated:
             for ref, _ in con.expr.sorted_terms():
                 if ref in self.var_index or ref in self.copy_col:
                     continue
-                self.copy_col[ref] = self._new_column(0.0, ref.lower, ref.upper, "continuous")
+                self.copy_col[ref] = self._new_column(0.0, 0.0, 0.0, "continuous")
                 self.fixed_refs.append(ref)
+        self._copies = np.array([self.copy_col[ref] for ref in self.fixed_refs], dtype=np.intp)
+        self._inherited = (np.array([ref.lower for ref in self.fixed_refs], dtype=float),
+                           np.array([ref.upper for ref in self.fixed_refs], dtype=float))
 
         self.slack_cols: list[int] = []
         for con in relocated:
@@ -143,22 +149,13 @@ class StageProblem:
                 sense = "le"
             self._rows.append(_Row(coefs, sense, float(rhs), f"link:{con.uid}"))
 
-        self.fixing_row_index: dict[VariableRef, int] = {}
-        self._fix_row_start = len(self._rows)
-        for ref in self.fixed_refs:
-            self.fixing_row_index[ref] = len(self._rows)
-            self._rows.append(_Row({self.copy_col[ref]: 1.0}, "eq", 0.0, f"fix:{ref.qualified_name}"))
-
         self.theta_cols: list[int] = []
         for k in range(theta_count):
             self.theta_cols.append(self._new_column(1.0, self.theta_lb, _INF, "continuous"))
 
         self.cuts: list[CutData] = []
-        self._cut_row_start = len(self._rows)
-        # the assembled problem and the Lagrangian one, each with its kept
-        # matrix, until a cut adds a row
+        # the assembled problem with its kept matrix, until a cut adds a row
         self._assembled: Optional[StandardFormProblem] = None
-        self._lagrangian: Optional[StandardFormProblem] = None
         # the last optimal solve's basis (a MILP's root basis), and the last
         # Lagrangian solve's: the next solve of each starts there.  The last
         # optimal Lagrangian point is the next Lagrangian MILP's start.
@@ -178,9 +175,7 @@ class StageProblem:
         return any(kind != "continuous" for kind in self._integrality)
 
     def fixed_values(self) -> np.ndarray:
-        return np.array(
-            [self._rows[self.fixing_row_index[ref]].rhs for ref in self.fixed_refs], dtype=float
-        )
+        return np.array(self._lower, dtype=float)[self._copies]
 
     # -- iterate plumbing ------------------------------------------------
 
@@ -190,11 +185,10 @@ class StageProblem:
             raise ValueError(
                 f"expected {len(self.fixed_refs)} fixed values, got {len(vals)}"
             )
-        for ref, val in zip(self.fixed_refs, vals):
-            row = self.fixing_row_index[ref]
-            self._rows[row].rhs = float(val)
+        for col, val in zip(self._copies, vals):
+            self._lower[col] = self._upper[col] = float(val)
             if self._assembled is not None:
-                self._assembled.rhs[row] = float(val)
+                self._assembled.lower[col] = self._assembled.upper[col] = float(val)
 
     def add_cut(self, cut: CutData) -> None:
         if not 0 <= cut.theta_index < len(self.theta_cols):
@@ -210,7 +204,6 @@ class StageProblem:
         self._rows.append(_Row(coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}"))
         self.cuts.append(cut)
         self._assembled = None
-        self._lagrangian = None
 
     def has_equivalent_cut(self, cut: CutData, tol: float = 1e-12) -> bool:
         return any(cut.same_hyperplane(old, tol) for old in self.cuts)
@@ -243,35 +236,36 @@ class StageProblem:
             row_provenance={r: row.tag for r, row in enumerate(rows)},
         )
 
+    def _kept(self) -> StandardFormProblem:
+        """The assembled stage, whose matrix is built once per set of cuts."""
+        if self._assembled is None:
+            self._assembled = self._assemble(self._rows, self._objective, self.objective_constant,
+                                             self._integrality)
+            self._assembled.keep_dense_rows()
+        return self._assembled
+
     def problem(self, relax: bool = False) -> StandardFormProblem:
         """The stage as it stands, sharing the kept matrix and row lists; its arrays are its own."""
-        kept = self._assembled
-        if kept is None:
-            kept = self._assemble(self._rows, self._objective, self.objective_constant, self._integrality)
-            kept.keep_dense_rows()
-            self._assembled = kept
+        kept = self._kept()
         prob = replace(kept, objective=kept.objective.copy(), rhs=kept.rhs.copy(),
                        lower=kept.lower.copy(), upper=kept.upper.copy())
         return lp_relaxation(prob) if relax else prob
 
     def lagrangian_problem(self, mu: np.ndarray, anchor: np.ndarray) -> StandardFormProblem:
-        """Fixing rows dropped; their violation priced into the objective.
+        """The copies unpinned to the bounds they inherit; their deviation priced into the objective.
 
-        min  c'y + theta - mu' (z - anchor)  over all remaining rows.
+        min  c'y + theta - mu' (z - anchor)  over every row of the stage.
 
-        Only the objective moves with ``mu`` and ``anchor``, so every call
-        shares one kept matrix and row lists until a cut adds a row.
+        Only the objective and the copies' bounds differ from :meth:`problem`,
+        whose kept matrix and row lists every call shares until a cut adds a row.
         """
-        kept = self._lagrangian
-        if kept is None:
-            rows = self._rows[: self._fix_row_start] + self._rows[self._cut_row_start :]
-            kept = self._assemble(rows, self._objective, self.objective_constant, self._integrality)
-            kept.keep_dense_rows()
-            self._lagrangian = kept
+        kept = self._kept()
         objective = kept.objective.copy()
-        objective[[self.copy_col[ref] for ref in self.fixed_refs]] -= mu
+        objective[self._copies] -= mu
+        lower, upper = kept.lower.copy(), kept.upper.copy()
+        lower[self._copies], upper[self._copies] = self._inherited
         constant = self.objective_constant + float(mu @ anchor)
-        return kept.with_changes(objective=objective, objective_constant=constant)
+        return kept.with_changes(objective=objective, objective_constant=constant, lower=lower, upper=upper)
 
     def level_set_problem(self, level: float) -> StandardFormProblem:
         """Zero objective plus a cap on the original objective value."""
@@ -292,8 +286,8 @@ class StageProblem:
         That is the final basis of an LP solve or the root basis of a MILP
         solve; a MIP stage's relaxation and its MILP share it, since the
         MILP's root is that relaxation.  Between forward passes only the
-        fixing rows' right-hand sides move, so the basis stays dual feasible;
-        a cut added since gets a basic slack.
+        pinned copies' bounds move, so the basis stays dual feasible; a cut
+        added since gets a basic slack.
         """
         problem = self.problem(relax=relax)
         problem.basis = _extended(self._basis, problem.n_rows)
@@ -323,11 +317,10 @@ class StageProblem:
         return result
 
     def fixing_duals(self, result: SolveResult) -> np.ndarray:
-        if result.duals is None:
+        """The pinned copies' reduced costs: the sensitivity of the stage's value to each pin."""
+        if result.reduced_costs is None:
             raise ValueError("solve result carries no duals")
-        return np.array(
-            [result.duals[self.fixing_row_index[ref]] for ref in self.fixed_refs], dtype=float
-        )
+        return np.asarray(result.reduced_costs, dtype=float)[self._copies]
 
     def theta_values(self, result: SolveResult) -> np.ndarray:
         assert result.primal is not None
@@ -382,4 +375,11 @@ class StageProblem:
             raise SubproblemInfeasibleError(
                 f"stage {self.graph.id!r} infeasible during {context}{hint}"
             )
+        return result
+
+    def require_optimal(self, result: SolveResult, context: str) -> SolveResult:
+        """``result`` if it is optimal; otherwise raise the error that its status names."""
+        self.require_feasible(result, context)
+        if result.status == "unbounded":
+            raise UnboundedError(f"stage {self.graph.id!r} unbounded during {context}")
         return result

@@ -351,6 +351,27 @@ def random_graph_instance(rng: np.random.Generator, max_nodes: int = 5) -> Graph
     return g
 
 
+def unbounded_stage_graph(free_in: str = "c") -> Graph:
+    """Parent ``p`` (x in [0, 1], cost x) and child ``c`` (y >= 0, cost y) under y - x >= 0.
+
+    Subgraph ``free_in`` also owns a free column ``w`` that costs 1, which
+    makes that stage, and the whole model, unbounded below.
+    """
+    g = Graph("open")
+    parent, child = Graph("p"), Graph("c")
+    pn, cn = parent.add_node("pn"), child.add_node("cn")
+    x = pn.add_variable("x", lower=0.0, upper=1.0)
+    y = cn.add_variable("y", lower=0.0)
+    node = pn if free_in == "p" else cn
+    w = node.add_variable("w", lower=-math.inf)
+    pn.set_objective(x + w if free_in == "p" else 1.0 * x)
+    cn.set_objective(y + w if free_in == "c" else 1.0 * y)
+    g.add_subgraph(parent)
+    g.add_subgraph(child)
+    g.add_link_constraint(y - x, "ge", 0.0)
+    return g
+
+
 # ---------------------------------------------------------------------------
 # shared fixtures
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from graphopt import (
     RootNotFoundError,
     StructureError,
     SubproblemInfeasibleError,
+    UnboundedError,
 )
 from graphopt.benders import (
     BendersConfig,
@@ -43,7 +44,7 @@ from graphopt.solvers import default_solver, solve_milp
 from graphopt.subproblem import CutData, StageProblem
 from graphopt.transform import apply_partition
 
-from conftest import downstream_model_value, solve_flat
+from conftest import downstream_model_value, solve_flat, unbounded_stage_graph
 
 
 def toy_two_stage():
@@ -199,8 +200,9 @@ class TestStageProblem:
         prob = StageProblem(st.subgraph, st.relocated)
         assert [r.qualified_name for r in prob.fixed_refs] == ["n1.x"]
         copy_col = prob.copy_col[prob.fixed_refs[0]]
-        assert prob.problem().lower[copy_col] == 0.0  # bounds inherited from the parent variable
-        assert prob.problem().upper[copy_col] == 1.0
+        unpinned = prob.lagrangian_problem(np.zeros(1), np.zeros(1))
+        assert unpinned.lower[copy_col] == 0.0  # bounds inherited from the parent variable
+        assert unpinned.upper[copy_col] == 1.0
         prob.set_fixed_values([0.5])
         np.testing.assert_allclose(prob.fixed_values(), [0.5])
 
@@ -257,8 +259,9 @@ class TestStageProblem:
         first = child.problem()
         child.set_fixed_values([0.25])
         second = child.problem()
-        assert second.rhs[child.fixing_row_index[x]] == 0.25
-        assert first.rhs[child.fixing_row_index[x]] == 0.0  # handed-out problems keep their rhs
+        copy = child.copy_col[x]
+        assert second.lower[copy] == second.upper[copy] == 0.25
+        assert first.lower[copy] == first.upper[copy] == 0.0  # handed-out problems keep their bounds
         assert second.dense_rows() is first.dense_rows()  # one kept matrix
         parent = StageProblem(tree.stages["p"].subgraph, theta_count=1)
         before = parent.problem()
@@ -266,6 +269,26 @@ class TestStageProblem:
         after = parent.problem()
         assert after.n_rows == before.n_rows + 1
         assert after.dense_rows() is not before.dense_rows()
+
+    def test_the_lagrangian_problem_unpins_the_copies_of_the_kept_problem(self, chain3_graph):
+        tree = BendersTree(chain3_graph, root="g1")
+        st = tree.stages["g2"]
+        prob = StageProblem(st.subgraph, st.relocated, theta_count=1)
+        (x1,) = prob.fixed_refs
+        copy = prob.copy_col[x1]
+        prob.set_fixed_values([1.0])
+        unpinned = prob.lagrangian_problem(np.array([2.0]), np.array([1.0]))
+        assert unpinned.dense_rows() is prob.problem().dense_rows()  # until a cut adds a row
+        assert (unpinned.lower[copy], unpinned.upper[copy]) == (x1.lower, x1.upper)
+        assert unpinned.objective[copy] == -2.0
+        assert unpinned.objective_constant == prob.objective_constant + 2.0
+        assert prob.problem().lower[copy] == prob.problem().upper[copy] == 1.0  # still pinned
+        g3 = tree.stages["g3"]
+        refs = tuple(StageProblem(g3.subgraph, g3.relocated).fixed_refs)
+        prob.add_cut(CutData("g3", refs, np.ones(len(refs)), 0.0, np.zeros(len(refs)), "benders", 1, 0))
+        after = prob.lagrangian_problem(np.array([2.0]), np.array([1.0]))
+        assert after.dense_rows() is not unpinned.dense_rows()
+        assert after.dense_rows() is prob.problem().dense_rows()
 
     @pytest.mark.parametrize("horizon", [20, 200])
     def test_forward_passes_re_solve_from_the_last_basis(self, horizon):
@@ -308,6 +331,11 @@ class TestStageProblem:
         g.add_link_constraint(y + x, "ge", 2.0)  # unsatisfiable: 1.25 max
         with pytest.raises(SubproblemInfeasibleError, match="slack"):
             run_decomposition(g, root="p")
+
+    @pytest.mark.parametrize("free_in, context", [("c", "the forward pass"), ("p", "the root solve")])
+    def test_an_unbounded_stage_raises_an_error_naming_it(self, free_in, context):
+        with pytest.raises(UnboundedError, match=f"stage '{free_in}' unbounded during {context}"):
+            run_decomposition(unbounded_stage_graph(free_in), root="p")
 
 
 class TestKeptLagrangianProblem:

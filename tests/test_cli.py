@@ -17,6 +17,8 @@ from graphopt.errors import IterationLimitError, NodeLimitError, NumericalBreakd
 from graphopt.fixtures import generate_fixture, storage_membership
 from graphopt.serialize import save_instance
 
+from conftest import unbounded_stage_graph
+
 
 @pytest.fixture
 def membership_file(tmp_path):
@@ -137,6 +139,19 @@ class TestExitCodes:
         save_instance(g, str(path))
         out = tmp_path / "r.json"
         assert main(["--instance", str(path), "--output", str(out)]) == EXIT_UNBOUNDED
+        assert read_report(out)["status"] == "unbounded"
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "benders", "--root", "p"],
+        ["--mode", "benders", "--root", "p", "--warm-start-cuts"],
+        ["--mode", "monolithic"],
+        ["--mode", "sequential"],
+    ])
+    def test_an_unbounded_stage_exits_as_unbounded_in_every_mode(self, tmp_path, argv):
+        path = tmp_path / "open.json"
+        save_instance(unbounded_stage_graph("c"), str(path))
+        out = tmp_path / "r.json"
+        assert main(["--instance", str(path), "--output", str(out)] + argv) == EXIT_UNBOUNDED
         assert read_report(out)["status"] == "unbounded"
 
     @pytest.mark.parametrize("error", [NodeLimitError, NumericalBreakdownError])

@@ -5,6 +5,7 @@ dependency, and this module is skipped where scipy is missing.
 """
 
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -15,10 +16,12 @@ import pytest
 optimize = pytest.importorskip("scipy.optimize")
 
 from graphopt import BendersConfig, apply_partition, flatten, run_decomposition, simplex, solve
+from graphopt.benders import BendersTree
 from graphopt.branch_bound import solve_milp
 from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
 from graphopt.simplex import solve_lp
 from graphopt.standard_form import AT_LOWER, BASIC, Basis
+from graphopt.subproblem import StageProblem
 
 from conftest import assert_strong_duality, make_problem
 
@@ -222,6 +225,70 @@ def test_duals_match_highs_marginals_at_non_degenerate_optima():
         np.testing.assert_allclose(res.duals, marginals, rtol=1e-7, atol=1e-7)
         checked += 1
     assert checked >= 20, checked
+
+
+def _non_degenerate(problem, res):
+    """The filter of the test above: every basic column and slack strictly inside its bounds."""
+    x, basic = res.primal, res.basis.columns == BASIC
+    activity = problem.dense_rows() @ x
+    inside = min(np.min(x[basic] - problem.lower[basic], initial=np.inf),
+                 np.min(problem.upper[basic] - x[basic], initial=np.inf),
+                 np.min(np.abs(activity - problem.rhs)[res.basis.rows == BASIC], initial=np.inf))
+    return inside >= 1e-6
+
+
+def _pinned_by_rows_marginals(stage, anchor):
+    """HiGHS's ``eqlin`` marginals of ``z = anchor`` rows that pin the stage's free copies ``z``."""
+    problem = stage.problem()
+    copies = [stage.copy_col[ref] for ref in stage.fixed_refs]
+    pin = np.zeros((len(copies), problem.n_cols))
+    pin[np.arange(len(copies)), copies] = 1.0
+    a, senses = problem.dense_rows(), np.array(problem.senses)
+    ub, eq = senses != "eq", senses == "eq"
+    sign = np.where(senses == "ge", -1.0, 1.0)
+    bounds = list(zip(problem.lower, problem.upper))
+    for col in copies:
+        bounds[col] = (None, None)
+    highs = optimize.linprog(
+        problem.objective, A_ub=a[ub] * sign[ub, None], b_ub=problem.rhs[ub] * sign[ub],
+        A_eq=np.vstack([a[eq], pin]), b_eq=np.concatenate([problem.rhs[eq], anchor]),
+        bounds=bounds, method="highs")
+    assert highs.status == 0
+    return highs.eqlin.marginals[-len(copies):]
+
+
+def _stage_anchors():
+    """LP stages with copies, each at anchors a Benders run would pin them to."""
+    graph = apply_partition(storage_fixture(T=20), storage_membership(T=20))
+    design = BendersTree(graph, root="operations").stages["design"]
+    rng = np.random.default_rng(20261018)
+    for _ in range(10):  # the design stage pins the 20 states of charge
+        yield "storage", StageProblem(design.subgraph, design.relocated), rng.uniform(0.0, 100.0, 20)
+    for seed in (1, 2):
+        graph, membership = generators.cem_star_build(
+            generators.cem_star_data(np.random.default_rng(seed), S=2))
+        apply_partition(graph, membership)
+        res = run_decomposition(graph, root="planning", config=BendersConfig(multicut=True))
+        for cut in res.cuts:  # the iterates the run visited
+            st = res.tree.stages[cut.child_id]
+            stage = StageProblem(st.subgraph, st.relocated)
+            assert tuple(stage.fixed_refs) == cut.refs
+            yield "cem_star", stage, cut.anchor
+
+
+def test_copy_reduced_costs_match_highs_marginals_of_fixing_rows():
+    """A copy pinned by its bounds has the sensitivity that a ``z = a`` row would report."""
+    checked = Counter()
+    for name, stage, anchor in _stage_anchors():
+        stage.set_fixed_values(anchor)
+        res = stage.solve()
+        assert res.status == "optimal"
+        if not _non_degenerate(stage.problem(), res):
+            continue
+        np.testing.assert_allclose(stage.fixing_duals(res), _pinned_by_rows_marginals(stage, anchor),
+                                   rtol=1e-7, atol=1e-7)
+        checked[name] += 1
+    assert checked["storage"] >= 5 and checked["cem_star"] >= 20, checked
 
 
 def seeded_milp(rng, n_int=25, n_cont=8, m=12, parity_row=False):
