@@ -25,23 +25,22 @@ import numpy as np
 from .errors import (
     CyclicStructureError,
     DisconnectedError,
-    GraphOptError,
     HyperedgeSpanError,
-    IterationLimitError,
     LevelSetInfeasibleError,
     RelaxationInfeasibleError,
     RootNotFoundError,
     StructureError,
-    UnboundedError,
+    SubproblemInfeasibleError,
 )
 from .model import Constraint, Graph, VariableRef
 from .simplex import SolveResult
-from .solvers import LinearSolver, default_solver, solve
+from .solvers import LinearSolver, default_solver, require_status, solve
 from .standard_form import check_solution, flatten, lp_relaxation
 from .subproblem import CutData, StageProblem
 from .transform import CondensedTopology, condensed_topology, first_level_topology
 
 _INF = float("inf")
+_OPTIMAL = ("optimal",)
 
 
 def validate_structure(graph: Graph) -> CondensedTopology:
@@ -194,25 +193,6 @@ def _relative_gap(upper: float, lower: float) -> float:
     return (upper - lower) / abs(lower)
 
 
-def _require_optimal(result: SolveResult, what: str, infeasible_error: type[GraphOptError]) -> SolveResult:
-    """``result`` if it is optimal; otherwise raise the error that its status names.
-
-    Only an infeasible solve raises ``infeasible_error``, and only an
-    unbounded one :class:`UnboundedError`.  One that stopped at its
-    iteration limit has no verdict, and raises :class:`IterationLimitError`.
-    """
-    if result.status == "optimal":
-        return result
-    message = f"{what} is {result.status}"
-    if result.status == "infeasible":
-        raise infeasible_error(message)
-    if result.status == "unbounded":
-        raise UnboundedError(message)
-    if result.status == "iteration_limit":
-        raise IterationLimitError(message)
-    raise GraphOptError(message)
-
-
 def _lagrangian_ascent(
     prob: StageProblem,
     lam: np.ndarray,
@@ -353,7 +333,8 @@ class _Decomposition:
             parent = self.tree.stages[gid].parent
             anchor = self.problems[parent].values_for(prob.fixed_refs, results[parent])
             prob.set_fixed_values(anchor)
-            results[gid] = prob.require_optimal(prob.solve(self.solver), "the forward pass")
+            results[gid] = require_status(prob.solve(self.solver), _OPTIMAL, SubproblemInfeasibleError,
+                                          f"stage {gid!r}", "the forward pass", prob.infeasible_hint)
         return results
 
     def backward(self, results: dict[str, SolveResult], iteration: int) -> int:
@@ -369,10 +350,12 @@ class _Decomposition:
             if gid == self.tree.root:
                 continue
             prob = self.problems[gid]
-            if prob.is_mip or fresh[gid]:
-                res = prob.require_optimal(prob.solve(self.solver, relax=True), "the backward pass")
-            else:
-                res = results[gid]
+            # a MIP stage's cut comes from its MILP's root relaxation, the
+            # LP at the same pins, unless a cut has been added since
+            res = results[gid].relaxation if prob.is_mip else results[gid]
+            if fresh[gid] or res is None:
+                res = require_status(prob.solve(self.solver, relax=True), _OPTIMAL, SubproblemInfeasibleError,
+                                     f"stage {gid!r}", "the backward pass", prob.infeasible_hint)
             pending.setdefault(self.tree.stages[gid].parent, []).append(
                 self._child_cut(gid, res, iteration)
             )
@@ -389,9 +372,8 @@ class _Decomposition:
         exact.
         """
         base = flatten(self.graph)
-        res = _require_optimal(self.solver.solve_lp(lp_relaxation(base)),
-                               "the monolithic relaxation for warm-start cuts",
-                               RelaxationInfeasibleError)
+        res = require_status(self.solver.solve_lp(lp_relaxation(base)), _OPTIMAL, RelaxationInfeasibleError,
+                             "the monolithic relaxation for warm-start cuts is")
         assert res.primal is not None and res.duals is not None
         rows = base.dense_rows()
         row_of_uid = {uid: r for r, uid in base.row_provenance.items()}
@@ -443,16 +425,17 @@ class _Decomposition:
 
         for k in range(1, config.max_iters + 1):
             started = time.perf_counter()
-            root_res = root_prob.require_optimal(root_prob.solve(self.solver), "the root solve")
+            root_res = require_status(root_prob.solve(self.solver), _OPTIMAL, SubproblemInfeasibleError,
+                                      f"stage {tree.root!r}", "the root solve", root_prob.infeasible_hint)
             lower = root_res.objective
 
             iterate_res = root_res
             regularized = False
             if config.regularize and math.isfinite(best_ub):
                 level = lower + config.alpha * (best_ub - lower)
-                level_res = _require_optimal(solve(root_prob.level_set_problem(level), self.solver),
-                                             f"stage {tree.root!r}'s level-set solve at iteration {k}",
-                                             LevelSetInfeasibleError)
+                level_res = require_status(solve(root_prob.level_set_problem(level), self.solver), _OPTIMAL,
+                                           LevelSetInfeasibleError,
+                                           f"stage {tree.root!r}'s level-set solve at iteration {k} is")
                 audit.append((k, root_prob.full_objective_value(level_res), level))
                 iterate_res = level_res
                 regularized = True

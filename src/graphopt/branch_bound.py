@@ -85,7 +85,8 @@ def solve_milp(
     LP that stops at its iteration limit stops the search too: the result's
     status is then ``iteration_limit``, with the nodes and pivots so far.
     Pure-LP input is passed straight to the LP solver.  An optimal result's
-    ``basis`` is the root relaxation's final basis.  A feasible
+    ``relaxation`` is its root relaxation's result, and its ``basis`` that
+    relaxation's final basis.  A feasible
     ``problem.start`` is the first incumbent, and is returned when no node
     improves on it; the root counts as a node even when the start's value
     closes the search there.
@@ -157,4 +158,5 @@ def solve_milp(
     incumbent.nodes_explored = nodes
     incumbent.iterations = lp_iterations
     incumbent.basis = root.basis
+    incumbent.relaxation = root
     return incumbent

@@ -472,13 +472,6 @@ class Graph:
         node = self.find_node(node_id)
         return node.var(name)
 
-    def owner_subgraph(self, node_id: str) -> Optional["Graph"]:
-        """First-level subgraph containing the node, or None if local/absent."""
-        for sub in self._subgraphs:
-            if any(n.id == node_id for n in sub.all_nodes()):
-                return sub
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Graph({self.id}, nodes={len(self._nodes)}, edges={len(self._edges)}, "

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import SubproblemInfeasibleError, UsageError
 from .model import Constraint, Graph, VariableRef
-from .solvers import LinearSolver
+from .solvers import LinearSolver, require_status
 from .standard_form import check_solution
 from .subproblem import StageProblem
 from .transform import first_level_topology
@@ -73,7 +73,8 @@ def sequential_solve(
             slack_penalty=slack_penalty,
         )
         prob.set_fixed_values(values[ref] for ref in prob.fixed_refs)
-        res = prob.require_feasible(prob.solve(solver), "the sequential pass")
+        res = require_status(prob.solve(solver), ("optimal", "unbounded"), SubproblemInfeasibleError,
+                             f"stage {gid!r}", "the sequential pass", prob.infeasible_hint)
         if res.status == "unbounded":  # later stages have no values to fix
             stage_costs.append((gid, -_INF))
             return SequentialResult(status="unbounded", objective=-_INF, solution=values,
@@ -107,7 +108,8 @@ def relaxed_parallel_bound(
     status = "optimal"
     for sub in subs:
         prob = StageProblem(sub)
-        res = prob.require_verdict(prob.solve(solver), "the relaxed bound")
+        res = require_status(prob.solve(solver), ("optimal", "infeasible", "unbounded"),
+                             SubproblemInfeasibleError, f"stage {sub.id!r}", "the relaxed bound")
         if res.status == "infeasible":
             raise SubproblemInfeasibleError(
                 f"subgraph {sub.id!r} is infeasible on its own; the full problem is too"

@@ -102,8 +102,9 @@ class SolveResult:
     primal and dual simplex pivots plus bound flips (summed over the nodes of
     a MILP).  ``basis`` is the final basis of an optimal LP solve, in the
     problem's own columns and rows, and for an optimal MILP solve the final
-    basis of its root relaxation; handed back as ``problem.basis`` to a
-    problem of the same shape, it starts the simplex there.  Every optimal
+    basis of its root relaxation, whose result is ``relaxation``; handed
+    back as ``problem.basis`` to a problem of the same shape, it starts the
+    simplex there.  Every optimal
     LP solve keeps its final tableau on ``basis``, and a re-solve over the
     same matrix, whatever its bounds, right-hand sides and objective, starts
     from a copy of it.  ``duals``, ``reduced_costs`` and the basis status
@@ -119,6 +120,7 @@ class SolveResult:
     iterations: int = 0
     nodes_explored: int = 0
     basis: Optional[Basis] = None
+    relaxation: Optional["SolveResult"] = None
 
     __getstate__ = Deferred.state
 

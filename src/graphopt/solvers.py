@@ -9,9 +9,10 @@ between the two: MILP when the problem has an integral column, LP otherwise.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Collection, Optional, Protocol
 
 from .branch_bound import solve_milp
+from .errors import GraphOptError, IterationLimitError, UnboundedError
 from .simplex import SolveResult, solve_lp
 from .standard_form import StandardFormProblem
 
@@ -23,6 +24,7 @@ __all__ = [
     "solve",
     "solve_lp",
     "solve_milp",
+    "require_status",
 ]
 
 
@@ -58,3 +60,22 @@ def solve(problem: StandardFormProblem, solver: Optional[LinearSolver] = None) -
     if problem.integer_columns():
         return solver.solve_milp(problem)
     return solver.solve_lp(problem)
+
+
+def require_status(result: SolveResult, accepted: Collection[str], infeasible_error: type[GraphOptError],
+                   what: str, during: str = "", hint: str = "") -> SolveResult:
+    """``result`` if its status is in ``accepted``; otherwise raise the error that its status names.
+
+    The message reads ``what``, the status, then ``during <during>`` when
+    given.  An infeasible solve raises ``infeasible_error`` with ``hint``
+    appended, an unbounded one :class:`UnboundedError`, and one that stopped
+    without a verdict (at its iteration limit) :class:`IterationLimitError`.
+    """
+    if result.status in accepted:
+        return result
+    message = f"{what} {result.status}" + (f" during {during}" if during else "")
+    if result.status == "infeasible":
+        raise infeasible_error(message + hint)
+    if result.status == "unbounded":
+        raise UnboundedError(message)
+    raise IterationLimitError(message)

@@ -137,7 +137,8 @@ class StandardFormProblem:
 
         The kept matrix is read-only, and so are the row signs kept with it.
         The matrix is rebuilt when ``triplets`` is replaced or grows, the signs
-        when ``senses`` is, and ``copy()`` carries neither over.
+        when ``senses`` is, and ``copy()`` carries neither over.  While both
+        are current, another call rebuilds nothing.
         """
         a = self.dense_rows()
         a.flags.writeable = False
@@ -162,6 +163,24 @@ class StandardFormProblem:
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, **changes)
         return new
+
+    def with_row(self, coefs: Mapping[int, float], sense: str, rhs: float, provenance: str,
+                 **changes) -> "StandardFormProblem":
+        """This problem plus the row ``sum coefs[j] x_j (sense) rhs``, with ``changes`` set.
+
+        The row lists are new ones, so a problem that shares this one's rows
+        keeps them, and the new problem keeps no matrix; every other field is
+        shared, as in :meth:`with_changes`.
+        """
+        row = self.n_rows
+        return self.with_changes(
+            triplets=self.triplets + [(row, col, value) for col, value in coefs.items()],
+            senses=self.senses + [sense],
+            rhs=np.append(self.rhs, rhs),
+            row_provenance={**self.row_provenance, row: provenance},
+            _dense=None,
+            **changes,
+        )
 
     def integer_columns(self) -> list[int]:
         return [j for j, kind in enumerate(self.integrality) if kind != "continuous"]

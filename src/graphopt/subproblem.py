@@ -1,13 +1,16 @@
 """Per-stage problems: a subgraph plus relocated linking rows.
 
-A stage owns its subgraph's variables and rows.  Linking rows handed to it
-from the parent level are rewritten over *copy variables*, one per foreign
-variable, which are pinned to the parent's iterate by setting both of their
-bounds to it.  A pinned copy's reduced cost is the stage's sensitivity to
-that value, and a Lagrangian step unpins the copies back to the bounds of
-the variables they copy.  Optional elastic slacks keep relocated rows
-feasible for any parent iterate; optional value-function columns (theta)
-and cut rows support the decomposition loop.
+A stage is one :class:`StandardFormProblem`: its subgraph's flattened
+columns and rows, extended by the columns and rows below.  Linking rows
+handed to it from the parent level are rewritten over *copy variables*, one
+per foreign variable, which are pinned to the parent's iterate by setting
+both of their bounds to it.  A pinned copy's reduced cost is the stage's
+sensitivity to that value, and a Lagrangian step unpins the copies back to
+the bounds of the variables they copy.  Optional elastic slacks keep
+relocated rows feasible for any parent iterate; optional value-function
+columns (theta) and cut rows support the decomposition loop.  Each cut
+appends a row to a new problem that shares everything else, so a problem
+handed out earlier keeps its rows and its matrix.
 
 Column layout is fixed as ``[own variables][copies][slacks][thetas]`` so a
 stage built without thetas produces exactly the same pivot sequence as one
@@ -21,21 +24,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IterationLimitError, SubproblemInfeasibleError, UnboundedError
 from .model import Constraint, Graph, VariableRef
 from .solvers import LinearSolver, solve
 from .simplex import SolveResult
 from .standard_form import BASIC, Basis, StandardFormProblem, flatten, lp_relaxation
 
 _INF = float("inf")
-
-
-@dataclass
-class _Row:
-    coefs: dict[int, float]
-    sense: str  # "le" | "eq"
-    rhs: float
-    tag: str
+_SAME = 1e-9  # relative tolerance of two cuts' slopes and right-hand sides
 
 
 @dataclass
@@ -54,17 +49,23 @@ class CutData:
     def predicted_value(self, x: np.ndarray) -> float:
         return self.phi + float(self.pi @ (x - self.anchor))
 
-    def same_hyperplane(self, other: "CutData", tol: float = 1e-12) -> bool:
-        """True when both describe the same row, whatever anchor expresses it."""
+    def same_hyperplane(self, other: "CutData") -> bool:
+        """True when both describe the same row, whatever anchor expresses it.
+
+        Slopes agree within 1e-9 of the larger slope (at least 1), and
+        right-hand sides within 1e-9 of the larger one (at least 1).
+        """
         if self.child_id != other.child_id or self.refs != other.refs:
             return False
         if self.theta_index != other.theta_index or self.pi.shape != other.pi.shape:
             return False
-        if float(np.max(np.abs(self.pi - other.pi), initial=0.0)) > tol:
+        scale = max(1.0, float(np.max(np.abs(self.pi), initial=0.0)),
+                    float(np.max(np.abs(other.pi), initial=0.0)))
+        if float(np.max(np.abs(self.pi - other.pi), initial=0.0)) > _SAME * scale:
             return False
         rhs_self = float(self.pi @ self.anchor) - self.phi
         rhs_other = float(other.pi @ other.anchor) - other.phi
-        return abs(rhs_self - rhs_other) <= tol
+        return abs(rhs_self - rhs_other) <= _SAME * max(1.0, abs(rhs_self), abs(rhs_other))
 
 
 def _extended(basis: Optional[Basis], n_rows: int) -> Optional[Basis]:
@@ -90,72 +91,65 @@ class StageProblem:
     ):
         base = flatten(subgraph)
         self.graph = subgraph
-        self.columns: list[VariableRef] = list(base.columns)
-        self.var_index: dict[VariableRef, int] = dict(base.var_index)
-        self.n_own = len(self.columns)
-        self._objective: list[float] = [float(c) for c in base.objective]
+        self.columns: list[VariableRef] = base.columns
+        self.var_index: dict[VariableRef, int] = base.var_index
         self.objective_constant = float(base.objective_constant)
-        self._lower: list[float] = [float(v) for v in base.lower]
-        self._upper: list[float] = [float(v) for v in base.upper]
-        self._integrality: list[str] = list(base.integrality)
         self.theta_lb = float(theta_lb)
         self.slack_penalty = float(slack_penalty)
-
-        self._rows: list[_Row] = []
-        dense = {}
-        for r, c, v in base.triplets:
-            dense.setdefault(r, {})[c] = dense.setdefault(r, {}).get(c, 0.0) + v
-        for r in range(base.n_rows):
-            self._rows.append(
-                _Row(dense.get(r, {}), base.senses[r], float(base.rhs[r]), f"own:{base.row_provenance[r]}")
-            )
+        self.is_mip = bool(base.integer_columns())
 
         # Copy columns for foreign variables, in first-seen order over the
         # relocated rows, pinned at zero until set_fixed_values moves them.
         # Copies stay continuous, since their bounds pin them anyway; only
         # a Lagrangian step frees them, within the original's bounds.
-        self.fixed_refs: list[VariableRef] = []
-        self.copy_col: dict[VariableRef, int] = {}
-        for con in relocated:
-            for ref, _ in con.expr.sorted_terms():
-                if ref in self.var_index or ref in self.copy_col:
-                    continue
-                self.copy_col[ref] = self._new_column(0.0, 0.0, 0.0, "continuous")
-                self.fixed_refs.append(ref)
-        self._copies = np.array([self.copy_col[ref] for ref in self.fixed_refs], dtype=np.intp)
+        self.fixed_refs: list[VariableRef] = list(dict.fromkeys(
+            ref for con in relocated for ref, _ in con.expr.sorted_terms() if ref not in self.var_index
+        ))
+        self.copy_col: dict[VariableRef, int] = {ref: base.n_cols + k for k, ref in enumerate(self.fixed_refs)}
+        self._copies = np.arange(base.n_cols, base.n_cols + len(self.fixed_refs))
         self._inherited = (np.array([ref.lower for ref in self.fixed_refs], dtype=float),
                            np.array([ref.upper for ref in self.fixed_refs], dtype=float))
 
+        # relocated rows over own columns and copies; slack columns follow the copies
+        triplets, senses, rhs = base.triplets, base.senses, list(base.rhs)
+        provenance = {r: f"own:{uid}" for r, uid in base.row_provenance.items()}
         self.slack_cols: list[int] = []
+        first_slack = base.n_cols + len(self.fixed_refs)
         for con in relocated:
-            coefs: dict[int, float] = {}
-            for ref, coef in con.expr.sorted_terms():
-                col = self.var_index.get(ref, self.copy_col.get(ref))
-                coefs[col] = coefs.get(col, 0.0) + coef
-            rhs = con.rhs - con.expr.constant
-            sense = con.sense
+            coefs = {self.var_index.get(ref, self.copy_col.get(ref)): coef
+                     for ref, coef in con.expr.sorted_terms()}
             if add_slacks:
-                if sense in ("le", "eq"):
-                    up = self._new_column(self.slack_penalty, 0.0, _INF, "continuous")
-                    self.slack_cols.append(up)
-                    coefs[up] = -1.0
-                if sense in ("ge", "eq"):
-                    dn = self._new_column(self.slack_penalty, 0.0, _INF, "continuous")
-                    self.slack_cols.append(dn)
-                    coefs[dn] = 1.0
-            if sense == "ge":
-                coefs = {c: -v for c, v in coefs.items()}
-                rhs = -rhs
-                sense = "le"
-            self._rows.append(_Row(coefs, sense, float(rhs), f"link:{con.uid}"))
+                for sense, coef in (("le", -1.0), ("ge", 1.0)):
+                    if con.sense in (sense, "eq"):
+                        col = first_slack + len(self.slack_cols)
+                        self.slack_cols.append(col)
+                        coefs[col] = coef
+            sign = -1.0 if con.sense == "ge" else 1.0
+            provenance[len(senses)] = f"link:{con.uid}"
+            triplets.extend((len(senses), col, sign * coef) for col, coef in coefs.items())
+            senses.append("eq" if con.sense == "eq" else "le")
+            rhs.append(sign * (con.rhs - con.expr.constant))
 
-        self.theta_cols: list[int] = []
-        for k in range(theta_count):
-            self.theta_cols.append(self._new_column(1.0, self.theta_lb, _INF, "continuous"))
+        # what an error on an infeasible solve of the stage suggests
+        self.infeasible_hint = "" if self.slack_cols else " (consider enabling elastic slacks)"
+
+        k, s = len(self.fixed_refs), len(self.slack_cols)
+        self.theta_cols: list[int] = list(range(first_slack + s, first_slack + s + theta_count))
+        self._problem = replace(
+            base,
+            objective=np.concatenate([base.objective, np.zeros(k), np.full(s, self.slack_penalty),
+                                      np.ones(theta_count)]),
+            objective_constant=self.objective_constant,
+            triplets=triplets,
+            senses=senses,
+            rhs=np.array(rhs, dtype=float),
+            lower=np.concatenate([base.lower, np.zeros(k + s), np.full(theta_count, self.theta_lb)]),
+            upper=np.concatenate([base.upper, np.zeros(k), np.full(s + theta_count, _INF)]),
+            integrality=base.integrality + ["continuous"] * (k + s + theta_count),
+            row_provenance=provenance,
+        )
 
         self.cuts: list[CutData] = []
-        # the assembled problem with its kept matrix, until a cut adds a row
-        self._assembled: Optional[StandardFormProblem] = None
         # the last optimal solve's basis (a MILP's root basis), and the last
         # Lagrangian solve's: the next solve of each starts there.  The last
         # optimal Lagrangian point is the next Lagrangian MILP's start.
@@ -163,32 +157,18 @@ class StageProblem:
         self._lagrangian_basis: Optional[Basis] = None
         self._lagrangian_point: Optional[np.ndarray] = None
 
-    def _new_column(self, cost: float, lower: float, upper: float, integrality: str) -> int:
-        self._objective.append(cost)
-        self._lower.append(lower)
-        self._upper.append(upper)
-        self._integrality.append(integrality)
-        return len(self._objective) - 1
-
-    @property
-    def is_mip(self) -> bool:
-        return any(kind != "continuous" for kind in self._integrality)
-
     def fixed_values(self) -> np.ndarray:
-        return np.array(self._lower, dtype=float)[self._copies]
+        return self._problem.lower[self._copies]
 
     # -- iterate plumbing ------------------------------------------------
 
     def set_fixed_values(self, values: Iterable[float]) -> None:
-        vals = list(values)
-        if len(vals) != len(self.fixed_refs):
+        vals = np.array(list(values), dtype=float)
+        if vals.size != len(self.fixed_refs):
             raise ValueError(
-                f"expected {len(self.fixed_refs)} fixed values, got {len(vals)}"
+                f"expected {len(self.fixed_refs)} fixed values, got {vals.size}"
             )
-        for col, val in zip(self._copies, vals):
-            self._lower[col] = self._upper[col] = float(val)
-            if self._assembled is not None:
-                self._assembled.lower[col] = self._assembled.upper[col] = float(val)
+        self._problem.lower[self._copies] = self._problem.upper[self._copies] = vals
 
     def add_cut(self, cut: CutData) -> None:
         if not 0 <= cut.theta_index < len(self.theta_cols):
@@ -201,54 +181,23 @@ class StageProblem:
             if coef:
                 coefs[col] = coefs.get(col, 0.0) + float(coef)
         rhs = float(cut.pi @ cut.anchor) - cut.phi
-        self._rows.append(_Row(coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}"))
+        self._problem = self._problem.with_row(coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}")
         self.cuts.append(cut)
-        self._assembled = None
 
-    def has_equivalent_cut(self, cut: CutData, tol: float = 1e-12) -> bool:
-        return any(cut.same_hyperplane(old, tol) for old in self.cuts)
+    def has_equivalent_cut(self, cut: CutData) -> bool:
+        return any(cut.same_hyperplane(old) for old in self.cuts)
 
     # -- problem assembly ------------------------------------------------
 
-    def _assemble(
-        self,
-        rows: Sequence[_Row],
-        objective: Sequence[float],
-        constant: float,
-        integrality: Sequence[str],
-    ) -> StandardFormProblem:
-        triplets = []
-        for r, row in enumerate(rows):
-            for c, v in sorted(row.coefs.items()):
-                if v:
-                    triplets.append((r, c, v))
-        return StandardFormProblem(
-            columns=list(self.columns),
-            var_index=dict(self.var_index),
-            objective=np.array(objective, dtype=float),
-            objective_constant=float(constant),
-            triplets=triplets,
-            senses=[row.sense for row in rows],
-            rhs=np.array([row.rhs for row in rows], dtype=float),
-            lower=np.array(self._lower, dtype=float),
-            upper=np.array(self._upper, dtype=float),
-            integrality=list(integrality),
-            row_provenance={r: row.tag for r, row in enumerate(rows)},
-        )
-
-    def _kept(self) -> StandardFormProblem:
-        """The assembled stage, whose matrix is built once per set of cuts."""
-        if self._assembled is None:
-            self._assembled = self._assemble(self._rows, self._objective, self.objective_constant,
-                                             self._integrality)
-            self._assembled.keep_dense_rows()
-        return self._assembled
-
     def problem(self, relax: bool = False) -> StandardFormProblem:
-        """The stage as it stands, sharing the kept matrix and row lists; its arrays are its own."""
-        kept = self._kept()
-        prob = replace(kept, objective=kept.objective.copy(), rhs=kept.rhs.copy(),
-                       lower=kept.lower.copy(), upper=kept.upper.copy())
+        """The stage as it stands, sharing the kept matrix and row lists; its arrays are its own.
+
+        The matrix is built on the first read after a cut adds a row.
+        """
+        kept = self._problem
+        kept.keep_dense_rows()
+        prob = kept.with_changes(objective=kept.objective.copy(), rhs=kept.rhs.copy(),
+                                 lower=kept.lower.copy(), upper=kept.upper.copy())
         return lp_relaxation(prob) if relax else prob
 
     def lagrangian_problem(self, mu: np.ndarray, anchor: np.ndarray) -> StandardFormProblem:
@@ -259,7 +208,8 @@ class StageProblem:
         Only the objective and the copies' bounds differ from :meth:`problem`,
         whose kept matrix and row lists every call shares until a cut adds a row.
         """
-        kept = self._kept()
+        kept = self._problem
+        kept.keep_dense_rows()
         objective = kept.objective.copy()
         objective[self._copies] -= mu
         lower, upper = kept.lower.copy(), kept.upper.copy()
@@ -269,14 +219,11 @@ class StageProblem:
 
     def level_set_problem(self, level: float) -> StandardFormProblem:
         """Zero objective plus a cap on the original objective value."""
-        cap = _Row(
-            {c: v for c, v in enumerate(self._objective) if v},
-            "le",
-            float(level) - self.objective_constant,
-            "level_set",
-        )
-        zeros = [0.0] * len(self._objective)
-        return self._assemble(list(self._rows) + [cap], zeros, 0.0, self._integrality)
+        prob = self._problem
+        cap = {int(c): float(prob.objective[c]) for c in np.flatnonzero(prob.objective)}
+        return prob.with_row(cap, "le", float(level) - self.objective_constant, "level_set",
+                             objective=np.zeros(prob.n_cols), objective_constant=0.0,
+                             lower=prob.lower.copy(), upper=prob.upper.copy())
 
     # -- solving and extraction -------------------------------------------
 
@@ -329,15 +276,13 @@ class StageProblem:
     def true_cost(self, result: SolveResult) -> float:
         """Objective value excluding value-function columns (slacks included)."""
         assert result.primal is not None
-        n = len(self._objective) - len(self.theta_cols)
-        obj = np.array(self._objective[:n], dtype=float)
-        return float(np.dot(obj, result.primal[:n]) + self.objective_constant)
+        n = self._problem.n_cols - len(self.theta_cols)
+        return float(np.dot(self._problem.objective[:n], result.primal[:n]) + self.objective_constant)
 
     def full_objective_value(self, result: SolveResult) -> float:
         """Objective value including value-function columns (for level-set audits)."""
         assert result.primal is not None
-        obj = np.array(self._objective, dtype=float)
-        return float(np.dot(obj, result.primal) + self.objective_constant)
+        return float(np.dot(self._problem.objective, result.primal) + self.objective_constant)
 
     def slack_activity(self, result: SolveResult) -> float:
         if not self.slack_cols or result.primal is None:
@@ -357,29 +302,3 @@ class StageProblem:
                 col = self.copy_col[ref]
             out[j] = result.primal[col]
         return out
-
-    def require_verdict(self, result: SolveResult, context: str) -> SolveResult:
-        """``result`` if it is optimal, infeasible or unbounded; otherwise raise."""
-        if result.status not in ("optimal", "infeasible", "unbounded"):
-            raise IterationLimitError(
-                f"stage {self.graph.id!r} stopped as {result.status!r} without a verdict "
-                f"during {context}"
-            )
-        return result
-
-    def require_feasible(self, result: SolveResult, context: str) -> SolveResult:
-        """``result`` unless it is infeasible or has no verdict; then raise."""
-        self.require_verdict(result, context)
-        if result.status == "infeasible":
-            hint = "" if self.slack_cols else " (consider enabling elastic slacks)"
-            raise SubproblemInfeasibleError(
-                f"stage {self.graph.id!r} infeasible during {context}{hint}"
-            )
-        return result
-
-    def require_optimal(self, result: SolveResult, context: str) -> SolveResult:
-        """``result`` if it is optimal; otherwise raise the error that its status names."""
-        self.require_feasible(result, context)
-        if result.status == "unbounded":
-            raise UnboundedError(f"stage {self.graph.id!r} unbounded during {context}")
-        return result

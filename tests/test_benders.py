@@ -26,6 +26,7 @@ from graphopt import (
 from graphopt.benders import (
     BendersConfig,
     BendersTree,
+    _Decomposition,
     _lagrangian_ascent,
     _relative_gap,
     run_decomposition,
@@ -240,6 +241,40 @@ class TestStageProblem:
         res = prob.solve()
         assert res.objective == pytest.approx(0.0)  # theta >= 1 - x forces x to 1
 
+    def test_deduplication_is_relative_to_the_scale_of_the_cut(self):
+        g, x, y = toy_two_stage()
+        tree = BendersTree(g, root="p")
+        prob = StageProblem(tree.stages["p"].subgraph, theta_count=1)
+
+        def cut(pi, phi):  # anchored at 0, so its row reads pi x - theta <= -phi
+            return CutData("c", (x,), np.array([pi]), phi, np.array([0.0]), "benders", 1, 0)
+
+        prob.add_cut(cut(-1e6, 1e6))
+        assert prob.has_equivalent_cut(cut(-1e6 * (1 + 1e-10), 1e6 * (1 - 1e-10)))
+        assert not prob.has_equivalent_cut(cut(-1e6 * (1 + 1e-6), 1e6))
+        assert not prob.has_equivalent_cut(cut(-1e6, 1e6 * (1 + 1e-6)))
+
+    def test_handed_out_problems_keep_their_rows_after_a_cut(self):
+        g, x, y = toy_two_stage()
+        tree = BendersTree(g, root="p")
+        prob = StageProblem(tree.stages["p"].subgraph, theta_count=1)
+        handed = [prob.problem(), prob.level_set_problem(5.0)]
+        before = [(list(p.triplets), p.rhs.copy(), dict(p.row_provenance), p.dense_rows().copy())
+                  for p in handed]
+        kept = handed[0].dense_rows()
+        prob.add_cut(CutData("c", (x,), np.array([-1.0]), 1.0, np.array([0.0]), "benders", 1, 0))
+        prob.add_cut(CutData("c", (x,), np.array([-2.0]), 1.0, np.array([0.5]), "benders", 2, 0))
+        for p, (triplets, rhs, provenance, matrix) in zip(handed, before):
+            assert p.triplets == triplets
+            np.testing.assert_array_equal(p.rhs, rhs)
+            assert p.row_provenance == provenance
+            np.testing.assert_array_equal(p.dense_rows(), matrix)
+        assert handed[0].dense_rows() is kept
+        now = prob.problem()
+        assert now.n_rows == handed[0].n_rows + 2
+        assert "level_set" not in now.row_provenance.values()
+        assert prob.problem().dense_rows() is now.dense_rows()  # built once for both cuts
+
     def test_elastic_slacks_keep_relocated_rows_feasible(self, chain3_graph):
         tree = BendersTree(chain3_graph, root="g1")
         st = tree.stages["g2"]
@@ -424,6 +459,28 @@ class TestCuts:
             checked += 1
         assert checked >= 3
 
+    def test_a_mip_stage_takes_its_cut_from_the_milp_root_relaxation(self, chain3_graph, monkeypatch):
+        """Without a cut added since the forward pass, the backward pass solves nothing for the stage."""
+        dec = _Decomposition(chain3_graph, "g1", BendersConfig(), default_solver())
+        results = dec.forward(dec.problems["g1"].solve())
+        leaf = dec.problems["g3"]
+        assert leaf.is_mip and not leaf.theta_cols
+        solved = []
+        stage_solve = StageProblem.solve
+
+        def recorded(prob, solver=None, relax=False):
+            solved.append(prob.graph.id)
+            return stage_solve(prob, solver, relax)
+
+        monkeypatch.setattr(StageProblem, "solve", recorded)
+        assert dec.backward(results, 1) == 2
+        assert solved == ["g2"]  # g2 got g3's cut, so its relaxation is solved afresh
+        cut = dec.cuts[0]
+        assert cut.child_id == "g3"
+        relaxed = stage_solve(leaf, relax=True)
+        np.testing.assert_array_equal(cut.pi, leaf.fixing_duals(relaxed))
+        assert cut.phi == relaxed.objective
+
     def test_cut_family_dominance_on_a_mip_child(self, chain3_graph):
         tree = BendersTree(chain3_graph, root="g1")
         st = tree.stages["g3"]
@@ -598,7 +655,7 @@ class TestStall:
     def test_mini_pcm_from_b1_stalls(self):
         res = run_decomposition(mini_pcm_fixture(), root="b1")
         assert res.status == "stalled"
-        assert [rec.cuts_added for rec in res.trace] == [2, 2, 1, 0]
+        assert [rec.cuts_added for rec in res.trace] == [2, 1, 0]
         assert "strengthened or lagrangian" in res.message
         assert res.max_violation <= 1e-6
 
