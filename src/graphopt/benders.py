@@ -130,7 +130,6 @@ class BendersConfig:
     strengthened: bool = False
     lagrangian: bool = False
     lagrangian_iters: int = 50
-    lagrangian_step: float = 1.0
     regularize: bool = False
     alpha: float = 0.5
     add_slacks: bool = False
@@ -145,6 +144,8 @@ class BendersConfig:
             raise ValueError("tol must be positive")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
+        if self.lagrangian_iters < 1:
+            raise ValueError("lagrangian_iters must be at least 1")
 
 
 @dataclass
@@ -197,31 +198,36 @@ def _lagrangian_ascent(
     prob: StageProblem,
     lam: np.ndarray,
     anchor: np.ndarray,
-    config: BendersConfig,
+    target: float,
+    steps: int,
     solver: LinearSolver,
 ) -> Optional[tuple[float, np.ndarray]]:
-    """Projected subgradient ascent on the multipliers of the copy constraints ``z = anchor``.
+    """Polyak subgradient ascent on the multipliers of the copy constraints ``z = anchor``.
 
-    Starts from the pinned copies' reduced costs, keeps the best value seen,
-    and stops early on a zero subgradient or an unbounded pricing problem.
-    Each step unpins the copies of the stage's kept problem, prices them by
-    the multipliers and re-solves from the previous step's root basis
-    (:meth:`StageProblem.solve_lagrangian`).
+    ``target`` is the stage's MILP optimum v* at the anchor, or a lower
+    estimate of it; v* bounds the Lagrangian dual from above.  The ascent
+    starts from the pinned copies' reduced costs and steps
+    ``mu += (target - L(mu)) / |g|^2 * g`` toward it, one
+    :meth:`StageProblem.solve_lagrangian` per step.  It stops once ``L(mu)``
+    reaches the target (to 1e-9 relative), on a zero subgradient, on a
+    pricing problem without an optimum, or after ``steps`` steps.  Returns
+    the best ``(L, mu)`` seen, or ``None`` when no step had an optimum.
     """
-    mu = lam.astype(float).copy()
-    best_val = -_INF
-    best_mu = mu.copy()
-    for t in range(1, config.lagrangian_iters + 1):
+    mu = lam.astype(float)
+    best_val, best_mu = -_INF, mu
+    reached = target - 1e-9 * max(1.0, abs(target))
+    for _ in range(steps):
         res = prob.solve_lagrangian(mu, anchor, solver)
         if res.status != "optimal":
             break
         if res.objective > best_val:
-            best_val = res.objective
-            best_mu = mu.copy()
+            best_val, best_mu = res.objective, mu
+        if res.objective >= reached:
+            break
         subgrad = anchor - prob.values_for(prob.fixed_refs, res)
         if float(np.max(np.abs(subgrad), initial=0.0)) <= 1e-12:
             break
-        mu = mu + (config.lagrangian_step / math.sqrt(t)) * subgrad
+        mu = mu + (target - res.objective) / float(subgrad @ subgrad) * subgrad
     if not math.isfinite(best_val):
         return None
     return best_val, best_mu
@@ -301,24 +307,23 @@ class _Decomposition:
             added += 1
         return added
 
-    def _child_cut(self, gid: str, result: SolveResult, iteration: int) -> CutData:
-        """Build this stage's contribution to its parent's cuts."""
+    def _child_cut(self, gid: str, result: SolveResult, target: float, iteration: int) -> CutData:
+        """Build this stage's contribution to its parent's cuts.
+
+        ``target`` is the stage's forward-pass value, where a MIP stage's
+        Lagrangian ascent stops; a strengthened cut is that ascent's first step.
+        """
         prob = self.problems[gid]
         anchor = prob.fixed_values()
         lam = prob.fixing_duals(result)
         phi = result.objective
         kind = "benders"
         if prob.is_mip and (self.config.lagrangian or self.config.strengthened):
-            if self.config.lagrangian:
-                best = _lagrangian_ascent(prob, lam, anchor, self.config, self.solver)
-                if best is not None:
-                    phi, lam = best
-                    kind = "lagrangian"
-            else:
-                res = prob.solve_lagrangian(lam, anchor, self.solver)
-                if res.status == "optimal":
-                    phi = res.objective
-                    kind = "strengthened"
+            steps = self.config.lagrangian_iters if self.config.lagrangian else 1
+            best = _lagrangian_ascent(prob, lam, anchor, target, steps, self.solver)
+            if best is not None:
+                phi, lam = best
+                kind = "lagrangian" if self.config.lagrangian else "strengthened"
         return CutData(
             gid, tuple(prob.fixed_refs), lam.astype(float), float(phi), anchor, kind,
             iteration, self.theta_index[gid],
@@ -356,8 +361,10 @@ class _Decomposition:
             if fresh[gid] or res is None:
                 res = require_status(prob.solve(self.solver, relax=True), _OPTIMAL, SubproblemInfeasibleError,
                                      f"stage {gid!r}", "the backward pass", prob.infeasible_hint)
+            # the forward-pass value is the stage's own value at the pins, or
+            # a lower estimate of it once a cut has been added since
             pending.setdefault(self.tree.stages[gid].parent, []).append(
-                self._child_cut(gid, res, iteration)
+                self._child_cut(gid, res, results[gid].objective, iteration)
             )
         for gid, parts in pending.items():
             added += self._install_cuts(gid, parts, iteration)

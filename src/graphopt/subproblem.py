@@ -247,6 +247,8 @@ class StageProblem:
                          solver: Optional[LinearSolver] = None) -> SolveResult:
         """Solve :meth:`lagrangian_problem`, starting from the last such solve's root basis and point.
 
+        Its optimum is the Lagrangian value L(mu) at the anchor: one step of
+        a Lagrangian ascent, and the whole of a strengthened cut.
         Successive multipliers change only the objective, so the MILP root
         re-prices the kept tableau of the last root and primal Phase II
         finishes it, and the last optimal point is still feasible: it is the

@@ -157,6 +157,22 @@ def validate_partition(graph: Graph, membership: MembershipLike) -> Partition:
     )
 
 
+def _split_into_blocks(graph: Graph, partition: Partition) -> tuple[list[Graph], list[Edge]]:
+    """One child graph per block, holding its nodes and the edges within it; and the edges left over."""
+    nodes_by_id = {node.id: node for node in graph.local_nodes()}
+    children = []
+    for block in partition.blocks:
+        child = Graph(block.id)
+        child._nodes.extend(nodes_by_id[nid] for nid in block.node_ids)
+        children.append(child)
+    members = [set(block.node_ids) for block in partition.blocks]
+    left: list[Edge] = []
+    for edge in graph.local_edges():
+        home = next((child for child, ids in zip(children, members) if edge.incident_nodes <= ids), None)
+        (left if home is None else home._edges).append(edge)
+    return children, left
+
+
 def apply_partition(graph: Graph, partition: MembershipLike, mode: str = "in_place") -> Graph:
     """Move local nodes into one subgraph per block.
 
@@ -171,50 +187,17 @@ def apply_partition(graph: Graph, partition: MembershipLike, mode: str = "in_pla
         )
     partition = validate_partition(graph, partition)
 
+    children, left = _split_into_blocks(graph, partition)
     if mode == "assemble_new":
         target = Graph(graph.id, allow_overlap=graph.allow_overlap)
         target.objective_mode = graph.objective_mode
         target._explicit_objective = graph._explicit_objective
-        nodes_by_id = {node.id: node for node in graph.local_nodes()}
-        for block in partition.blocks:
-            child = Graph(block.id)
-            for nid in block.node_ids:
-                child._nodes.append(nodes_by_id[nid])
-            target.add_subgraph(child)
-        for edge in graph.local_edges():
-            placed = False
-            for child in target.local_subgraphs():
-                child_ids = {n.id for n in child.local_nodes()}
-                if edge.incident_nodes <= child_ids:
-                    child._edges.append(edge)
-                    placed = True
-                    break
-            if not placed:
-                target._edges.append(edge)
     else:
         target = graph
-        nodes_by_id = {node.id: node for node in graph.local_nodes()}
-        children = []
-        for block in partition.blocks:
-            child = Graph(block.id)
-            for nid in block.node_ids:
-                child._nodes.append(nodes_by_id[nid])
-            children.append(child)
         graph._nodes.clear()
-        remaining_edges = []
-        for edge in graph.local_edges():
-            placed = False
-            for child in children:
-                child_ids = {n.id for n in child.local_nodes()}
-                if edge.incident_nodes <= child_ids:
-                    child._edges.append(edge)
-                    placed = True
-                    break
-            if not placed:
-                remaining_edges.append(edge)
-        graph._edges = remaining_edges
-        for child in children:
-            graph.add_subgraph(child)
+    target._edges = left
+    for child in children:
+        target.add_subgraph(child)
 
     if partition.sub_partitions:
         for child in target.local_subgraphs():

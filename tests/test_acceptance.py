@@ -350,8 +350,10 @@ def test_criterion_06_cut_families_valid_tangent_and_ordered():
             if strengthened.status != "optimal":
                 continue
             phi_s = strengthened.objective
-            phi_l, _ = _lagrangian_ascent(prob, lam, anchor, cfg, solver)
+            v_star = prob.solve(solver).objective
+            phi_l, _ = _lagrangian_ascent(prob, lam, anchor, v_star, cfg.lagrangian_iters, solver)
             assert phi_b <= phi_s + 1e-9 <= phi_l + 2e-9
+            assert phi_l <= v_star + 1e-9 * max(1.0, abs(v_star))
             ordered += 1
             if ordered >= 3:
                 break

@@ -1,7 +1,9 @@
 """Graph-based Benders decomposition: structure, cuts, convergence."""
 
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,13 +41,17 @@ from graphopt.fixtures import (
     storage_fixture,
     storage_membership,
 )
-from graphopt import simplex
+from graphopt import benders, simplex
 from graphopt.simplex import SolveResult
 from graphopt.solvers import default_solver, solve_milp
 from graphopt.subproblem import CutData, StageProblem
 from graphopt.transform import apply_partition
 
-from conftest import downstream_model_value, solve_flat, unbounded_stage_graph
+from conftest import downstream_model_value, rebuild_stage_problem, solve_flat, unbounded_stage_graph
+
+# the benchmark's seeded model generators, which build through the public API
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import generators  # noqa: E402
 
 
 def toy_two_stage():
@@ -426,6 +432,51 @@ class TestKeptLagrangianProblem:
         assert len(steps) >= 10 * len(cold_starts)
 
 
+class TestLagrangianAscent:
+    """Polyak steps toward the stage's forward-pass value, stopped when they reach it."""
+
+    def test_an_ascent_that_reaches_the_stage_value_stops_there(self, monkeypatch):
+        # every pcm_milp ascent reaches v* at its first step
+        ascents, steps = [], []
+        ascent, solve_lagrangian = benders._lagrangian_ascent, StageProblem.solve_lagrangian
+
+        def counted_ascent(prob, lam, anchor, target, max_steps, solver):
+            ascents.append(max_steps)
+            return ascent(prob, lam, anchor, target, max_steps, solver)
+
+        def counted_step(prob, mu, anchor, solver=None):
+            steps.append(prob.graph.id)
+            return solve_lagrangian(prob, mu, anchor, solver)
+
+        monkeypatch.setattr(benders, "_lagrangian_ascent", counted_ascent)
+        monkeypatch.setattr(StageProblem, "solve_lagrangian", counted_step)
+        graph, membership = generators.pcm_milp_build(generators.pcm_milp_data(np.random.default_rng(1)))
+        apply_partition(graph, membership)
+        config = BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True)
+        res = run_decomposition(graph, root="b2", config=config)
+        assert res.status == "converged"
+        assert ascents == [15] * 6
+        assert len(steps) == len(ascents)
+
+    def test_mini_pcm_from_b1_converges(self):
+        mono, _ = solve_flat(mini_pcm_fixture())
+        assert mono.objective == pytest.approx(339.5556, rel=1e-6)  # HiGHS's optimum
+        res = run_decomposition(mini_pcm_fixture(), "b1",
+                                BendersConfig(lagrangian=True, add_slacks=True, max_iters=20))
+        assert res.status == "converged"
+        assert res.objective == pytest.approx(mono.objective, rel=1e-6)
+        assert_bound_histories(res)
+
+    def test_a_strengthened_cut_is_one_lagrangian_step(self, chain3_graph):
+        res = run_decomposition(chain3_graph, root="g1", config=BendersConfig(strengthened=True, max_iters=5))
+        leaf_cuts = [cut for cut in res.cuts if cut.child_id == "g3"]
+        assert leaf_cuts and {cut.kind for cut in leaf_cuts} == {"strengthened"}
+        leaf = rebuild_stage_problem(res, "g3")
+        for cut in leaf_cuts:  # its value is one Lagrangian MILP at its own multipliers
+            value = solve_milp(leaf.lagrangian_problem(cut.pi, cut.anchor)).objective
+            assert cut.phi == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
 class TestCuts:
     def test_textbook_cut_on_the_toy(self):
         g, x, y = toy_two_stage()
@@ -491,8 +542,8 @@ class TestCuts:
         phi_b = relaxed.objective
         lam = prob.fixing_duals(relaxed)
         phi_s = solve_milp(prob.lagrangian_problem(lam, anchor)).objective
-        phi_l, _ = _lagrangian_ascent(prob, lam, anchor, BendersConfig(), default_solver())
         exact = prob.solve().objective
+        phi_l, _ = _lagrangian_ascent(prob, lam, anchor, exact, BendersConfig().lagrangian_iters, default_solver())
         assert phi_b == pytest.approx(2.3)
         assert phi_s == pytest.approx(2.3)
         assert phi_l == pytest.approx(2.6)
@@ -738,6 +789,12 @@ class TestConfigAndGap:
             BendersConfig(alpha=0.0)
         with pytest.raises(ValueError):
             BendersConfig(alpha=1.5)
+
+    def test_a_lagrangian_ascent_takes_at_least_one_step(self):
+        # with no step, every Lagrangian or strengthened cut would silently be a plain one
+        with pytest.raises(ValueError, match="lagrangian_iters"):
+            BendersConfig(lagrangian_iters=0)
+        assert BendersConfig(lagrangian_iters=1).lagrangian_iters == 1
 
     def test_relative_gap_conventions(self):
         assert _relative_gap(math.inf, 1.0) == math.inf
