@@ -118,7 +118,7 @@ class RootNotFoundError(StructureError):
 
 
 class NumericalBreakdownError(GraphOptError):
-    """Pivoting degenerated into vanishing pivots; the basis is unreliable."""
+    """Vanishing pivots, or a row the dual simplex can neither repair nor prove infeasible."""
 
 
 class NodeLimitError(GraphOptError):

@@ -22,16 +22,17 @@ iteration count stalls on degenerate pivots (60 in a row; in the dual
 simplex, as many as there are rows, if more), after which Bland's rule takes
 over so the method cannot cycle.
 
-A cold start runs two phases from the all-logical basis (Maros,
-*Computational Techniques of the Simplex Method*, 2003).  Each row is signed
-so that its rhs is nonnegative.  During Phase I an equality row's logical
-column is its artificial, complemented where the row was negated; an
-inequality row whose slack would start negative gets an artificial column
-of its own, dropped after Phase I.  Phase I minimizes the sum of the
-artificials, Phase II the true objective.  What is left is B^-1 [A | I | b],
-the same tableau a warm start ends with.
+Every solve takes one path (Koberstein, *The dual simplex method*, 2005,
+ch. 4).  It starts from a tableau, in which nonbasic boxed columns go to
+the bound their reduced cost favours.  A column unbounded above whose
+reduced cost is still negative has its cost shifted for the dual run, so
+that its reduced cost reads zero: the start is then dual feasible, and a
+bounded dual simplex restores primal feasibility.  Where a cost was
+shifted the true costs are then priced back in; primal Phase II finishes.
+An infeasible verdict is the dual simplex's certificate, which holds
+whatever the costs (see :func:`_run_dual`).
 
-Warm starts.  A problem may carry a :class:`~graphopt.standard_form.Basis`
+The start.  A problem may carry a :class:`~graphopt.standard_form.Basis`
 hint, such as its parent's final basis in branch-and-bound.  Every optimal
 solve keeps its final tableau privately on the basis it returns.  When the
 hint keeps one, the problem has the same dense matrix object, and every row
@@ -45,23 +46,12 @@ copies moved, and of a Lagrangian step whose objective moved; it pays only
 for what moved.  The reduced-cost row is priced afresh even under the same
 objective: the kept row has been through the pivots, and its rounding would
 steer the next ones elsewhere.  Otherwise the hint's basic columns are
-pivoted into the all-logical tableau by Gauss-Jordan elimination.
-
-Nonbasic boxed columns go to the bound their reduced cost favours.  If that
-leaves the basis dual feasible, a bounded dual simplex (Koberstein, *The dual
-simplex method*, 2005) restores primal feasibility; if the hint is primal
-feasible instead, as a re-priced tableau is after an objective change,
-primal Phase II finishes.  A hint of the wrong size, a singular one, or one
-that is neither falls back to the cold two-phase start.  So does a dual
-simplex run that finds a row it cannot repair without a certificate that
-the row is infeasible, or that would have to pivot on rounding noise.
-
-Tolerances.  A Phase I residual is nonzero only past an absolute floor
-plus the rounding noise of its row, ``_ROUNDING`` times ``|B^-1| |b|``: the
-size of the terms whose sum is the row's value.  A residual of 1e-8 on a row
-whose data reach 1e6 is noise.  The dual simplex calls a problem infeasible
-only with a certificate that survives a recomputed rhs column (see
-:func:`_run_dual`).
+pivoted into the all-logical tableau by Gauss-Jordan elimination.  Without
+a hint, or with one of the wrong size or a singular one, the start is the
+all-logical tableau itself.  A hinted start on which the dual simplex finds
+a row it can neither repair nor prove infeasible, or could repair only by
+pivoting on rounding noise, starts once more from the all-logical tableau;
+there the same failure raises :class:`NumericalBreakdownError`.
 
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
@@ -85,7 +75,6 @@ from .standard_form import (
 _RC_TOL = 1e-9          # entering threshold on reduced costs
 _PIVOT_TOL = 1e-11      # smallest usable pivot element, relative to its column
 _PIVOT_GOOD = 1e-9      # pivots below this count toward numerical breakdown
-_FEAS_TOL = 1e-7        # Phase I residual treated as infeasible above this plus its noise
 _PRIMAL_TOL = 1e-9      # a basic column this far outside its bounds must leave (dual simplex)
 _ROUNDING = 1e-12       # rounding noise per unit of the data a value is summed from
 _DEGEN_STALL = 60       # degenerate pivots before Bland's rule engages
@@ -292,7 +281,7 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
 
 
 def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
-              frame: _Frame, b: np.ndarray) -> Optional[str]:
+              frame: _Frame, b: np.ndarray) -> str:
     """Bounded dual simplex from a tableau whose reduced costs are nonnegative.
 
     The basic column farthest outside its bounds leaves (the lowest-indexed
@@ -303,19 +292,21 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
     A leaving row with no entering column is not yet proof of infeasibility:
     its value may be rounding that the pivots left behind.  The rhs column is
     then recomputed from B^-1 and ``b`` (see :func:`_rhs_column`) and the
-    row tested again.  "infeasible" needs a violation that no column, not
-    even one whose entry is below the pivot tolerance, can lift back, and
+    row tested again.  "infeasible" needs a violation that no boxed column,
+    not even one whose entry is below the pivot tolerance, can lift back, and
     that exceeds ``_PRIMAL_TOL`` plus ``_ROUNDING * max|B^-1_i| * sum|b'|``:
     the entries of B^-1 carry rounding too, which a product with ``|B^-1_i|``
-    would miss.  Otherwise the result is ``None``, and the caller solves cold;
-    so this bound errs wide.  A row that is merely within it still leaves when
-    a column can enter: accepting it would return values outside their
-    bounds, by as much as 1e-3 on rows that a -1e9 bound reaches.
+    would miss.  An entry below the pivot tolerance on a column unbounded
+    above is that rounding, and lifts nothing.  Otherwise the run raises
+    :class:`NumericalBreakdownError`, so this bound errs wide.  A row that is
+    merely within it still leaves when a column can enter: accepting it would
+    return values outside their bounds, by as much as 1e-3 on rows that a
+    -1e9 bound reaches.
 
     An entry below ``_PIVOT_GOOD`` times the row's largest is no pivot
     while a larger one can enter: a pivot of -1.2e-10 on a row whose largest
     entry is 2 left entries near 1e10 in B^-1 and a feasible LP called
-    infeasible.  Where only such entries can enter, the result is ``None``.
+    infeasible.  Where only such entries can enter, the run raises too.
     """
     m = t.basis.size
     rhs = t.rows[:m, -1]
@@ -348,7 +339,8 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
         if candidates.size:
             usable = candidates[row[candidates] < -_PIVOT_GOOD * largest]
             if usable.size == 0:
-                return None
+                raise NumericalBreakdownError(f"tableau row {leaving}: only pivots below "
+                                              f"{_PIVOT_GOOD:g} of its largest entry can repair it")
             candidates = usable
         else:
             if fresh is None:
@@ -356,12 +348,14 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
                 continue
             # no pivot lifts the leaving column to its bound; proven only if
             # every column taken to its far bound falls short too
-            lift = np.where((row < 0.0) & can_enter, t.upper[:-1], 0.0) @ -np.minimum(row, 0.0)
+            boxed = (row < 0.0) & can_enter & (t.upper[:-1] < np.inf)
+            lift = np.where(boxed, t.upper[:-1], 0.0) @ -np.minimum(row, 0.0)
             inverse_row = np.abs(t.rows[leaving, frame.logical])  # |B^-1_i|
             noise = _ROUNDING * np.maximum.reduce(inverse_row) * np.abs(fresh).sum()
             if -rhs[leaving] > _PRIMAL_TOL + noise + lift:
                 return "infeasible"
-            return None
+            raise NumericalBreakdownError(f"tableau row {leaving}: no column can repair it, and "
+                                          f"rounding may account for its violation {-rhs[leaving]:.3e}")
         # a reduced cost a hair below zero is rounding noise, not a negative step
         ratios = np.maximum(rc[candidates], 0.0) / -row[candidates]
         best = ratios.min()
@@ -454,123 +448,59 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     offset, width = frame.place(lo, hi)
     upper = np.concatenate((width, frame.tail))
     b = given_sign * (problem.rhs - a @ offset)
+    c_int = frame.internal_cost(problem.objective)
     if max_iterations is None:
         max_iterations = max(5000, 50 * (upper.size - 1 + b.size))
-    if hint is not None:
-        try:
-            warm = _solve_warm(problem, frame, offset, upper, b, max_iterations)
-        except NumericalBreakdownError:
-            warm = None  # the hinted basis is unreliable: start over cold
-        if warm is not None:
-            return warm
-    return _solve_cold(problem, frame, offset, upper, b, max_iterations)
-
-
-def _solve_cold(problem: StandardFormProblem, frame: _Frame, offset: np.ndarray, upper: np.ndarray,
-                b: np.ndarray, max_iterations: int) -> SolveResult:
-    """Two-phase solve from the all-logical basis."""
-    m = b.size
-    n_struct = upper.size - 1 - m
-    n_free = frame.n_price  # past these, Phase I's artificials
-    # each row is signed so that its rhs is >= 0; a negated equality row's
-    # logical is complemented, a negated inequality row gets an artificial
-    negated = np.flatnonzero(b < 0.0)
-    neg_eq = negated[frame.eq[negated]]
-    extra = negated[~frame.eq[negated]]
-    rows = _all_logical(frame, b, extra.size)
-    rows[negated] *= -1.0
-    rows[neg_eq, frame.logical[neg_eq]] = 1.0
-    basis = frame.logical.copy()
-    basis[extra] = np.arange(n_struct + m, n_struct + m + extra.size)
-    rows[extra, basis[extra]] = 1.0
-    flipped = np.zeros(rows.shape[1], dtype=bool)
-    flipped[frame.logical[neg_eq]] = True
-    # in Phase I the artificials, equality logicals included, are unbounded above
-    phase_one = np.concatenate((upper[:n_struct], np.full(m + extra.size + 1, np.inf)))
-    t = _Tableau(rows=rows, basis=basis, upper=phase_one, row_upper=np.full(m, np.inf), flipped=flipped)
-    can_enter = phase_one[:-1] != 0.0  # fixed columns never enter
-
-    # --- Phase I: minimize the artificials ----------------------------------
-    art_rows = np.flatnonzero(basis >= n_free)
-    if art_rows.size:
-        rows[m] = -rows[art_rows].sum(axis=0)
-        rows[m, basis[art_rows]] = 0.0
-        status = _run_phase(t, can_enter.size, max_iterations, None if can_enter.all() else can_enter)
-        if status == "iteration_limit":
-            return SolveResult(status="iteration_limit", iterations=t.iterations)
-        if status == "unbounded":  # pragma: no cover - Phase I is bounded below
-            raise NumericalBreakdownError("phase I reported unbounded")
-        # decide from the artificials' values, not the carried objective entry;
-        # the logical columns read +-B^-1, so |B^-1| |b| sizes each value's terms
-        left = t.basis >= n_free
-        residual = rows[:m, -1][left].sum()
-        if residual > _FEAS_TOL and residual > _FEAS_TOL + _ROUNDING * (
-                np.abs(rows[:m][left][:, frame.logical]) @ np.abs(b)).sum():
-            return SolveResult(status="infeasible", iterations=t.iterations)
-        # drive leftover artificials out of the basis where possible; a
-        # negated inequality row's slack always can, being minus its artificial
-        for i in np.flatnonzero(t.basis >= n_free):
-            nz = np.flatnonzero((np.abs(rows[i, :n_free]) > _PIVOT_GOOD) & can_enter[:n_free])
-            if nz.size:
-                _pivot(t, i, int(nz[0]))
-            # an all-zero equality row is redundant; its logical stays basic at 0
-        if extra.size:  # what is left is the warm layout: drop the extra artificials
-            t.rows = np.concatenate((rows[:, :n_struct + m], rows[:, -1:]), axis=1)
-            t.flipped = np.append(t.flipped[:n_struct + m], False)
-    t.upper, t.row_upper = upper, upper[t.basis]
-
-    # --- Phase II: the true objective over the complemented columns ---------
-    c_int = frame.internal_cost(problem.objective)
-    cost = np.where(t.flipped, -c_int, c_int)
-    t.rows[m] = cost - cost[t.basis] @ t.rows[:m]
-    return _phase_two(problem, frame, t, offset, c_int, max_iterations)
-
-
-def _solve_warm(problem: StandardFormProblem, frame: _Frame, offset: np.ndarray, upper: np.ndarray,
-                b: np.ndarray, max_iterations: int) -> Optional[SolveResult]:
-    """Re-optimize from ``problem.basis``.
-
-    ``None`` when that basis cannot be used, or when the dual simplex finds a
-    row it can neither repair nor prove infeasible.
-    """
-    hint = problem.basis
-    kept = hint._tableau
-    m = b.size
-    c_int = frame.internal_cost(problem.objective)
-    reuse = kept is not None and kept.frame.same_tableau(frame)
-    start = _from_kept(kept, frame, upper, c_int, b) if reuse else None
-    if start is None:
+    start = None
+    if kept is not None and kept.frame.same_tableau(frame):
+        start = _from_kept(kept, frame, upper, c_int, b)
+    if hint is not None and start is None:
         start = _from_crash(hint, frame, upper, c_int, b)
-        if start is None:
-            return None
-    rows, basis, flipped = start
+    if start is not None:
+        try:
+            return _solve_from(problem, frame, start, offset, upper, c_int, b, max_iterations)
+        except NumericalBreakdownError:
+            pass  # the hinted basis is unreliable: start over from the all-logical one
+    return _solve_from(problem, frame, _from_logical(frame, c_int, b), offset, upper, c_int, b,
+                       max_iterations)
 
+
+def _solve_from(problem: StandardFormProblem, frame: _Frame, start, offset: np.ndarray,
+                upper: np.ndarray, c_int: np.ndarray, b: np.ndarray, max_iterations: int) -> SolveResult:
+    """The dual simplex under shifted costs, then primal Phase II under the true ones."""
+    if max_iterations < 0:
+        return SolveResult(status="iteration_limit")
+    rows, basis, flipped = start
+    m = b.size
     t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=upper[basis], flipped=flipped)
     can_enter = upper[:-1] != 0.0  # fixed columns and equality rows' logicals never enter
     wrong_side = (rows[m, :-1] < -_RC_TOL) & can_enter
-    if not (wrong_side & (upper[:-1] == np.inf)).any():
-        # every nonbasic column can rest where its reduced cost is nonnegative
-        move = wrong_side.nonzero()[0]
-        if move.size:
-            rows[:, -1] -= rows[:, move] @ upper[move]
-            rows[:, move] *= -1.0
-            flipped[move] = ~flipped[move]
-        status = _run_dual(t, can_enter, max_iterations, frame, b)
-        if status is None:
-            return None
-        if status != "optimal":
-            return SolveResult(status=status, iterations=t.iterations)
-    elif (np.maximum(-rows[:m, -1], rows[:m, -1] - t.row_upper) > _PRIMAL_TOL).any():
-        return None  # neither primal nor dual feasible
-    return _phase_two(problem, frame, t, offset, c_int, max_iterations)
+    boxed = wrong_side & (upper[:-1] < np.inf)
+    move = boxed.nonzero()[0]
+    if move.size:  # to the bound their reduced cost favours
+        rows[:, -1] -= rows[:, move] @ upper[move]
+        rows[:, move] *= -1.0
+        flipped[move] = ~flipped[move]
+        t.iterations += move.size
+    # a column unbounded above has no such bound: its cost is shifted so that
+    # its reduced cost reads zero, and the start is dual feasible
+    shifted = (wrong_side & ~boxed).nonzero()[0]
+    rows[m, shifted] = 0.0
+    status = _run_dual(t, can_enter, max_iterations, frame, b)
+    if status != "optimal":
+        return SolveResult(status=status, iterations=t.iterations)
+    if shifted.size:  # the true costs, priced back in
+        cost = np.where(t.flipped, -c_int, c_int)
+        rows[m] = cost - cost[t.basis] @ rows[:m]
+    return _phase_two(problem, frame, t, offset, c_int, b, max_iterations)
 
 
 def _phase_two(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: np.ndarray,
-               c_int: np.ndarray, max_iterations: int) -> SolveResult:
-    """Primal Phase II over the final layout, and the result it ends with.
+               c_int: np.ndarray, b: np.ndarray, max_iterations: int) -> SolveResult:
+    """Primal Phase II from a primal feasible tableau, and the result it ends with.
 
-    After a dual simplex run it repairs reduced costs that rounding left a
-    hair below zero.
+    It enters the columns whose cost the dual run shifted, and repairs
+    reduced costs that rounding left a hair below zero.
     """
     t.bland = False
     t.degenerate = 0
@@ -578,7 +508,7 @@ def _phase_two(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset:
     status = _run_phase(t, frame.n_price, max_iterations, None if can_enter.all() else can_enter)
     if status != "optimal":
         return SolveResult(status=status, iterations=t.iterations)
-    return _optimal(problem, frame, t, offset, c_int)
+    return _optimal(problem, frame, t, offset, c_int, b)
 
 
 def _from_kept(kept: _Kept, frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray):
@@ -610,24 +540,28 @@ def _rhs_column(rows: np.ndarray, flipped: np.ndarray, upper: np.ndarray, frame:
     """
     at_upper = flipped[:frame.sign.size].nonzero()[0]  # the structural ones; logicals have width 0
     if at_upper.size:
-        b = b - (frame.a[:, at_upper] * frame.sign[at_upper]) @ upper[at_upper] * frame.given_sign
+        b = b - frame.a[:, at_upper] @ (frame.sign[at_upper] * upper[at_upper]) * frame.given_sign
     b = np.where(flipped[frame.logical], -b, b)
     return rows[:b.size, frame.logical] @ b, b
 
 
-def _all_logical(frame: _Frame, b: np.ndarray, extra: int = 0) -> np.ndarray:
-    """``[A | I | b]`` over the frame's columns, with a zero reduced-cost row.
-
-    ``extra`` zero columns go between the logical columns and the rhs.
-    """
+def _all_logical(frame: _Frame, b: np.ndarray) -> np.ndarray:
+    """``[A | I | b]`` over the frame's columns, with a zero reduced-cost row."""
     a, free = frame.a, frame.free
     m, n = a.shape
-    rows = np.zeros((m + 1, n + frame.tail.size + extra))
+    rows = np.zeros((m + 1, n + frame.tail.size))
     rows[:m, :n] = a * frame.sign * frame.given_sign[:, None]
     rows[:m, n:n + free.size] = -rows[:m, free]
     rows[np.arange(m), frame.logical] = 1.0
     rows[:m, -1] = b
     return rows
+
+
+def _from_logical(frame: _Frame, c_int: np.ndarray, b: np.ndarray):
+    """The all-logical tableau, every other column at zero: the start without a usable hint."""
+    rows = _all_logical(frame, b)
+    rows[-1] = c_int
+    return rows, frame.logical.copy(), np.zeros(rows.shape[1], dtype=bool)
 
 
 def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray):
@@ -685,15 +619,17 @@ def _once(compute):
 
 
 def _optimal(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: np.ndarray,
-             c_int: np.ndarray) -> SolveResult:
+             c_int: np.ndarray, b: np.ndarray) -> SolveResult:
     """The result of an optimal tableau, which its basis keeps for re-solves.
 
-    The primal point and the objective are worked out here; the duals, the
-    reduced costs and the basis status codes on first read, since no
-    branch-and-bound node reads them.
+    The primal point and the objective are worked out here, from a rhs
+    column recomputed as ``B^-1 b'`` (the pivoted one carries the rounding
+    of every pivot); the duals, the reduced costs and the basis status codes
+    on first read, since no branch-and-bound node reads them.
     """
     m = t.basis.size
     rows = t.rows
+    rows[:m, -1] = _rhs_column(rows, t.flipped, t.upper, frame, b)[0]
     x_int = np.zeros(rows.shape[1])
     x_int[t.basis] = rows[:m, -1]
     x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]

@@ -250,8 +250,8 @@ class StageProblem:
         Its optimum is the Lagrangian value L(mu) at the anchor: one step of
         a Lagrangian ascent, and the whole of a strengthened cut.
         Successive multipliers change only the objective, so the MILP root
-        re-prices the kept tableau of the last root and primal Phase II
-        finishes it, and the last optimal point is still feasible: it is the
+        re-prices the kept tableau of the last root and the simplex
+        finishes from it, and the last optimal point is still feasible: it is the
         search's first incumbent (``problem.start``).  After :meth:`add_cut`
         the MILP checks that the point meets the new row, and ignores it if
         it does not.

@@ -26,6 +26,8 @@ from graphopt import (
 )
 
 settings.register_profile("suite", deadline=None, max_examples=40, print_blob=True)
+# a long run of the property tests: pytest -m hypothesis --hypothesis-profile sweep
+settings.register_profile("sweep", settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 

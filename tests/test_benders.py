@@ -424,7 +424,7 @@ class TestKeptLagrangianProblem:
             return res
 
         monkeypatch.setattr(StageProblem, "solve_lagrangian", counted)
-        with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as spy:
+        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
             res = run_decomposition(mini_pcm_fixture(), root="b2",
                                     config=BendersConfig(lagrangian=True, add_slacks=True))
         assert res.status == "converged"
@@ -706,7 +706,9 @@ class TestStall:
     def test_mini_pcm_from_b1_stalls(self):
         res = run_decomposition(mini_pcm_fixture(), root="b1")
         assert res.status == "stalled"
-        assert [rec.cuts_added for rec in res.trace] == [2, 1, 0]
+        # the stall is found within a few iterations, not after a 100-iteration spin
+        assert res.trace[-1].cuts_added == 0 and len(res.trace) <= 5
+        assert_bound_histories(res)
         assert "strengthened or lagrangian" in res.message
         assert res.max_violation <= 1e-6
 

@@ -1,4 +1,4 @@
-"""Two-phase simplex: toys, dual conventions, and random-instance agreement."""
+"""Simplex: toys, dual conventions, warm starts, and random-instance agreement."""
 
 import pickle
 from dataclasses import replace
@@ -458,7 +458,7 @@ class TestWarmStart:
         # above its bound, so the dual simplex complements it before x enters
         prob = make_problem([1.0], [[1.0]], ["eq"], [2.0], [0.0], [5.0])
         cold = solve_lp(prob)
-        with mock.patch.object(simplex, "_solve_cold", wraps=simplex._solve_cold) as spy:
+        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
             warm = solve_lp(replace(prob, basis=Basis(np.array([AT_LOWER]), np.array([BASIC]))))
         assert spy.call_count == 0 and warm.iterations == 1
         assert warm.objective == cold.objective == pytest.approx(2.0)
@@ -466,6 +466,18 @@ class TestWarmStart:
         np.testing.assert_allclose(warm.reduced_costs, [0.0])
         np.testing.assert_array_equal(warm.duals, cold.duals)
         assert_strong_duality(prob, warm)
+
+    def test_rounding_noise_on_an_unbounded_column_lifts_no_row(self):
+        # instance 27 of the acceptance stream: the row that proves it
+        # infeasible keeps a -6.9e-18 entry on a slack, unbounded above
+        rng = np.random.default_rng(20250803)
+        for _ in range(28):
+            prob = random_lp(rng, n_max=6, m_max=8)
+        assert vertex_enumeration_lp(prob)[0] == "infeasible"
+        hint = Basis(np.full(prob.n_cols, AT_LOWER), np.full(prob.n_rows, BASIC))
+        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
+            res = solve_lp(replace(prob, basis=hint))
+        assert res.status == "infeasible" and spy.call_count == 0
 
     def test_a_row_less_lp_re_solves_from_its_own_basis(self):
         prob = make_problem([-1.0, 2.0, -0.5], np.zeros((0, 3)), [], [], [0.0, -1.0, -np.inf], [2.5, 3.0, 4.0])
@@ -678,6 +690,7 @@ class TestLargeRightHandSides:
 
     @given(seed=st.integers(0, 2**32 - 1))
     @example(seed=26)  # its sixth re-solve is feasible; an absolute dual tolerance called it infeasible
+    @example(seed=13743)  # read from the pivoted rhs column, its sixth optimum broke a row by 1.5e-8
     def test_a_warm_re_solve_has_the_status_of_a_cold_one(self, seed):
         rng = np.random.default_rng(seed)
         prob = dispatch_lp(rng, int(rng.integers(4, 25)))
