@@ -294,14 +294,14 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
     then recomputed from B^-1 and ``b`` (see :func:`_rhs_column`) and the
     row tested again.  "infeasible" needs a violation that no boxed column,
     not even one whose entry is below the pivot tolerance, can lift back, and
-    that exceeds ``_PRIMAL_TOL`` plus ``_ROUNDING * max|B^-1_i| * sum|b'|``:
-    the entries of B^-1 carry rounding too, which a product with ``|B^-1_i|``
-    would miss.  An entry below the pivot tolerance on a column unbounded
-    above is that rounding, and lifts nothing.  Otherwise the run raises
-    :class:`NumericalBreakdownError`, so this bound errs wide.  A row that is
-    merely within it still leaves when a column can enter: accepting it would
-    return values outside their bounds, by as much as 1e-3 on rows that a
-    -1e9 bound reaches.
+    that exceeds ``_PRIMAL_TOL + _ROUNDING * max|B^-1_i| * sum|b'_j|`` over
+    the ``j`` with ``B^-1_ij != 0``: the entries of B^-1 carry rounding too,
+    which a product with ``|B^-1_i|`` would miss.  An entry below the pivot
+    tolerance on a column unbounded above is that rounding, and lifts
+    nothing.  Otherwise the run raises :class:`NumericalBreakdownError`, so
+    this bound errs wide.  A row that is merely within it still leaves when a
+    column can enter: accepting it would return values outside their bounds,
+    by as much as 1e-3 on rows that a -1e9 bound reaches.
 
     An entry below ``_PIVOT_GOOD`` times the row's largest is no pivot
     while a larger one can enter: a pivot of -1.2e-10 on a row whose largest
@@ -351,7 +351,8 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
             boxed = (row < 0.0) & can_enter & (t.upper[:-1] < np.inf)
             lift = np.where(boxed, t.upper[:-1], 0.0) @ -np.minimum(row, 0.0)
             inverse_row = np.abs(t.rows[leaving, frame.logical])  # |B^-1_i|
-            noise = _ROUNDING * np.maximum.reduce(inverse_row) * np.abs(fresh).sum()
+            reach = np.abs(fresh[inverse_row != 0.0]).sum()  # the rows B^-1_i mixes in
+            noise = _ROUNDING * np.maximum.reduce(inverse_row) * reach
             if -rhs[leaving] > _PRIMAL_TOL + noise + lift:
                 return "infeasible"
             raise NumericalBreakdownError(f"tableau row {leaving}: no column can repair it, and "

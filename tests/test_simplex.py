@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from graphopt import simplex
+from graphopt.errors import NumericalBreakdownError
 from graphopt.simplex import solve_lp
 from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis
 
@@ -575,6 +576,43 @@ def kind_keeping_change(rng, prob, parent, change):
         else:
             hi[j] = x[j] - rng.uniform(0.1, 2.0)
     return with_bounds(child, lo, hi)
+
+
+class TestAllLogicalStart:
+    """Verdicts the dual simplex reaches, or gives up on, from the all-logical tableau."""
+
+    @staticmethod
+    def starts(prob):
+        """The problem without a hint, and with the all-logical basis as its hint."""
+        hint = Basis(np.full(prob.n_cols, AT_LOWER), np.full(prob.n_rows, BASIC))
+        return prob, replace(prob, basis=hint)
+
+    def test_a_large_rhs_no_pivot_mixes_in_leaves_an_infeasible_row_infeasible(self):
+        # x <= -1e-4 beside y <= 1e9: x's row of B^-1 never reaches y's row,
+        # so the 1e9 adds nothing to the rounding allowed on x's row
+        prob = make_problem([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], ["le", "le"], [-1e-4, 1e9],
+                            [0.0, 0.0], [np.inf, np.inf])
+        for start in self.starts(prob):
+            assert solve_lp(start).status == "infeasible"
+
+    @pytest.mark.parametrize("prob, message", [
+        # y >= 1e9 and x + y <= 1e9 - 1e-5: the pivot that lifts y mixes the
+        # 1e9 into the second row, whose violation is then within rounding
+        (make_problem([0.0, 0.0], [[0.0, 1.0], [1.0, 1.0]], ["ge", "le"], [1e9, 1e9 - 1e-5],
+                      [0.0, 0.0], [np.inf, np.inf]), "tableau row 1: no column can repair it"),
+        # 1e-10 x >= 1e-4 holds at x >= 1e6, but only a pivot below
+        # _PIVOT_GOOD of the row's largest entry could get there
+        (make_problem([1.0], [[1e-10]], ["ge"], [1e-4], [0.0], [np.inf]),
+         "tableau row 0: only pivots below"),
+    ])
+    def test_a_row_it_can_neither_repair_nor_prove_infeasible_raises(self, prob, message):
+        with pytest.raises(NumericalBreakdownError, match=message):
+            solve_lp(prob)
+        # a hinted start tries once more from the all-logical tableau, no more
+        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
+            with pytest.raises(NumericalBreakdownError, match=message):
+                solve_lp(self.starts(prob)[1])
+        assert spy.call_count == 1
 
 
 class TestKeptTableau:
