@@ -123,18 +123,21 @@ def _run_monolithic(graph: Graph, args: argparse.Namespace, report: RunReport) -
 
 
 def _run_benders(graph: Graph, args: argparse.Namespace, report: RunReport) -> int:
-    config = BendersConfig(
-        max_iters=args.max_iters,
-        tol=args.tol,
-        multicut=args.multicut,
-        strengthened=args.strengthened,
-        lagrangian=args.lagrangian,
-        regularize=args.regularize,
-        alpha=args.alpha,
-        add_slacks=args.slacks,
-        slack_penalty=args.slack_penalty,
-        warm_start_cuts=args.warm_start_cuts,
-    )
+    try:
+        config = BendersConfig(
+            max_iters=args.max_iters,
+            tol=args.tol,
+            multicut=args.multicut,
+            strengthened=args.strengthened,
+            lagrangian=args.lagrangian,
+            regularize=args.regularize,
+            alpha=args.alpha,
+            add_slacks=args.slacks,
+            slack_penalty=args.slack_penalty,
+            warm_start_cuts=args.warm_start_cuts,
+        )
+    except ValueError as exc:  # a value out of its range
+        raise UsageError(str(exc)) from exc
     result = run_decomposition(graph, root=args.root, config=config)
     report.status = result.status
     report.objective = result.objective

@@ -34,24 +34,26 @@ whatever the costs (see :func:`_run_dual`).
 
 The start.  A problem may carry a :class:`~graphopt.standard_form.Basis`
 hint, such as its parent's final basis in branch-and-bound.  Every optimal
-solve keeps its final tableau privately on the basis it returns.  When the
-hint keeps one, the problem has the same dense matrix object, and every row
-is signed and every column shifted, reflected or split as before, that
-tableau is copied and re-priced: B^-1 [A | I] depends on none of the
-bounds' values, right-hand sides or costs, and the logical columns read
-B^-1, so the new rhs column ``B^-1 b'`` is one matrix-vector product and the
-new reduced-cost row ``c - c_B B^-1 A`` one vector-matrix product.  This is
-the re-solve of a branch-and-bound child, of a Benders stage whose pinned
-copies moved, and of a Lagrangian step whose objective moved; it pays only
-for what moved.  The reduced-cost row is priced afresh even under the same
-objective: the kept row has been through the pivots, and its rounding would
-steer the next ones elsewhere.  Otherwise the hint's basic columns are
-pivoted into the all-logical tableau by Gauss-Jordan elimination.  Without
-a hint, or with one of the wrong size or a singular one, the start is the
-all-logical tableau itself.  A hinted start on which the dual simplex finds
-a row it can neither repair nor prove infeasible, or could repair only by
-pivoting on rounding noise, starts once more from the all-logical tableau;
-there the same failure raises :class:`NumericalBreakdownError`.
+solve keeps the tableau its pivots ended on, with its layout, privately on
+the basis it returns, and nothing writes to it again.  When the hint keeps
+one, the problem has the same dense matrix object, and every row is signed
+and every column shifted, reflected or split as before, that tableau is
+copied and re-priced: B^-1 [A | I] depends on none of the bounds' values,
+right-hand sides or costs, and the logical columns read B^-1, so the new rhs
+column ``B^-1 b'`` is one matrix-vector product and the new reduced-cost row
+``c - c_B B^-1 A`` one vector-matrix product.  This is the re-solve of a
+branch-and-bound child, of a Benders stage whose pinned copies moved, and of
+a Lagrangian step whose objective moved; it pays only for what moved.  The
+reduced-cost row is priced afresh even under the same objective: the kept
+row has been through the pivots, and its rounding would steer the next ones
+elsewhere.  Otherwise the hint's basic columns are pivoted into the
+all-logical tableau by Gauss-Jordan elimination: the simplex pivot, each on
+the open row where the column is largest, and counted as no iteration.
+Without a hint, or with one of the wrong size or a singular one, the start
+is the all-logical tableau itself.  A hinted start on which the dual simplex
+finds a row it can neither repair nor prove infeasible, or could repair only
+by pivoting on rounding noise, starts once more from the all-logical
+tableau; there the same failure raises :class:`NumericalBreakdownError`.
 
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
@@ -62,7 +64,7 @@ are reported as `c - A'y` over the rows as given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -93,12 +95,12 @@ class SolveResult:
     problem's own columns and rows, and for an optimal MILP solve the final
     basis of its root relaxation, whose result is ``relaxation``; handed
     back as ``problem.basis`` to a problem of the same shape, it starts the
-    simplex there.  Every optimal
-    LP solve keeps its final tableau on ``basis``, and a re-solve over the
-    same matrix, whatever its bounds, right-hand sides and objective, starts
-    from a copy of it.  ``duals``, ``reduced_costs`` and the basis status
-    codes are worked out from that tableau when they are first read; the
-    tableau is never written to, so they read the same whenever that is.
+    simplex there.  Every optimal LP solve keeps on ``basis`` the tableau
+    its last pivot left, and a re-solve over the same matrix, whatever its
+    bounds, right-hand sides and objective, starts from a copy of it.
+    ``duals``, ``reduced_costs`` and the basis status codes are worked out
+    from that tableau when they are first read; nothing writes to it once
+    it is kept, so they read the same whenever that is.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -114,17 +116,23 @@ class SolveResult:
     __getstate__ = Deferred.state
 
 
-@dataclass
+@dataclass(eq=False)
 class _Tableau:
+    """A solve's tableau; an optimal solve keeps its final one on its basis, never written to again."""
+
+    frame: _Frame             # the layout of the columns and rows
     rows: np.ndarray          # (m + 1, n_total + 1): rows, then reduced costs; rhs last
     basis: np.ndarray         # basic column per row
     upper: np.ndarray         # width of each column, inf when unbounded above
-    row_upper: np.ndarray     # width of each row's basic column
     flipped: np.ndarray       # bool mask: column stored complemented, x -> upper - x
+    row_upper: np.ndarray = field(init=False)  # width of each row's basic column
     iterations: int = 0
     tiny_pivots: int = 0
     degenerate: int = 0
     bland: bool = False
+
+    def __post_init__(self) -> None:
+        self.row_upper = self.upper[self.basis]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +150,6 @@ class _Frame:
     given_sign: np.ndarray    # -1 on "ge" rows
     lookup: bytes             # the equality rows, the row signs and which bounds are finite
     key: bytes
-    shifted: bool             # every lower bound is finite, so every column just shifts
     sign: np.ndarray          # -1 on columns reflected about their upper bound
     free: np.ndarray          # the split columns
     logical: np.ndarray       # row i's logical column: inequality slacks first, then equality rows
@@ -159,20 +166,13 @@ class _Frame:
         logical[order] = np.arange(n_struct, n_struct + eq.size)
         return _Frame(a=a, eq=eq, given_sign=given_sign, lookup=lookup,
                       key=given_sign.tobytes() + sign.tobytes() + free.tobytes(),
-                      shifted=bool(np.isfinite(lo).all()), sign=sign, free=free, logical=logical,
+                      sign=sign, free=free, logical=logical,
                       n_price=n_struct + eq.size - np.count_nonzero(eq),
                       tail=np.concatenate([np.full(free.size, np.inf), np.where(eq[order], 0.0, np.inf),
                                            [np.inf]]))
 
     def same_tableau(self, other: _Frame) -> bool:
         return self is other or (self.a is other.a and self.key == other.key)
-
-    def place(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The offset and width of every structural column."""
-        if self.shifted:
-            return lo, np.maximum(hi - lo, 0.0)
-        offset, _, width, _ = _column_transform(lo, hi)
-        return offset, width
 
     def internal_cost(self, c: np.ndarray) -> np.ndarray:
         """The objective over the tableau columns, uncomplemented."""
@@ -181,16 +181,6 @@ class _Frame:
         if self.free.size:
             c_int[c.size:c.size + self.free.size] = -c_int[self.free]
         return c_int
-
-
-@dataclass(frozen=True, eq=False)
-class _Kept:
-    """An optimal solve's final tableau; never written to once kept."""
-
-    frame: _Frame
-    rows: np.ndarray
-    basis: np.ndarray
-    flipped: np.ndarray
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
@@ -213,12 +203,20 @@ def _pivot(t: _Tableau, row: int, col: int) -> None:
     t.iterations += 1
 
 
-def _flip(t: _Tableau, col: int) -> None:
-    """Move a nonbasic column to its other bound by complementing it."""
-    t.rows[:, -1] -= t.upper[col] * t.rows[:, col]
-    t.rows[:, col] *= -1.0
-    t.flipped[col] = not t.flipped[col]
-    t.iterations += 1
+def _flip(t: _Tableau, cols: np.ndarray | list[int]) -> None:
+    """Move nonbasic columns to their other bound by complementing them; each counts as an iteration."""
+    if len(cols):
+        t.rows[:, -1] -= t.rows[:, cols] @ t.upper[cols]
+        t.rows[:, cols] *= -1.0
+        t.flipped[cols] = ~t.flipped[cols]
+        t.iterations += len(cols)
+
+
+def _price(t: _Tableau, c_int: np.ndarray) -> None:
+    """Write the reduced costs ``c - c_B B^-1 A``, with ``c`` under the tableau's complementing."""
+    m = t.basis.size
+    cost = np.where(t.flipped, -c_int, c_int)
+    t.rows[m] = cost - cost[t.basis] @ t.rows[:m]
 
 
 def _complement_basic(t: _Tableau, row: int) -> None:
@@ -267,7 +265,7 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
         if width <= best:
             if width == np.inf:
                 return "unbounded"
-            _flip(t, entering)
+            _flip(t, [entering])
             t.degenerate = 0
             continue
         ties = (ratios <= best + 1e-12).nonzero()[0]
@@ -280,8 +278,7 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
         _pivot(t, leaving, entering)
 
 
-def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
-              frame: _Frame, b: np.ndarray) -> str:
+def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int, b: np.ndarray) -> str:
     """Bounded dual simplex from a tableau whose reduced costs are nonnegative.
 
     The basic column farthest outside its bounds leaves (the lowest-indexed
@@ -344,13 +341,13 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int,
             candidates = usable
         else:
             if fresh is None:
-                rhs[:], fresh = _rhs_column(t.rows, t.flipped, t.upper, frame, b)
+                rhs[:], fresh = _rhs_column(t, b)
                 continue
             # no pivot lifts the leaving column to its bound; proven only if
             # every column taken to its far bound falls short too
             boxed = (row < 0.0) & can_enter & (t.upper[:-1] < np.inf)
             lift = np.where(boxed, t.upper[:-1], 0.0) @ -np.minimum(row, 0.0)
-            inverse_row = np.abs(t.rows[leaving, frame.logical])  # |B^-1_i|
+            inverse_row = np.abs(t.rows[leaving, t.frame.logical])  # |B^-1_i|
             reach = np.abs(fresh[inverse_row != 0.0]).sum()  # the rows B^-1_i mixes in
             noise = _ROUNDING * np.maximum.reduce(inverse_row) * reach
             if -rhs[leaving] > _PRIMAL_TOL + noise + lift:
@@ -399,34 +396,6 @@ def _column_transform(lo: np.ndarray, hi: np.ndarray):
     return offset, sign, width, free
 
 
-def _crash(rows: np.ndarray, cols: np.ndarray, open_rows: np.ndarray) -> Optional[np.ndarray]:
-    """Pivot each of ``cols`` into the tableau, each on its own row where ``open_rows`` is 1.
-
-    This is Gauss-Jordan elimination with partial pivoting; it returns the
-    row each column went to, or ``None`` when the columns are singular.  As
-    in a simplex pivot, only rows with a nonzero in the pivot column are
-    updated.  The tableaux are small; this keeps ``np.linalg`` and
-    matrix-matrix products, whose first calls fault in library pages, off
-    the warm-start path.
-    """
-    m = open_rows.size
-    small = _PIVOT_GOOD * np.maximum.reduce(np.abs(rows[:m, cols]), axis=None, initial=1.0)
-    placed = np.empty(cols.size, dtype=int)
-    for q, j in enumerate(cols):
-        reach = np.abs(rows[:m, j]) * open_rows
-        p = int(reach.argmax())
-        if reach[p] < small:
-            return None
-        piv = rows[p, j]
-        open_rows[p] = 0.0
-        pivot_row = rows[p] / piv
-        touched = rows[:, j].nonzero()[0]
-        rows[touched] -= np.multiply.outer(rows[touched, j], pivot_row)
-        rows[p] = pivot_row
-        placed[q] = p
-    return placed
-
-
 def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = None) -> SolveResult:
     """Solve the LP relaxation of ``problem`` (integrality is ignored).
 
@@ -446,7 +415,7 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
         frame = kept.frame
     else:
         frame = _Frame.build(a, eq, given_sign, lo, hi, lookup)
-    offset, width = frame.place(lo, hi)
+    offset, _, width, _ = _column_transform(lo, hi)
     upper = np.concatenate((width, frame.tail))
     b = given_sign * (problem.rhs - a @ offset)
     c_int = frame.internal_cost(problem.objective)
@@ -459,95 +428,77 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
         start = _from_crash(hint, frame, upper, c_int, b)
     if start is not None:
         try:
-            return _solve_from(problem, frame, start, offset, upper, c_int, b, max_iterations)
+            return _solve_from(problem, start, offset, c_int, b, max_iterations)
         except NumericalBreakdownError:
             pass  # the hinted basis is unreliable: start over from the all-logical one
-    return _solve_from(problem, frame, _from_logical(frame, c_int, b), offset, upper, c_int, b,
-                       max_iterations)
+    return _solve_from(problem, _from_logical(frame, upper, c_int, b), offset, c_int, b, max_iterations)
 
 
-def _solve_from(problem: StandardFormProblem, frame: _Frame, start, offset: np.ndarray,
-                upper: np.ndarray, c_int: np.ndarray, b: np.ndarray, max_iterations: int) -> SolveResult:
-    """The dual simplex under shifted costs, then primal Phase II under the true ones."""
+def _solve_from(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_int: np.ndarray,
+                b: np.ndarray, max_iterations: int) -> SolveResult:
+    """The dual simplex under shifted costs, then primal Phase II under the true ones.
+
+    Phase II enters the columns whose cost the dual run shifted, and repairs
+    reduced costs that rounding left a hair below zero.
+    """
     if max_iterations < 0:
         return SolveResult(status="iteration_limit")
-    rows, basis, flipped = start
     m = b.size
-    t = _Tableau(rows=rows, basis=basis, upper=upper, row_upper=upper[basis], flipped=flipped)
-    can_enter = upper[:-1] != 0.0  # fixed columns and equality rows' logicals never enter
-    wrong_side = (rows[m, :-1] < -_RC_TOL) & can_enter
-    boxed = wrong_side & (upper[:-1] < np.inf)
-    move = boxed.nonzero()[0]
-    if move.size:  # to the bound their reduced cost favours
-        rows[:, -1] -= rows[:, move] @ upper[move]
-        rows[:, move] *= -1.0
-        flipped[move] = ~flipped[move]
-        t.iterations += move.size
+    can_enter = t.upper[:-1] != 0.0  # fixed columns and equality rows' logicals never enter
+    wrong_side = (t.rows[m, :-1] < -_RC_TOL) & can_enter
+    boxed = wrong_side & (t.upper[:-1] < np.inf)
+    _flip(t, boxed.nonzero()[0])  # to the bound their reduced cost favours
     # a column unbounded above has no such bound: its cost is shifted so that
     # its reduced cost reads zero, and the start is dual feasible
     shifted = (wrong_side & ~boxed).nonzero()[0]
-    rows[m, shifted] = 0.0
-    status = _run_dual(t, can_enter, max_iterations, frame, b)
+    t.rows[m, shifted] = 0.0
+    status = _run_dual(t, can_enter, max_iterations, b)
+    if status == "optimal":
+        if shifted.size:  # the true costs, priced back in
+            _price(t, c_int)
+        t.bland = False
+        t.degenerate = 0
+        n_price = t.frame.n_price
+        status = _run_phase(t, n_price, max_iterations,
+                            None if can_enter[:n_price].all() else can_enter[:n_price])
     if status != "optimal":
         return SolveResult(status=status, iterations=t.iterations)
-    if shifted.size:  # the true costs, priced back in
-        cost = np.where(t.flipped, -c_int, c_int)
-        rows[m] = cost - cost[t.basis] @ rows[:m]
-    return _phase_two(problem, frame, t, offset, c_int, b, max_iterations)
+    return _optimal(problem, t, offset, c_int, b)
 
 
-def _phase_two(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: np.ndarray,
-               c_int: np.ndarray, b: np.ndarray, max_iterations: int) -> SolveResult:
-    """Primal Phase II from a primal feasible tableau, and the result it ends with.
-
-    It enters the columns whose cost the dual run shifted, and repairs
-    reduced costs that rounding left a hair below zero.
-    """
-    t.bland = False
-    t.degenerate = 0
-    can_enter = t.upper[:frame.n_price] != 0.0  # fixed columns never enter
-    status = _run_phase(t, frame.n_price, max_iterations, None if can_enter.all() else can_enter)
-    if status != "optimal":
-        return SolveResult(status=status, iterations=t.iterations)
-    return _optimal(problem, frame, t, offset, c_int, b)
-
-
-def _from_kept(kept: _Kept, frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray):
-    """A copy of a kept final tableau with a new rhs column, or ``None``.
+def _from_kept(kept: _Tableau, frame: _Frame, upper: np.ndarray, c_int: np.ndarray,
+               b: np.ndarray) -> Optional[_Tableau]:
+    """A copy of a kept final tableau with a new rhs column and reduced costs, or ``None``.
 
     The new rhs column ``B^-1 b'`` is one matrix-vector product (see
-    :func:`_rhs_column`), with each complemented column at its new width.
-    The reduced costs ``c - c_B B^-1 A``, with ``c`` under the kept
-    complementing, are one vector-matrix product.
+    :func:`_rhs_column`), with each complemented column at its new width;
+    the reduced costs are one vector-matrix product (see :func:`_price`).
     """
-    m = b.size
-    flipped = kept.flipped.copy()
-    if (upper[flipped] == np.inf).any():
+    if (upper[kept.flipped] == np.inf).any():
         return None  # a complemented column has lost its upper bound
-    rows = kept.rows.copy()
-    rows[:m, -1] = _rhs_column(rows, flipped, upper, frame, b)[0]
-    cost = np.where(flipped, -c_int, c_int)
-    rows[m] = cost - cost[kept.basis] @ rows[:m]
-    return rows, kept.basis.copy(), flipped
+    t = _Tableau(frame, kept.rows.copy(), kept.basis.copy(), upper, kept.flipped.copy())
+    t.rows[:b.size, -1] = _rhs_column(t, b)[0]
+    _price(t, c_int)
+    return t
 
 
-def _rhs_column(rows: np.ndarray, flipped: np.ndarray, upper: np.ndarray, frame: _Frame,
-                b: np.ndarray):
+def _rhs_column(t: _Tableau, b: np.ndarray):
     """``(B^-1 b', b')``: the rhs column of a warm tableau, from its logical columns.
 
     The logical columns read B^-1, negated where a zero-width logical is
     complemented; ``b'`` is ``b`` less each complemented structural column
     at its width, negated on those logicals' rows.
     """
+    frame, flipped = t.frame, t.flipped
     at_upper = flipped[:frame.sign.size].nonzero()[0]  # the structural ones; logicals have width 0
     if at_upper.size:
-        b = b - frame.a[:, at_upper] @ (frame.sign[at_upper] * upper[at_upper]) * frame.given_sign
+        b = b - frame.a[:, at_upper] @ (frame.sign[at_upper] * t.upper[at_upper]) * frame.given_sign
     b = np.where(flipped[frame.logical], -b, b)
-    return rows[:b.size, frame.logical] @ b, b
+    return t.rows[:b.size, frame.logical] @ b, b
 
 
-def _all_logical(frame: _Frame, b: np.ndarray) -> np.ndarray:
-    """``[A | I | b]`` over the frame's columns, with a zero reduced-cost row."""
+def _all_logical(frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
+    """``[A | I | b]`` over the frame's columns under the costs ``c_int``, every logical basic."""
     a, free = frame.a, frame.free
     m, n = a.shape
     rows = np.zeros((m + 1, n + frame.tail.size))
@@ -555,57 +506,57 @@ def _all_logical(frame: _Frame, b: np.ndarray) -> np.ndarray:
     rows[:m, n:n + free.size] = -rows[:m, free]
     rows[np.arange(m), frame.logical] = 1.0
     rows[:m, -1] = b
-    return rows
+    rows[m] = c_int
+    return _Tableau(frame, rows, frame.logical.copy(), upper, np.zeros(rows.shape[1], dtype=bool))
 
 
-def _from_logical(frame: _Frame, c_int: np.ndarray, b: np.ndarray):
+def _from_logical(frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
     """The all-logical tableau, every other column at zero: the start without a usable hint."""
-    rows = _all_logical(frame, b)
-    rows[-1] = c_int
-    return rows, frame.logical.copy(), np.zeros(rows.shape[1], dtype=bool)
+    return _all_logical(frame, upper, c_int, b)
 
 
-def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray):
+def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray,
+                b: np.ndarray) -> Optional[_Tableau]:
     """The tableau of ``hint`` built from the all-logical one.
 
     ``None`` when the hint has the wrong size or number of basic entries, or
     is singular.
     """
-    free, logical = frame.free, frame.logical
+    free = frame.free
     m, n = frame.a.shape
     if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
         return None
     if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint.rows == BASIC) != m:
         return None
-    rows = _all_logical(frame, b)
+    t = _all_logical(frame, upper, c_int, b)
     width = upper[:n]
-    flipped = np.zeros(upper.size, dtype=bool)
-    flipped[:n] = (hint.columns == AT_UPPER) & (width > 0.0) & (width < np.inf)
-    at_upper = np.flatnonzero(flipped)
-    if at_upper.size:
-        rows[:m, -1] -= rows[:m, at_upper] @ width[at_upper]
-        rows[:m, at_upper] *= -1.0
-    rows[m] = np.where(flipped, -c_int, c_int)
+    _flip(t, np.flatnonzero((hint.columns == AT_UPPER) & (width > 0.0) & (width < np.inf)))
 
-    # B^-1 [A | I | b], and the reduced costs, by pivoting the basic columns
-    # into the all-logical tableau; rows whose logical stays basic take no pivot
+    # B^-1 [A | I | b], and the reduced costs, by Gauss-Jordan elimination with
+    # partial pivoting; rows whose logical stays basic take no pivot.  np.linalg,
+    # whose first calls fault in library pages, stays off the warm-start path
+    rows = t.rows
     open_rows = np.ones(m)
     open_rows[hint.rows == BASIC] = 0.0
     basic_cols = np.flatnonzero(hint.columns == BASIC)
-    placed = _crash(rows, basic_cols, open_rows)
-    if placed is None:
-        return None
-    basis = logical.copy()
-    basis[placed] = basic_cols
+    small = _PIVOT_GOOD * np.maximum.reduce(np.abs(rows[:m, basic_cols]), axis=None, initial=1.0)
+    for j in basic_cols:
+        reach = np.abs(rows[:m, j]) * open_rows
+        p = int(reach.argmax())
+        if reach[p] < small:
+            return None  # singular
+        open_rows[p] = 0.0
+        _pivot(t, p, j)
+    t.iterations = 0  # building the start is no simplex step
     if free.size:
         # a basic free column that reads negative hands its row to its negative part
-        swap = np.flatnonzero(np.isin(basis, free) & (rows[:m, -1] < 0.0))
-        neg = n + np.searchsorted(free, basis[swap])
+        swap = np.flatnonzero(np.isin(t.basis, free) & (rows[:m, -1] < 0.0))
+        neg = n + np.searchsorted(free, t.basis[swap])
         rows[swap] *= -1.0
         rows[:, neg] = 0.0
         rows[swap, neg] = 1.0
-        basis[swap] = neg
-    return rows, basis, flipped
+        t.basis[swap] = neg
+    return t
 
 
 def _once(compute):
@@ -619,8 +570,8 @@ def _once(compute):
     return once
 
 
-def _optimal(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: np.ndarray,
-             c_int: np.ndarray, b: np.ndarray) -> SolveResult:
+def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_int: np.ndarray,
+             b: np.ndarray) -> SolveResult:
     """The result of an optimal tableau, which its basis keeps for re-solves.
 
     The primal point and the objective are worked out here, from a rhs
@@ -628,9 +579,8 @@ def _optimal(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: n
     of every pivot); the duals, the reduced costs and the basis status codes
     on first read, since no branch-and-bound node reads them.
     """
-    m = t.basis.size
-    rows = t.rows
-    rows[:m, -1] = _rhs_column(rows, t.flipped, t.upper, frame, b)[0]
+    frame, rows, m = t.frame, t.rows, t.basis.size
+    rows[:m, -1] = _rhs_column(t, b)[0]
     x_int = np.zeros(rows.shape[1])
     x_int[t.basis] = rows[:m, -1]
     x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
@@ -665,6 +615,5 @@ def _optimal(problem: StandardFormProblem, frame: _Frame, t: _Tableau, offset: n
         duals=duals,
         reduced_costs=lambda: c - frame.a.T @ duals(),
         iterations=t.iterations,
-        basis=Basis(lambda: codes()[0], lambda: codes()[1],
-                    _Kept(frame, rows, t.basis, t.flipped)),
+        basis=Basis(lambda: codes()[0], lambda: codes()[1], t),
     )

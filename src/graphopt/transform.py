@@ -60,39 +60,29 @@ class CondensedTopology:
                 out.extend(v for v in pair if v != graph_id)
         return sorted(set(out))
 
+    def _components(self) -> int:
+        """The number of connected components of the quotient graph."""
+        unseen = set(self.vertices)
+        count = 0
+        while unseen:
+            count += 1
+            stack = [unseen.pop()]
+            while stack:
+                for w in self.neighbors(stack.pop()):
+                    if w in unseen:
+                        unseen.discard(w)
+                        stack.append(w)
+        return count
+
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        return self._components() == 1
 
     def is_acyclic(self) -> bool:
-        """True when the simple quotient graph (parallel edges collapsed) is a forest."""
-        simple_edges = len(self.adjacency)
-        if not self.is_connected():
-            # count components to apply |E| = |V| - #components for forests
-            comps = 0
-            unseen = set(self.vertices)
-            while unseen:
-                comps += 1
-                start = next(iter(unseen))
-                stack = [start]
-                unseen.discard(start)
-                while stack:
-                    v = stack.pop()
-                    for w in self.neighbors(v):
-                        if w in unseen:
-                            unseen.discard(w)
-                            stack.append(w)
-            return simple_edges == len(self.vertices) - comps
-        return simple_edges == len(self.vertices) - 1
+        """True when the simple quotient graph (parallel edges collapsed) is a forest.
+
+        A forest has as many edges as it has vertices less components.
+        """
+        return len(self.adjacency) == len(self.vertices) - self._components()
 
     def to_dot(self) -> str:
         lines = ["graph condensed {"]

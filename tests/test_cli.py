@@ -192,6 +192,18 @@ class TestExitCodes:
         assert main(["--fixture", "storage", "--mode", "benders"]) == EXIT_USAGE  # flat graph
         assert main(["--mode", "nonsense"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iters", "0", "max_iters must be at least 1"),
+        ("--alpha", "2", "alpha must lie in (0, 1]"),
+        ("--tol", "-1", "tol must be positive"),
+    ])
+    def test_an_out_of_range_benders_value_is_a_usage_error(self, membership_file, capsys,
+                                                            flag, value, message):
+        argv = ["--fixture", "storage", "--mode", "benders", "--root", "design",
+                "--partition", membership_file, flag, value]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sequential_mode(self, tmp_path):
         out = tmp_path / "r.json"
         code = main(

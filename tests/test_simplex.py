@@ -1,6 +1,8 @@
 """Simplex: toys, dual conventions, warm starts, and random-instance agreement."""
 
+import gc
 import pickle
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -10,8 +12,9 @@ from hypothesis import example, given, strategies as st
 
 from graphopt import simplex
 from graphopt.errors import NumericalBreakdownError
+from graphopt.fixtures import generate_fixture
 from graphopt.simplex import solve_lp
-from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis
+from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis, flatten
 
 from conftest import (
     assert_strong_duality,
@@ -666,6 +669,18 @@ class TestKeptTableau:
             for old, now in zip(before, [kept.rows, kept.basis, kept.flipped]):
                 np.testing.assert_array_equal(old, now)
         assert checked >= 10
+
+    def test_a_dropped_result_frees_its_tableau_without_the_cycle_collector(self):
+        """The kept tableau and the closures that read it form no reference cycle."""
+        gc.disable()
+        try:
+            res = solve_lp(flatten(generate_fixture("storage")))
+            assert res.status == "optimal"
+            rows = weakref.ref(res.basis._tableau.rows)
+            del res
+            assert rows() is None
+        finally:
+            gc.enable()
 
     def boxed_lp(self):
         return make_problem([-1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]], ["le", "ge"],
