@@ -5,7 +5,20 @@ A :class:`Graph` holds nodes, edges, and nested subgraphs.  Each
 linear objective.  An :class:`Edge` couples two or more nodes through
 linking constraints and is owned by the graph whose node set spans it.
 Subgraphs nest to arbitrary depth; ``local_*`` accessors list one layer,
-``all_*`` accessors recurse depth-first.
+``all_*`` accessors walk the hierarchy depth-first (a flattened problem's
+column order is that walk's node order).
+
+Each graph keeps three indexes, so that a model-building call costs its own
+size and not a walk of the hierarchy: ``_node_index`` (node id -> node, for
+every node at any depth beneath the graph), ``_subgraph_index`` (graph id ->
+subgraph, likewise) and ``_edge_index`` (incident node set -> local edge).
+:meth:`Graph.attach_node` and :meth:`Graph.add_subgraph` enter what they add
+in the indexes of the graph and of each ancestor, and
+:meth:`Graph.add_link_constraint` enters a new edge.  Restructuring
+(``transform.py``) rewrites a layer only through
+:meth:`Graph._replace_local`, which takes out what leaves it.  Collision
+checks, ``find_node``, ``find_subgraph``, link ownership and
+``set_objective`` read the indexes.
 
 Everything is a minimization.  Senses are the strings ``"le"``, ``"eq"``,
 ``"ge"``; integrality is ``"continuous"``, ``"binary"``, or ``"integer"``.
@@ -16,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
+from typing import Iterable, Literal, Mapping, Optional, Union
 
 from .errors import (
     CycleInNestingError,
@@ -43,7 +56,10 @@ class VariableRef:
     """Handle to one variable.  Identity is the pair ``(node_id, name)``.
 
     Bounds and integrality ride along for convenience but do not take part
-    in equality or hashing, so a ref can be used as a dictionary key.
+    in equality or hashing, so a ref can be used as a dictionary key.  The
+    pair and its hash are computed once, on construction; string hashes
+    differ between processes, so pickling and copying rebuild the ref from
+    its fields rather than carry the hash along.
     """
 
     node_id: str
@@ -52,12 +68,23 @@ class VariableRef:
     upper: float = field(default=math.inf, compare=False)
     integrality: Integrality = field(default="continuous", compare=False)
 
+    def __post_init__(self) -> None:
+        key = (self.node_id, self.name)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (VariableRef, (self.node_id, self.name, self.lower, self.upper, self.integrality))
+
     @property
     def qualified_name(self) -> str:
         return f"{self.node_id}.{self.name}"
 
     def sort_key(self) -> tuple[str, str]:
-        return (self.node_id, self.name)
+        return self._key
 
     # Small amount of operator sugar so model-building code reads naturally.
     def __mul__(self, coef: float) -> "LinearExpression":
@@ -66,18 +93,18 @@ class VariableRef:
     __rmul__ = __mul__
 
     def __neg__(self) -> "LinearExpression":
-        return LinearExpression({self: -1.0})
+        return LinearExpression._make({self: -1.0}, 0.0)
 
     def __add__(self, other) -> "LinearExpression":
-        return LinearExpression({self: 1.0}) + other
+        return LinearExpression._make({self: 1.0}, 0.0)._combine(other, 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LinearExpression":
-        return LinearExpression({self: 1.0}) - other
+        return LinearExpression._make({self: 1.0}, 0.0)._combine(other, -1.0)
 
     def __rsub__(self, other) -> "LinearExpression":
-        return -(LinearExpression({self: 1.0}) - other)
+        return -(self - other)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VariableRef({self.qualified_name})"
@@ -102,8 +129,16 @@ class LinearExpression:
         self.terms = clean
         self.constant = float(constant)
 
+    @classmethod
+    def _make(cls, terms: dict[VariableRef, float], constant: float) -> "LinearExpression":
+        """An expression over ``terms`` as given: float coefficients, none of them zero."""
+        expr = object.__new__(cls)
+        expr.terms = terms
+        expr.constant = constant
+        return expr
+
     def sorted_terms(self) -> list[tuple[VariableRef, float]]:
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+        return sorted(self.terms.items(), key=lambda item: item[0]._key)
 
     def variables(self) -> set[VariableRef]:
         return set(self.terms)
@@ -133,24 +168,41 @@ class LinearExpression:
             return LinearExpression({}, float(value))
         raise TypeError(f"cannot build a linear expression from {value!r}")
 
-    def __add__(self, other) -> "LinearExpression":
-        other = self._coerce(other)
+    def _combine(self, other, sign: float) -> "LinearExpression":
+        """``self + sign * other`` in one dict, dropping a term the moment it cancels."""
+        if isinstance(other, VariableRef):
+            items, constant = ((other, 1.0),), 0.0
+        else:
+            other = self._coerce(other)
+            items, constant = other.terms.items(), other.constant
         merged = dict(self.terms)
-        for ref, coef in other.terms.items():
-            merged[ref] = merged.get(ref, 0.0) + coef
-        return LinearExpression(merged, self.constant + other.constant)
+        for ref, coef in items:
+            value = merged.get(ref, 0.0) + coef * sign
+            if value:
+                merged[ref] = value
+            else:
+                merged.pop(ref, None)
+        return LinearExpression._make(merged, self.constant + constant * sign)
+
+    def __add__(self, other) -> "LinearExpression":
+        return self._combine(other, 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LinearExpression":
-        return self + (self._coerce(other) * -1.0)
+        return self._combine(other, -1.0)
 
     def __rsub__(self, other) -> "LinearExpression":
         return self._coerce(other) - self
 
     def __mul__(self, coef: float) -> "LinearExpression":
         coef = float(coef)
-        return LinearExpression({ref: c * coef for ref, c in self.terms.items()}, self.constant * coef)
+        terms = {}
+        for ref, c in self.terms.items():
+            value = c * coef
+            if value:
+                terms[ref] = value
+        return LinearExpression._make(terms, self.constant * coef)
 
     __rmul__ = __mul__
 
@@ -303,6 +355,10 @@ class Graph:
         self._edge_counter = 0
         self.objective_mode: Literal["node_objectives", "explicit"] = "node_objectives"
         self._explicit_objective: Optional[LinearExpression] = None
+        # indexes; see the module docstring for the methods that keep them current
+        self._node_index: dict[str, Node] = {}
+        self._subgraph_index: dict[str, Graph] = {}
+        self._edge_index: dict[frozenset[str], Edge] = {}
 
     # -- enumeration -------------------------------------------------------
     def local_nodes(self) -> list[Node]:
@@ -314,31 +370,29 @@ class Graph:
     def local_subgraphs(self) -> list["Graph"]:
         return list(self._subgraphs)
 
+    def _graphs(self) -> list["Graph"]:
+        """This graph and every subgraph beneath it, depth-first (parents before children)."""
+        out: list[Graph] = []
+        stack = [self]
+        while stack:
+            g = stack.pop()
+            out.append(g)
+            stack.extend(reversed(g._subgraphs))
+        return out
+
     def all_nodes(self) -> list[Node]:
         """All nodes at any depth, depth-first, deduplicated by identity."""
         seen: dict[str, Node] = {}
-        for node in self._iter_nodes():
-            if node.id not in seen:
-                seen[node.id] = node
+        for g in self._graphs():
+            for node in g._nodes:
+                seen.setdefault(node.id, node)
         return list(seen.values())
 
-    def _iter_nodes(self) -> Iterator[Node]:
-        yield from self._nodes
-        for sub in self._subgraphs:
-            yield from sub._iter_nodes()
-
     def all_edges(self) -> list[Edge]:
-        out = list(self._edges)
-        for sub in self._subgraphs:
-            out.extend(sub.all_edges())
-        return out
+        return [edge for g in self._graphs() for edge in g._edges]
 
     def all_subgraphs(self) -> list["Graph"]:
-        out = []
-        for sub in self._subgraphs:
-            out.append(sub)
-            out.extend(sub.all_subgraphs())
-        return out
+        return self._graphs()[1:]
 
     def depth(self) -> int:
         if not self._subgraphs:
@@ -352,16 +406,16 @@ class Graph:
         return g
 
     def find_node(self, node_id: str) -> Node:
-        for node in self._iter_nodes():
-            if node.id == node_id:
-                return node
-        raise KeyError(f"no node {node_id!r} in graph {self.id!r}")
+        node = self._node_index.get(node_id)
+        if node is None:
+            raise KeyError(f"no node {node_id!r} in graph {self.id!r}")
+        return node
 
     def find_subgraph(self, graph_id: str) -> "Graph":
-        for sub in self.all_subgraphs():
-            if sub.id == graph_id:
-                return sub
-        raise KeyError(f"no subgraph {graph_id!r} in graph {self.id!r}")
+        sub = self._subgraph_index.get(graph_id)
+        if sub is None:
+            raise KeyError(f"no subgraph {graph_id!r} in graph {self.id!r}")
+        return sub
 
     # -- construction ------------------------------------------------------
     def add_node(self, node_id: Optional[str] = None) -> Node:
@@ -371,38 +425,58 @@ class Graph:
 
     def attach_node(self, node: Node) -> Node:
         root = self.root()
-        for existing in root._iter_nodes():
-            if existing.id == node.id:
-                if existing is node and root.allow_overlap:
-                    break  # shared node, explicitly permitted
-                raise IdCollisionError(f"node id {node.id!r} already exists in this hierarchy")
+        clash = root._node_index.get(node.id)
+        # a node may be shared between graphs with the overlap flag, but not listed twice in one
+        if clash is not None and (
+            clash is not node or not root.allow_overlap or any(n is node for n in self._nodes)
+        ):
+            raise IdCollisionError(f"node id {node.id!r} already exists in this hierarchy")
         self._nodes.append(node)
+        self._index_nodes((node,))
         return node
 
     def add_subgraph(self, child: "Graph") -> "Graph":
-        if child is self or self in ([child] + child.all_subgraphs()):
-            raise CycleInNestingError("a graph cannot contain itself or an ancestor")
+        g: Optional[Graph] = self
+        while g is not None:
+            if g is child:
+                raise CycleInNestingError("a graph cannot contain itself or an ancestor")
+            g = g._parent
         if child._parent is not None:
             raise IdCollisionError(f"graph {child.id!r} is already nested elsewhere")
         root = self.root()
-        taken_graph_ids = {root.id} | {g.id for g in root.all_subgraphs()}
-        for g in [child] + child.all_subgraphs():
-            if g.id in taken_graph_ids:
-                raise IdCollisionError(f"subgraph id {g.id!r} already exists in this hierarchy")
-        existing_nodes = {node.id: node for node in root._iter_nodes()}
-        for node in child._iter_nodes():
-            clash = existing_nodes.get(node.id)
-            if clash is not None and not (clash is node and (root.allow_overlap or self.allow_overlap)):
-                raise IdCollisionError(f"node id {node.id!r} already exists in this hierarchy")
+
+        def graph_clash(g: Graph) -> bool:
+            return g.id == root.id or g.id in root._subgraph_index
+
+        overlap = root.allow_overlap or self.allow_overlap
+
+        def node_clash(node: Node) -> bool:
+            clash = root._node_index.get(node.id)
+            return clash is not None and not (clash is node and overlap)
+
+        # the indexes tell whether anything clashes; the walk names the first clash, depth-first
+        if graph_clash(child) or any(graph_clash(g) for g in child._subgraph_index.values()):
+            first = next(g for g in child._graphs() if graph_clash(g))
+            raise IdCollisionError(f"subgraph id {first.id!r} already exists in this hierarchy")
+        shared = child._node_index.keys() & root._node_index.keys()
+        if any(node_clash(child._node_index[node_id]) for node_id in shared):
+            first_node = next(n for g in child._graphs() for n in g._nodes if node_clash(n))
+            raise IdCollisionError(f"node id {first_node.id!r} already exists in this hierarchy")
         self._subgraphs.append(child)
         child._parent = self
+        g = self
+        while g is not None:
+            g._node_index.update(child._node_index)
+            g._subgraph_index[child.id] = child
+            g._subgraph_index.update(child._subgraph_index)
+            g = g._parent
         return child
 
     def add_link_constraint(self, expr: ExprLike, sense: Sense, rhs: float) -> Edge:
         expr = _check_expr(expr)
         sense = _check_sense(sense)
         rhs = _check_rhs(rhs)
-        owned = {node.id: node for node in self.all_nodes()}
+        owned = self._node_index
         incident: set[str] = set()
         for ref in expr.terms:
             node = owned.get(ref.node_id)
@@ -417,15 +491,57 @@ class Graph:
         if len(incident) < 2:
             raise SingleNodeError("a link constraint must couple at least two nodes")
         key = frozenset(incident)
-        for edge in self._edges:
-            if edge.incident_nodes == key:
-                edge.add(expr, sense, rhs)
-                return edge
-        edge = Edge(f"{self.id}.e{self._edge_counter}", key)
-        self._edge_counter += 1
+        edge = self._edge_index.get(key)
+        if edge is None:
+            edge = Edge(f"{self.id}.e{self._edge_counter}", key)
+            self._edge_counter += 1
+            self._edges.append(edge)
+            self._edge_index[key] = edge
         edge.add(expr, sense, rhs)
-        self._edges.append(edge)
         return edge
+
+    # -- index upkeep ------------------------------------------------------
+    def _index_nodes(self, nodes: Iterable[Node]) -> None:
+        """Enter ``nodes`` in the node index of this graph and of each ancestor."""
+        entries = {node.id: node for node in nodes}
+        g: Optional[Graph] = self
+        while g is not None:
+            g._node_index.update(entries)
+            g = g._parent
+
+    def _holds(self, node: Node) -> bool:
+        """Whether ``node`` is local here or indexed by one of the local subgraphs."""
+        return any(n is node for n in self._nodes) or any(
+            sub._node_index.get(node.id) is node for sub in self._subgraphs
+        )
+
+    def _replace_local(
+        self, nodes: Optional[Iterable[Node]] = None, edges: Optional[Iterable[Edge]] = None
+    ) -> None:
+        """Replace the local nodes and/or the local edges, keeping every index current.
+
+        Restructuring (``transform.py``) rewrites a layer only through this
+        method.  A node that leaves the layer also leaves the node index of
+        this graph and of each ancestor that holds it nowhere else.  Makes no
+        collision check: the caller re-nests what it moves.
+        """
+        if edges is not None:
+            self._edges = list(edges)
+            self._edge_index = {}
+            for edge in self._edges:
+                self._edge_index.setdefault(edge.incident_nodes, edge)
+        if nodes is not None:
+            old, self._nodes = self._nodes, list(nodes)
+            staying = {id(node) for node in self._nodes}
+            gone = [node for node in old if id(node) not in staying]
+            g: Optional[Graph] = self
+            while g is not None and gone:
+                if g._nodes or g._subgraphs:
+                    gone = [node for node in gone if not g._holds(node)]
+                for node in gone:
+                    del g._node_index[node.id]
+                g = g._parent
+            self._index_nodes(self._nodes)
 
     # -- objectives --------------------------------------------------------
     def set_to_node_objectives(self) -> None:
@@ -434,7 +550,7 @@ class Graph:
 
     def set_objective(self, expr: ExprLike) -> None:
         expr = LinearExpression._coerce(expr)
-        owned = {node.id: node for node in self.all_nodes()}
+        owned = self._node_index
         for ref in expr.terms:
             node = owned.get(ref.node_id)
             if node is None or node._by_name.get(ref.name) != ref:
@@ -458,7 +574,7 @@ class Graph:
                     terms[ref] = value
                 else:
                     terms.pop(ref, None)
-        return LinearExpression(terms, constant)
+        return LinearExpression._make(terms, constant)
 
     # -- queries used throughout the library -------------------------------
     def all_variables(self) -> list[VariableRef]:

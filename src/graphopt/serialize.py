@@ -126,8 +126,14 @@ def save_instance(graph: Graph, path: str) -> None:
         fh.write("\n")
 
 
-def _build_node(graph: Graph, payload: dict[str, Any]) -> None:
+def _build_node(graph: Graph, payload: dict[str, Any], built: dict[str, Node]) -> None:
+    shared = built.get(payload["id"])
+    if shared is not None:
+        # a node listed under several graphs (``allow_overlap``) is one node, built once
+        graph.attach_node(shared)
+        return
     node = graph.add_node(payload["id"])
+    built[node.id] = node
     objective_terms: dict[VariableRef, float] = {}
     for var in payload.get("variables", ()):
         integrality = var.get("integrality", "continuous")
@@ -150,12 +156,12 @@ def _build_node(graph: Graph, payload: dict[str, Any]) -> None:
     )
 
 
-def _build_graph(payload: dict[str, Any], allow_overlap: bool) -> Graph:
+def _build_graph(payload: dict[str, Any], allow_overlap: bool, built: dict[str, Node]) -> Graph:
     graph = Graph(payload["id"], allow_overlap=allow_overlap)
     for node_payload in payload.get("nodes", ()):
-        _build_node(graph, node_payload)
+        _build_node(graph, node_payload, built)
     for sub_payload in payload.get("subgraphs", ()):
-        graph.add_subgraph(_build_graph(sub_payload, allow_overlap))
+        graph.add_subgraph(_build_graph(sub_payload, allow_overlap, built))
     return graph
 
 
@@ -185,7 +191,7 @@ def instance_from_dict(data: dict[str, Any]) -> Graph:
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})")
     try:
-        graph = _build_graph(data["graph"], bool(data.get("allow_overlap", False)))
+        graph = _build_graph(data["graph"], bool(data.get("allow_overlap", False)), {})
         owners = {graph.id: graph}
         for sub in graph.all_subgraphs():
             owners[sub.id] = sub

@@ -150,16 +150,19 @@ def validate_partition(graph: Graph, membership: MembershipLike) -> Partition:
 def _split_into_blocks(graph: Graph, partition: Partition) -> tuple[list[Graph], list[Edge]]:
     """One child graph per block, holding its nodes and the edges within it; and the edges left over."""
     nodes_by_id = {node.id: node for node in graph.local_nodes()}
-    children = []
-    for block in partition.blocks:
-        child = Graph(block.id)
-        child._nodes.extend(nodes_by_id[nid] for nid in block.node_ids)
-        children.append(child)
+    block_of = {nid: i for i, block in enumerate(partition.blocks) for nid in block.node_ids}
     members = [set(block.node_ids) for block in partition.blocks]
+    inside: list[list[Edge]] = [[] for _ in partition.blocks]
     left: list[Edge] = []
     for edge in graph.local_edges():
-        home = next((child for child, ids in zip(children, members) if edge.incident_nodes <= ids), None)
-        (left if home is None else home._edges).append(edge)
+        # the only block that can hold the edge is the block of any one of its nodes
+        home = block_of[next(iter(edge.incident_nodes))]
+        (inside[home] if edge.incident_nodes <= members[home] else left).append(edge)
+    children = []
+    for block, edges in zip(partition.blocks, inside):
+        child = Graph(block.id)
+        child._replace_local(nodes=[nodes_by_id[nid] for nid in block.node_ids], edges=edges)
+        children.append(child)
     return children, left
 
 
@@ -182,10 +185,10 @@ def apply_partition(graph: Graph, partition: MembershipLike, mode: str = "in_pla
         target = Graph(graph.id, allow_overlap=graph.allow_overlap)
         target.objective_mode = graph.objective_mode
         target._explicit_objective = graph._explicit_objective
+        target._replace_local(edges=left)
     else:
         target = graph
-        graph._nodes.clear()
-    target._edges = left
+        graph._replace_local(nodes=[], edges=left)
     for child in children:
         target.add_subgraph(child)
 
@@ -311,7 +314,7 @@ def first_level_topology(graph: Graph) -> CondensedTopology:
         raise LocalNodesAtRootError(
             f"nodes {names} sit directly on {graph.id!r}; move them into a subgraph"
         )
-    ids = [n.id for n in graph._iter_nodes()]
+    ids = [n.id for g in [graph] + graph.all_subgraphs() for n in g.local_nodes()]
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise OverlapUnsupportedError(f"shared nodes {dupes} are not supported; lift them first")
@@ -375,7 +378,7 @@ def reroute_link(graph: Graph, edge: Edge, via: Graph) -> Graph:
             k += 1
         copies[ref] = host.add_variable(name, ref.lower, ref.upper, ref.integrality)
 
-    graph._edges.remove(edge)
+    graph._replace_local(edges=[e for e in graph.local_edges() if e is not edge])
     for ref, copy in copies.items():
         graph.add_link_constraint(copy - ref, "eq", 0.0)
     for con in edge.constraints:

@@ -39,6 +39,25 @@ class TestInstanceRoundTrip:
         save_instance(reloaded, str(again))
         assert path.read_text() == again.read_text()
 
+    def test_a_shared_node_survives_save_and_load(self, tmp_path):
+        g = Graph("g", allow_overlap=True)
+        holder, twin = Graph("a"), Graph("b")
+        shared = holder.add_node("s")
+        x = shared.add_variable("x", lower=0, upper=1)
+        g.add_subgraph(holder)
+        twin.attach_node(shared)
+        y = twin.add_node("b0").add_variable("y", lower=0, upper=1)
+        g.add_subgraph(twin)
+        g.add_link_constraint(x + y, "le", 1.0)
+        path, again = tmp_path / "shared.json", tmp_path / "again.json"
+        save_instance(g, str(path))
+        loaded = load_instance(str(path))
+        a, b = loaded.find_subgraph("a"), loaded.find_subgraph("b")
+        assert a.local_nodes()[0] is b.local_nodes()[0]
+        assert [n.id for n in loaded.all_nodes()] == ["s", "b0"]
+        save_instance(loaded, str(again))
+        assert path.read_text() == again.read_text()
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_round_trip_preserves_the_problem(self, name):
         graph = generate_fixture(name)

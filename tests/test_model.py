@@ -1,11 +1,18 @@
 """Graph/node/edge modelling layer and flattening."""
 
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import graphopt
 from graphopt import (
     CycleInNestingError,
     DuplicateNameError,
@@ -17,6 +24,7 @@ from graphopt import (
     LinearExpression,
     NotOwnedError,
     SingleNodeError,
+    VariableRef,
     check_solution,
     flatten,
     linear,
@@ -220,6 +228,14 @@ class TestModelErrors:
         tolerant.add_subgraph(sub)  # same Node object in two places, opted in
         assert len(tolerant.all_nodes()) == 1  # deduplicated by identity
 
+    def test_a_node_cannot_be_attached_twice_to_one_graph(self):
+        g = Graph("g", allow_overlap=True)
+        a = g.add_node("a")
+        g.add_node("b")
+        with pytest.raises(IdCollisionError):
+            g.attach_node(a)
+        assert [n.id for n in g.local_nodes()] == ["a", "b"]
+
 
 class TestFlatten:
     def test_storage_instance_dimensions(self, storage_graph):
@@ -324,6 +340,45 @@ class TestExpressions:
         expr = z + a
         assert [r.name for r, _ in expr.sorted_terms()] == ["a", "z"]
 
+    weights = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 1e-300, -1e-300])
+    forms = st.lists(st.tuples(st.integers(0, 4), weights), max_size=6)
+
+    @given(forms, forms, weights, weights)
+    def test_operators_match_folding_into_a_dict_and_dropping_zeros(self, left, right, c1, c2):
+        """``+``, ``-``, ``*`` and unary ``-`` give the terms, order and bits of the plain fold."""
+        node = Graph("g").add_node("n")
+        refs = [node.add_variable(f"x{i}") for i in range(5)]
+
+        def fold(*parts):
+            # each part is (terms, constant, scale): scale the part, keep its nonzero
+            # terms, and add them up in order, dropping zeros only at the end
+            merged, constant = {}, None
+            for terms, const, scale in parts:
+                for ref, coef in terms:
+                    value = coef * scale
+                    if value != 0.0:
+                        merged[ref] = merged[ref] + value if ref in merged else value
+                constant = const * scale if constant is None else constant + const * scale
+            return [(r, c) for r, c in merged.items() if c != 0.0], constant
+
+        def bits(expr):
+            return [(r, c.hex()) for r, c in expr.terms.items()], expr.constant.hex()
+
+        a, b = linear([(refs[i], w) for i, w in left], c1), linear([(refs[i], w) for i, w in right], c2)
+        terms_a, terms_b = list(a.terms.items()), list(b.terms.items())
+        for got, want in [
+            (a + b, fold((terms_a, c1, 1.0), (terms_b, c2, 1.0))),
+            (a - b, fold((terms_a, c1, 1.0), (terms_b, c2, -1.0))),
+            (a - b, fold((terms_a, c1, 1.0), (list((-1.0 * b).terms.items()), -c2, 1.0))),
+            (a * c2, fold((terms_a, c1, c2))),
+            (-a, fold((terms_a, c1, -1.0))),
+            (a - c2, fold((terms_a, c1, 1.0), ([], -c2, 1.0))),
+            (a - refs[0], fold((terms_a, c1, 1.0), ([(refs[0], 1.0)], 0.0, -1.0))),
+            (refs[0] - a, fold(([(refs[0], 1.0)], 0.0, 1.0), (terms_a, c1, -1.0))),
+            (c2 - refs[0], fold(([(refs[0], 1.0)], -c2, -1.0))),
+        ]:
+            assert bits(got) == ([(r, c.hex()) for r, c in want[0]], want[1].hex())
+
     def test_substitute_rewrites_references(self):
         g, a, b, x, y = two_node_graph()
         expr = 2 * x + 3 * y
@@ -353,3 +408,83 @@ class TestFlattenFidelity:
             assert renested.status == base.status
             if base.status == "optimal":
                 assert renested.objective == pytest.approx(base.objective, abs=1e-8)
+
+
+class TestBuildCost:
+    WALKERS = ("all_nodes", "find_node", "all_subgraphs", "_graphs")
+
+    @staticmethod
+    def build_chain(n):
+        """``n`` linked nodes in five blocks, with a graph objective, partitioned in place."""
+        g = Graph("chain")
+        refs = []
+        for i in range(n):
+            node = g.add_node(f"n{i}")
+            x = node.add_variable("x", lower=0.0, upper=10.0)
+            node.add_constraint(2.0 * x, "le", 15.0)
+            node.set_objective(-1.0 * x)
+            refs.append(x)
+        for left, right in zip(refs, refs[1:]):
+            g.add_link_constraint(right - left, "le", 1.0)
+        g.set_objective(linear((x, -1.0) for x in refs))
+        apply_partition(g, {f"n{i}": f"b{5 * i // n}" for i in range(n)})
+        return g
+
+    def test_building_does_not_walk_the_graph_per_call(self, monkeypatch):
+        counts = dict.fromkeys(self.WALKERS, 0)
+
+        def spy(name):
+            original = getattr(Graph, name)
+
+            def counted(self, *args, **kwargs):
+                counts[name] += 1
+                return original(self, *args, **kwargs)
+
+            return counted
+
+        for name in self.WALKERS:
+            monkeypatch.setattr(Graph, name, spy(name))
+        seen = []
+        for n in (50, 400):
+            counts.update(dict.fromkeys(self.WALKERS, 0))
+            g = self.build_chain(n)
+            seen.append(dict(counts))
+            assert len(g.local_subgraphs()) == 5 and len(g.local_edges()) == 4
+        assert seen[0] == seen[1]
+
+
+class TestRefHashing:
+    def test_a_pickled_ref_is_found_under_another_hash_seed(self):
+        script = (
+            "import pickle, sys\n"
+            "from graphopt import Graph\n"
+            "node = Graph('g').add_node('n')\n"
+            "x, y = node.add_variable('x', lower=0.0), node.add_variable('y')\n"
+            "sys.stdout.buffer.write(pickle.dumps((x, {x: 1.0, y: 2.0}, 3 * x - y + 1)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(graphopt.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60
+        ).stdout
+        ref, by_ref, expr = pickle.loads(out)
+        node = Graph("g").add_node("n")
+        x, y = node.add_variable("x"), node.add_variable("y")
+        assert hash(ref) == hash(("n", "x")) and ref == x and ref.lower == 0.0
+        assert by_ref[x] == 1.0 and by_ref[y] == 2.0
+        assert expr.terms[x] == 3.0 and expr.terms[y] == -1.0 and expr.constant == 1.0
+        assert {x: "found"}[ref] == "found"
+
+    def test_copies_keep_the_hash_of_their_pair(self):
+        x = Graph("g").add_node("n").add_variable("x", lower=0.0, upper=2.0)
+        for twin in (copy.copy(x), copy.deepcopy(x), dataclasses.replace(x, upper=5.0)):
+            assert hash(twin) == hash(("n", "x")) == hash(x)
+            assert twin == x and {x: 1}[twin] == 1
+            assert dataclasses.fields(twin) == dataclasses.fields(x)
+        assert [f.name for f in dataclasses.fields(x)] == ["node_id", "name", "lower", "upper", "integrality"]
+
+    def test_refs_that_differ_only_in_bounds_are_equal(self):
+        a = VariableRef("n", "x", 0.0, 1.0, "binary")
+        b = VariableRef("n", "x")
+        assert a == b and hash(a) == hash(b) and a.sort_key() == b.sort_key()
+        assert a != VariableRef("n", "y") and a != VariableRef("m", "x")

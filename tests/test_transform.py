@@ -17,7 +17,9 @@ from graphopt import (
     flatten,
 )
 from graphopt.benders import validate_structure
+from graphopt.fixtures import storage_fixture, storage_membership
 from graphopt.sequential import relaxed_parallel_bound, sequential_solve
+from graphopt.serialize import load_instance, save_instance
 from graphopt.solvers import solve
 from graphopt.transform import (
     Partition,
@@ -396,3 +398,93 @@ class TestRerouteLink:
         chord = next(e for e in g.local_edges() if e.incident_nodes == frozenset(("a0", "c0")))
         with pytest.raises(SubgraphNotAdjacentError):
             reroute_link(g, chord, outsider)
+
+
+def assert_indexes_current(graph):
+    """Each graph's node, subgraph and edge indexes agree with a fresh walk of it."""
+    for g in [graph] + graph.all_subgraphs():
+        walked = {n.id: n for n in g.all_nodes()}
+        assert g._node_index.keys() == walked.keys()
+        assert all(g._node_index[nid] is node for nid, node in walked.items())
+        subs = {s.id: s for s in g.all_subgraphs()}
+        assert g._subgraph_index.keys() == subs.keys()
+        assert all(g._subgraph_index[sid] is sub for sid, sub in subs.items())
+        assert len(g._edge_index) == len(g.local_edges())
+        assert all(g._edge_index[e.incident_nodes] is e for e in g.local_edges())
+
+
+class TestIndexes:
+    def test_in_place_partition(self):
+        g, refs = four_cycle()
+        g.add_link_constraint(refs[0] + refs[1] + refs[2], "le", 9.0)
+        moved = next(e for e in g.local_edges() if e.incident_nodes == frozenset(("n0", "n1")))
+        apply_partition(g, {"n0": 1, "n1": 1, "n2": 2, "n3": 2})
+        assert_indexes_current(g)
+        assert moved in g.find_subgraph("block1").local_edges()
+        # a link over an edge that moved into a child makes a new parent-level edge
+        edge = g.add_link_constraint(refs[0] - refs[1], "le", 1.0)
+        assert edge is not moved and edge.id == "cyc.e5" and len(moved.constraints) == 1
+        assert edge in g.local_edges() and len(g.local_edges()) == 4
+        assert_indexes_current(g)
+
+    def test_assemble_new(self):
+        g, _ = four_cycle()
+        nested = apply_partition(g, [["n0", "n1"], ["n2", "n3"]], mode="assemble_new")
+        assert_indexes_current(g)
+        assert_indexes_current(nested)
+
+    @pytest.mark.parametrize("mode", ["in_place", "assemble_new"])
+    def test_sub_partitions(self, mode):
+        g, _ = four_cycle()
+        part = Partition(
+            blocks=[PartitionBlock("left", ("n0", "n1")), PartitionBlock("right", ("n2", "n3"))],
+            sub_partitions={
+                "left": Partition([PartitionBlock("l0", ("n0",)), PartitionBlock("l1", ("n1",))])
+            },
+        )
+        nested = apply_partition(g, part, mode=mode)
+        assert nested.find_node("n0") is g.find_node("n0")
+        assert_indexes_current(nested)
+        assert_indexes_current(g)
+
+    def test_partitioning_a_graph_that_shares_a_node_with_its_sibling(self):
+        g = shared_node_graph()
+        holder = g.find_subgraph("a")
+        holder.add_node("a1").add_variable("x", lower=0, upper=1)
+        apply_partition(holder, [["s"], ["a1"]])
+        assert_indexes_current(g)
+        assert g.find_node("s") is g.find_subgraph("b").find_node("s")
+
+    def test_a_node_that_leaves_one_graph_stays_indexed_where_it_is_still_held(self):
+        g = shared_node_graph()
+        holder = g.find_subgraph("a")
+        holder._replace_local(nodes=[])
+        assert_indexes_current(g)
+        assert "s" not in holder._node_index and g.find_node("s") is g.find_subgraph("b").find_node("s")
+
+    def test_reroute_link(self):
+        g, _ = triangle()
+        chord = next(e for e in g.local_edges() if e.incident_nodes == frozenset(("a0", "c0")))
+        reroute_link(g, chord, g.find_subgraph("b"))
+        assert chord not in g.local_edges()
+        assert_indexes_current(g)
+
+    def test_aggregation(self, chain3_graph):
+        agg, _ = aggregate(chain3_graph)
+        assert_indexes_current(agg)
+        shallow, _ = aggregate_to_depth(chain3_graph, 0)
+        assert_indexes_current(shallow)
+
+    def test_loading(self, tmp_path):
+        nested, _ = four_cycle()
+        apply_partition(nested, Partition(
+            blocks=[PartitionBlock("left", ("n0", "n1")), PartitionBlock("right", ("n2", "n3"))],
+            sub_partitions={
+                "left": Partition([PartitionBlock("l0", ("n0",)), PartitionBlock("l1", ("n1",))])
+            },
+        ))
+        storage = apply_partition(storage_fixture(), storage_membership())
+        for graph in (storage, shared_node_graph(), nested):
+            path = tmp_path / f"{graph.id}.json"
+            save_instance(graph, str(path))
+            assert_indexes_current(load_instance(str(path)))
