@@ -3,27 +3,30 @@
 Nodes are LP relaxations with tightened bounds, explored in order of their
 relaxation value.  Ties go to the newest node, so among equal bounds the
 search plunges depth-first; each parent pushes its down child and then its
-up child, so the plunge follows the up child.  When the relaxation is
-already as tight as the integer optimum, every node ties and one dive of a
-node per fractional column reaches an integer point that closes the
-search, where taking the oldest first would also solve the down children
-on the way.  The order is fixed, so runs are repeatable.
-Branching picks the integer column whose value sits farthest from an
-integer; ties go to the lowest column index.  Each child starts its LP
-from its parent's final basis, which stays dual feasible when one bound
-tightens, so a few dual simplex pivots re-solve it.  Every node's LP,
-the root's included, keeps its final tableau, and its children copy that
+up child, so the plunge follows the up child.  The order is fixed, so runs
+are repeatable.  Branching picks the integer column whose value sits
+farthest from an integer; ties go to the lowest column index.  Each child
+starts its LP from its parent's final basis, which stays dual feasible when
+one bound tightens, so a few dual simplex pivots re-solve it.  Every node's
+LP, the root's included, keeps its final tableau, and its children copy that
 tableau instead of rebuilding it.  The root starts from ``problem.basis``
 when one is given, such as the root basis of the previous solve, which the
 result returns.
 
-A MIP start.  ``problem.start``, such as the previous solve's optimum when
-only the objective has moved since, becomes the first incumbent if it is
-integral and meets every bound and row to the simplex's primal tolerance;
-otherwise it is ignored.  Its objective value then prunes from the first
-node on, where the search would otherwise have to find an integer point
-first.  Every node the search explores with it, it explores without it.
-With the default zero gap the returned incumbent is exactly optimal.
+Rounding.  Before it branches, a node rounds its LP point at no LP solve
+(simple rounding: Achterberg 2007, Berthold 2006).  An equality row locks
+each integer column it holds both ways, and a ``le`` row (a ``ge`` row
+negated) locks a positive entry up and a negative one down: moving the
+column that way can break the row.  Each fractional column moves to the
+next integer in a way that no row locks and the node's bounds allow, the
+cheaper way where both do, or the node makes no attempt.  The point becomes
+the incumbent if its price, the bound plus the change in objective, beats
+the incumbent by more than 1e-9, and it is integral and meets every bound
+and row to the simplex's primal tolerance.  Where every node ties with the
+root, as when a zero-cost column sits fractional for free, rounding closes
+the search at the root instead of a dive of a node per fractional column.
+Pruning uses proven bounds only: with the default zero gap the result is
+exactly optimal.
 """
 
 from __future__ import annotations
@@ -42,33 +45,39 @@ from .standard_form import Basis, StandardFormProblem, lp_relaxation
 INT_TOL = 1e-6
 
 
-def _fractional_column(x: np.ndarray, int_cols: np.ndarray) -> int | None:
-    frac = np.abs(x[int_cols] - np.round(x[int_cols]))
-    k = int(frac.argmax())  # the first of equals: the lowest column index
-    return int(int_cols[k]) if frac[k] > INT_TOL else None
+def _unlocked(relaxed: StandardFormProblem, int_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per integer column: may it rise, and may it fall, with no row locking it that way?"""
+    eq, sign = relaxed.row_signs()
+    a = relaxed.dense_rows()[:, int_cols] * sign[:, None]
+    both = eq @ (a != 0)
+    return ~(both | (a > 0).any(axis=0)), ~(both | (a < 0).any(axis=0))
 
 
-def _start_incumbent(relaxed: StandardFormProblem, int_cols: np.ndarray) -> Optional[SolveResult]:
-    """``relaxed.start``, its integer columns rounded, if it is a feasible integer point; else ``None``.
+def _rounded(x: np.ndarray, dist: np.ndarray, lo: np.ndarray, hi: np.ndarray, int_cols: np.ndarray,
+             unlocked: tuple[np.ndarray, np.ndarray], cost: np.ndarray) -> Optional[np.ndarray]:
+    """The integer columns' values ``x``, ``dist`` from an integer, rounded; ``None`` if one cannot move."""
+    r = np.rint(x)
+    for k in (dist > INT_TOL).nonzero()[0].tolist():
+        j = int_cols[k]
+        down = math.floor(x[k])
+        can_down = unlocked[1][k] and down >= lo[j]
+        can_up = unlocked[0][k] and down + 1 <= hi[j]
+        if not (can_down or can_up):
+            return None
+        r[k] = down + 1 if can_up and (cost[k] < 0 or not can_down) else down
+    return r
 
-    Integrality, bounds and rows must hold to ``_PRIMAL_TOL``.
-    """
-    x = relaxed.start
-    if x is None or np.shape(x) != (relaxed.n_cols,):
-        return None
-    x = np.array(x, dtype=float)
-    rounded = np.round(x[int_cols])
-    if (np.abs(x[int_cols] - rounded) > _PRIMAL_TOL).any():
-        return None
-    x[int_cols] = rounded
-    if (x < relaxed.lower - _PRIMAL_TOL).any() or (x > relaxed.upper + _PRIMAL_TOL).any():
-        return None
+
+def _feasible(relaxed: StandardFormProblem, int_cols: np.ndarray, x: np.ndarray) -> bool:
+    """Is ``x`` integral on ``int_cols`` and within every bound and row, to ``_PRIMAL_TOL``?"""
+    xi = x[int_cols]
     eq, sign = relaxed.row_signs()
     excess = sign * (relaxed.dense_rows() @ x - relaxed.rhs)
-    if (np.where(eq, np.abs(excess), excess) > _PRIMAL_TOL).any():
-        return None
-    objective = float(relaxed.objective @ x) + relaxed.objective_constant
-    return SolveResult(status="optimal", objective=objective, primal=x)
+    # counting costs less than any() on short arrays
+    return not (np.count_nonzero(np.abs(xi - np.rint(xi)) > _PRIMAL_TOL)
+                or np.count_nonzero(x < relaxed.lower - _PRIMAL_TOL)
+                or np.count_nonzero(x > relaxed.upper + _PRIMAL_TOL)
+                or np.count_nonzero(np.where(eq, np.abs(excess), excess) > _PRIMAL_TOL))
 
 
 def solve_milp(
@@ -86,10 +95,7 @@ def solve_milp(
     status is then ``iteration_limit``, with the nodes and pivots so far.
     Pure-LP input is passed straight to the LP solver.  An optimal result's
     ``relaxation`` is its root relaxation's result, and its ``basis`` that
-    relaxation's final basis.  A feasible
-    ``problem.start`` is the first incumbent, and is returned when no node
-    improves on it; the root counts as a node even when the start's value
-    closes the search there.
+    relaxation's final basis.
     """
     int_cols = np.array(problem.integer_columns(), dtype=np.intp)
     relaxed = lp_relaxation(problem)
@@ -110,7 +116,9 @@ def solve_milp(
         (root.objective, -next(counter), relaxed.lower, relaxed.upper, None, root)
     ]
 
-    incumbent = _start_incumbent(relaxed, int_cols)
+    incumbent: Optional[SolveResult] = None
+    unlocked = None  # found at the first rounding
+    cost = relaxed.objective[int_cols]
     nodes = 1  # the root
     lp_iterations = root.iterations
 
@@ -134,15 +142,28 @@ def solve_milp(
             continue  # infeasible branch (unbounded cannot appear below a bounded root)
         if incumbent is not None and incumbent.objective - res.objective <= 1e-9:
             continue
-        branch_col = _fractional_column(res.primal, int_cols)
-        if branch_col is None:
-            x = res.primal.copy()
-            x[int_cols] = np.clip(np.round(x[int_cols]), lo[int_cols], hi[int_cols])
-            objective = float(problem.objective @ x) + problem.objective_constant
+        x = res.primal[int_cols]
+        dist = np.abs(x - np.rint(x))
+        k = int(dist.argmax())  # the first of equals: the lowest column index
+        if dist[k] <= INT_TOL:
+            point = res.primal.copy()
+            point[int_cols] = np.clip(np.rint(x), lo[int_cols], hi[int_cols])
+            objective = float(problem.objective @ point) + problem.objective_constant
             incumbent = SolveResult(
-                status="optimal", objective=objective, primal=x, iterations=res.iterations
+                status="optimal", objective=objective, primal=point, iterations=res.iterations
             )
             continue
+        if unlocked is None:
+            unlocked = _unlocked(relaxed, int_cols)
+        r = _rounded(x, dist, lo, hi, int_cols, unlocked, cost)
+        if r is not None and (incumbent is None
+                              or res.objective + cost @ (r - x) < incumbent.objective - 1e-9):
+            point = res.primal.copy()
+            point[int_cols] = r
+            if _feasible(relaxed, int_cols, point):
+                objective = float(problem.objective @ point) + problem.objective_constant
+                incumbent = SolveResult(status="optimal", objective=objective, primal=point)
+        branch_col = int(int_cols[k])
         value = res.primal[branch_col]
         down_hi = hi.copy()
         down_hi[branch_col] = math.floor(value)

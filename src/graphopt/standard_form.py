@@ -83,13 +83,9 @@ class Basis:
 
 @dataclass
 class StandardFormProblem:
-    """One problem in standard form (see the module docstring), with two optional hints.
+    """One problem in standard form (see the module docstring), with an optional hint.
 
-    ``basis`` is a starting basis for the simplex to try first.  ``start``
-    is a point over the columns that branch-and-bound takes as its first
-    incumbent when it is integral and meets every bound and row to the
-    simplex's primal tolerance, and ignores otherwise (see
-    :func:`graphopt.branch_bound.solve_milp`); the simplex ignores it.
+    ``basis`` is a starting basis for the simplex to try first.
     """
 
     columns: list[VariableRef]
@@ -104,7 +100,6 @@ class StandardFormProblem:
     integrality: list[str]
     row_provenance: dict[int, str] = field(default_factory=dict)
     basis: Optional[Basis] = None
-    start: Optional[np.ndarray] = None
     # (triplets, their count, read-only matrix, senses, their count, row signs)
     # once keep_dense_rows() has run
     _dense: Optional[tuple] = field(default=None, repr=False, compare=False)

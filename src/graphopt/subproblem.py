@@ -151,11 +151,9 @@ class StageProblem:
 
         self.cuts: list[CutData] = []
         # the last optimal solve's basis (a MILP's root basis), and the last
-        # Lagrangian solve's: the next solve of each starts there.  The last
-        # optimal Lagrangian point is the next Lagrangian MILP's start.
+        # Lagrangian solve's: the next solve of each starts there.
         self._basis: Optional[Basis] = None
         self._lagrangian_basis: Optional[Basis] = None
-        self._lagrangian_point: Optional[np.ndarray] = None
 
     def fixed_values(self) -> np.ndarray:
         return self._problem.lower[self._copies]
@@ -245,24 +243,19 @@ class StageProblem:
 
     def solve_lagrangian(self, mu: np.ndarray, anchor: np.ndarray,
                          solver: Optional[LinearSolver] = None) -> SolveResult:
-        """Solve :meth:`lagrangian_problem`, starting from the last such solve's root basis and point.
+        """Solve :meth:`lagrangian_problem`, starting from the last such solve's root basis.
 
         Its optimum is the Lagrangian value L(mu) at the anchor: one step of
         a Lagrangian ascent, and the whole of a strengthened cut.
         Successive multipliers change only the objective, so the MILP root
         re-prices the kept tableau of the last root and the simplex
-        finishes from it, and the last optimal point is still feasible: it is the
-        search's first incumbent (``problem.start``).  After :meth:`add_cut`
-        the MILP checks that the point meets the new row, and ignores it if
-        it does not.
+        finishes from it.
         """
         problem = self.lagrangian_problem(mu, anchor)
         problem.basis = _extended(self._lagrangian_basis, problem.n_rows)
-        problem.start = self._lagrangian_point
         result = solve(problem, solver)
         if result.basis is not None:  # only optimal solves return one
             self._lagrangian_basis = result.basis
-            self._lagrangian_point = result.primal
         return result
 
     def fixing_duals(self, result: SolveResult) -> np.ndarray:

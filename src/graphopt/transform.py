@@ -13,6 +13,7 @@ from .errors import (
     EmptyBlockError,
     EmptyModelError,
     GraphOptError,
+    IdCollisionError,
     LevelOutOfRangeError,
     LocalNodesAtRootError,
     NoSubgraphsError,
@@ -179,6 +180,13 @@ def apply_partition(graph: Graph, partition: MembershipLike, mode: str = "in_pla
             f"graph {graph.id!r} already has subgraphs; partitions apply to the local layer"
         )
     partition = validate_partition(graph, partition)
+    if mode == "in_place":  # check before any write, so that a clash leaves the graph whole
+        root = graph.root()
+        taken = {root.id, *root._subgraph_index}
+        for block in partition.blocks:
+            if block.id in taken:
+                raise IdCollisionError(f"subgraph id {block.id!r} already exists in this hierarchy")
+            taken.add(block.id)
 
     children, left = _split_into_blocks(graph, partition)
     if mode == "assemble_new":

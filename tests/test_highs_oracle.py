@@ -15,7 +15,9 @@ import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from graphopt import BendersConfig, apply_partition, flatten, run_decomposition, simplex, solve
+from graphopt import (
+    BendersConfig, apply_partition, branch_bound, flatten, run_decomposition, simplex, solve,
+)
 from graphopt.benders import BendersTree
 from graphopt.branch_bound import solve_milp
 from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
@@ -23,7 +25,7 @@ from graphopt.simplex import solve_lp
 from graphopt.standard_form import AT_LOWER, BASIC, Basis
 from graphopt.subproblem import StageProblem
 
-from conftest import assert_strong_duality, make_problem
+from conftest import assert_strong_duality, make_problem, random_milp
 
 # the benchmark's seeded model generators, which build through the public API
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -376,36 +378,51 @@ def test_pcm_milp_monolithic_and_by_lagrangian_benders_match_highs(seed):
 
 
 class CountingSolver:
-    """The built-in backend, counting B&B nodes; ``use_start=False`` clears every MIP start."""
+    """The built-in backend, counting B&B nodes."""
 
-    def __init__(self, use_start=True):
-        self.use_start = use_start
+    def __init__(self):
         self.nodes = 0
 
     def solve_lp(self, problem):
         return solve_lp(problem)
 
     def solve_milp(self, problem):
-        if not self.use_start:
-            problem = problem.with_changes(start=None)
         res = solve_milp(problem)
         self.nodes += res.nodes_explored
         return res
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_pcm_milp_lagrangian_starts_save_nodes_and_change_no_bound(seed):
-    """Each Lagrangian step's MILP starts from the last step's point (``problem.start``)."""
-    config = BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True)
-    runs = {}
-    for use_start in (False, True):
+def test_pcm_milp_rounding_saves_nodes_and_changes_no_bound(seed, monkeypatch):
+    """Rounding each node's LP point closes most searches at the root; Benders takes the same steps."""
+    def benders():
         graph, membership = generators.pcm_milp_build(
             generators.pcm_milp_data(np.random.default_rng(seed)))
         apply_partition(graph, membership)
-        solver = CountingSolver(use_start)
-        runs[use_start] = (run_decomposition(graph, root="b2", config=config, solver=solver), solver.nodes)
-    (plain, plain_nodes), (started, started_nodes) = runs[False], runs[True]
-    assert started.iterations == plain.iterations
-    assert len(started.cuts) == len(plain.cuts)
-    np.testing.assert_allclose(started.lb_history, plain.lb_history, rtol=1e-9)
-    assert started_nodes < plain_nodes
+        solver = CountingSolver()
+        config = BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True)
+        return run_decomposition(graph, root="b2", config=config, solver=solver), solver.nodes
+
+    with monkeypatch.context() as m:
+        m.setattr(branch_bound, "_rounded", lambda *args: None)
+        plain, plain_nodes = benders()
+    rounded, rounded_nodes = benders()
+    assert rounded.iterations == plain.iterations
+    assert len(rounded.cuts) == len(plain.cuts)
+    np.testing.assert_allclose(rounded.lb_history, plain.lb_history, rtol=1e-9)
+    np.testing.assert_allclose(rounded.ub_history, plain.ub_history, rtol=1e-9)
+    assert rounded_nodes < plain_nodes
+
+
+def test_random_milps_match_highs(rng):
+    """Small binary and mixed MILPs: the same status and optimum as HiGHS."""
+    seen = Counter()
+    for k in range(40):
+        problem = random_milp(rng, pure_binary=(k % 3 != 0))
+        status, objective = highs_milp(problem)
+        res = solve_milp(problem)
+        assert res.status == status
+        seen[status] += 1
+        if status == "optimal":
+            assert res.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+    assert seen["optimal"] >= 15, seen

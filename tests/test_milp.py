@@ -6,8 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from graphopt import BendersConfig, NodeLimitError, run_decomposition, simplex
-from graphopt.branch_bound import solve_milp
+from graphopt import BendersConfig, NodeLimitError, branch_bound, run_decomposition, simplex
+from graphopt.branch_bound import _rounded as branch_bound_rounded, solve_milp
 from graphopt.fixtures import storage_fixture, storage_membership
 from graphopt.simplex import SolveResult, solve_lp
 from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, Basis, lp_relaxation
@@ -29,24 +29,31 @@ def knapsack(values, weights, budget):
     )
 
 
-def tight_relaxation_milp(k):
-    """The MILP of ``test_a_tight_relaxation_plunges_down_its_up_children``.
+def tight_relaxation_milp(k, slack=False):
+    """Pairs ``p_t - 15 u_t <= 0``, ``p_t = 7 + t`` with cost on ``p`` alone.
 
-    Pairs ``p_t - 15 u_t <= 0``, ``p_t = 7 + t`` with cost on ``p`` alone
-    leave the relaxation as tight as the MILP, at a fractional ``u_t``.
+    They leave the relaxation as tight as the MILP, at a fractional ``u_t``.
+    Rounding ``u_t`` up breaks no row, so rounding closes the search at the
+    root.  With ``slack`` each cap row is the equality ``p_t - 15 u_t + s_t
+    = 0`` with a continuous ``s_t >= 0`` instead, which locks ``u_t`` both
+    ways, so rounding never applies.
     """
+    n = 3 * k if slack else 2 * k
     rows, senses, rhs = [], [], []
     for t in range(k):
-        cap = np.zeros(2 * k)
+        cap = np.zeros(n)
         cap[t], cap[k + t] = 1.0, -15.0
-        meet = np.zeros(2 * k)
+        if slack:
+            cap[2 * k + t] = 1.0
+        meet = np.zeros(n)
         meet[t] = 1.0
         rows += [cap, meet]
-        senses += ["le", "eq"]
+        senses += ["eq" if slack else "le", "eq"]
         rhs += [0.0, 7.0 + t]
+    kinds = ["continuous"] * k + ["binary"] * k + ["continuous"] * (n - 2 * k)
     return make_problem(
-        [1.0] * k + [0.0] * k, rows, senses, rhs, [0.0] * (2 * k), [20.0] * k + [1.0] * k,
-        integrality=["continuous"] * k + ["binary"] * k,
+        [1.0] * k + [0.0] * (n - k), rows, senses, rhs, [0.0] * n,
+        [20.0] * k + [1.0] * k + [np.inf] * (n - 2 * k), integrality=kinds,
     )
 
 
@@ -126,37 +133,23 @@ class TestBranchAndBound:
     def test_a_tight_relaxation_plunges_down_its_up_children(self, k):
         """Every node ties with the root, so the newest-first tie-break dives.
 
-        Each pair ``p_t - 15 u_t <= 0``, ``p_t = d_t`` with cost on ``p``
-        alone leaves the relaxation as tight as the MILP at a fractional
-        ``u_t``.  Each node after the root fixes one more ``u`` at one, and
-        the k-th reaches the integer optimum, which closes the search.
+        Equality cap rows lock each ``u_t`` both ways, so no node can round
+        its point.  Each node after the root fixes one more ``u`` at one,
+        and the k-th reaches the integer optimum, which closes the search.
         """
-        demand = [7.0 + t for t in range(k)]
-        rows, senses, rhs = [], [], []
-        for t, d in enumerate(demand):
-            cap = np.zeros(2 * k)
-            cap[t], cap[k + t] = 1.0, -15.0
-            meet = np.zeros(2 * k)
-            meet[t] = 1.0
-            rows += [cap, meet]
-            senses += ["le", "eq"]
-            rhs += [0.0, d]
-        prob = make_problem(
-            [1.0] * k + [0.0] * k, rows, senses, rhs, [0.0] * (2 * k), [20.0] * k + [1.0] * k,
-            integrality=["continuous"] * k + ["binary"] * k,
-        )
+        prob = tight_relaxation_milp(k, slack=True)
         fixed_on = []
 
         def spy_solve_lp(p):
-            fixed_on.append(int(np.count_nonzero(p.lower[k:] == 1.0)))
+            fixed_on.append(int(np.count_nonzero(p.lower[k:2 * k] == 1.0)))
             return solve_lp(p)
 
         res = solve_milp(prob, solve_lp_fn=spy_solve_lp)
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(sum(demand))
+        assert res.objective == pytest.approx(sum(7.0 + t for t in range(k)))
         assert res.nodes_explored == k + 1
         assert fixed_on == list(range(k + 1))
-        np.testing.assert_allclose(res.primal[k:], 1.0)
+        np.testing.assert_allclose(res.primal[k:2 * k], 1.0)
 
     def test_mip_gap_allows_early_stop(self):
         prob = knapsack([6.0, 5.0, 4.0, 3.0], [3.0, 2.0, 2.0, 1.0], 5.0)
@@ -352,79 +345,125 @@ class TestKeptDenseRows:
         np.testing.assert_array_equal(swapped.dense_rows(), [[0.0, 0.0], [0.0, 1.0]])
 
 
-def optimal_milps(rng, count, branched_only=False):
-    """``count`` seeded ``random_milp`` draws with an optimum, with ``solve_milp``'s result."""
-    found = []
-    for k in range(40 * count):
-        prob = random_milp(rng, pure_binary=(k % 3 != 0))
-        res = solve_milp(prob)
-        if res.status == "optimal" and (res.nodes_explored > 1 or not branched_only):
-            found.append((prob, res))
-            if len(found) == count:
-                return found
-    pytest.fail(f"drew only {len(found)} instances")
-
-
 def assert_same_result(res, ref):
     assert (res.status, res.objective, res.nodes_explored, res.iterations) == (
         ref.status, ref.objective, ref.nodes_explored, ref.iterations)
     np.testing.assert_array_equal(res.primal, ref.primal)
 
 
-class TestMipStart:
-    """``problem.start`` is the first incumbent when it is a feasible integer point."""
+def with_flag_column(prob, row=None):
+    """``prob`` plus a zero-cost binary column, held by no row or by ``row = (sense, rhs)`` alone."""
+    n = prob.n_cols
+    a = np.hstack([prob.dense_rows(), np.zeros((prob.n_rows, 1))])
+    senses, rhs = list(prob.senses), list(prob.rhs)
+    if row is not None:
+        a = np.vstack([a, np.eye(1, n + 1, n)])
+        senses.append(row[0])
+        rhs.append(row[1])
+    return make_problem(np.append(prob.objective, 0.0), a, senses, rhs, np.append(prob.lower, 0.0),
+                        np.append(prob.upper, 1.0), integrality=prob.integrality + ["binary"])
 
-    def test_a_feasible_start_keeps_the_optimum_and_no_node_is_added(self, rng):
-        for prob, res in optimal_milps(rng, 15, branched_only=True):
-            started = solve_milp(replace(prob, start=res.primal))
-            assert started.status == "optimal"
-            assert started.objective == pytest.approx(res.objective, abs=1e-9)
-            assert started.nodes_explored <= res.nodes_explored
+
+class TestRounding:
+    """A fractional node tries its LP point rounded where no row locks the way, before it branches."""
 
     @pytest.mark.parametrize("k", [2, 4, 6])
-    def test_a_start_as_good_as_the_root_bound_closes_the_search_at_the_root(self, k):
+    def test_rounding_closes_a_tight_relaxation_at_the_root(self, k):
         """Where every node ties, the search would otherwise dive k nodes to prove it."""
-        prob = tight_relaxation_milp(k)
-        res = solve_milp(prob)
-        assert res.nodes_explored == k + 1
         calls = []
 
         def counting_solve_lp(p):
             calls.append(p)
             return solve_lp(p)
 
-        started = solve_milp(replace(prob, start=res.primal), solve_lp_fn=counting_solve_lp)
-        assert started.nodes_explored == len(calls) == 1
-        assert started.objective == res.objective
-        np.testing.assert_array_equal(started.primal, res.primal)
+        res = solve_milp(tight_relaxation_milp(k), solve_lp_fn=counting_solve_lp)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(sum(7.0 + t for t in range(k)))
+        assert res.nodes_explored == len(calls) == 1
+        np.testing.assert_array_equal(res.primal[k:], 1.0)  # rounded up: only that breaks no row
 
-    @pytest.mark.parametrize("flaw", ["length", "fractional", "bound", "row"])
-    def test_a_start_that_is_not_a_feasible_integer_point_is_ignored(self, rng, flaw):
+    def test_rows_lock_by_sense_and_a_free_column_rounds_the_cheaper_way(self):
+        # x0 in an equality row, x1 (x4) positive (negative) in a le row, x2 positive in a ge row, x3 in none
+        prob = make_problem([0.0] * 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, -1], [0, 0, 1, 0, 0]],
+                            ["eq", "le", "ge"], [1.0, 2.0, 1.0], [0.0] * 5, [3.0] * 5,
+                            integrality=["integer"] * 5)
+        cols = np.arange(5)
+        up, down = branch_bound._unlocked(prob, cols)
+        assert up.tolist() == [False, False, True, True, True]
+        assert down.tolist() == [False, True, False, True, False]
+        x = np.array([1.0, 0.5, 0.5, 1.5, 2.5])
+        dist = np.abs(x - np.round(x))
+        lo, hi = prob.lower, prob.upper
+        for c3, x3 in ((1.0, 1.0), (-1.0, 2.0), (0.0, 1.0)):
+            cost = np.array([0.0, 1.0, 1.0, c3, 1.0])
+            r = branch_bound_rounded(x, dist, lo, hi, cols, (up, down), cost)
+            assert r.tolist() == [1.0, 0.0, 1.0, x3, 3.0]
+        assert branch_bound_rounded(x, dist, lo, np.array([3.0, 3, 3, 3, 2]), cols, (up, down), cost) is None
+        x[0] = 0.5  # fractional in an equality row: no way to move
+        assert branch_bound_rounded(x, np.abs(x - np.round(x)), lo, hi, cols, (up, down), cost) is None
+
+    def test_a_rounded_point_is_integral_and_within_its_nodes_bounds(self, rng, monkeypatch):
+        seen = []
+
+        def spy(x, dist, lo, hi, int_cols, unlocked, cost):
+            r = branch_bound_rounded(x, dist, lo, hi, int_cols, unlocked, cost)
+            if r is not None:
+                seen.append((r, lo[int_cols], hi[int_cols]))
+            return r
+
+        monkeypatch.setattr(branch_bound, "_rounded", spy)
+        for k in range(40):
+            solve_milp(random_milp(rng, pure_binary=(k % 3 != 0)))
+        # an integer column whose bound is not integral: its only rounding is down
+        solve_milp(make_problem([-1.0, 0.0], [[1.0, -1.0]], ["le"], [0.0], [0.0, 0.0], [2.5, 2.5],
+                                integrality=["integer", "continuous"]))
+        assert len(seen) >= 20
+        for r, lo, hi in seen:
+            np.testing.assert_array_equal(r, np.round(r))
+            assert (lo <= r).all() and (r <= hi).all()
+
+    @pytest.mark.parametrize("flaw, row, good, bad", [
+        ("bound", None, 0.0, 2.0),
+        ("fractional", None, 0.0, 0.5),
+        ("eq_row", ("eq", 0.0), 0.0, 1.0),
+        ("ge_row", ("ge", 1.0), 1.0, 0.0),
+    ])
+    def test_a_flawed_rounded_point_never_becomes_the_incumbent(self, rng, monkeypatch, flaw, row,
+                                                                 good, bad):
+        """A huge gap returns the first incumbent: the rounded optimum if it passes, else another.
+
+        The rounding is replaced by the optimum of a pure-binary MILP plus a
+        flag column; the flag's value alone gives the point its flaw.
+        """
         checked = 0
-        for prob, res in optimal_milps(rng, 30):
-            x = res.primal.copy()
-            int_cols = np.array(prob.integer_columns())
-            if flaw == "length":
-                x = np.append(x, 0.0)
-            elif flaw == "fractional":
-                x[int_cols[0]] = 0.5
-            elif flaw == "bound":
-                x[int_cols[0]] = 2.0  # a binary column, still integral
-            else:
-                # move one row's right-hand side to 1e-6 short of the optimum's row value
-                eq, sign = prob.row_signs()
-                value = prob.dense_rows() @ x
-                rows = np.flatnonzero(~eq)
-                if not rows.size:
-                    continue
-                i = rows[0]
-                rhs = prob.rhs.copy()
-                rhs[i] = value[i] - 1e-6 * sign[i]
-                prob = replace(prob, rhs=rhs)
-                res = solve_milp(prob)
-            assert_same_result(solve_milp(replace(prob, start=x)), res)
+        for _ in range(60):
+            monkeypatch.setattr(branch_bound, "_rounded", branch_bound_rounded)
+            base = random_milp(rng)
+            optimum = solve_milp(base)
+            if optimum.status != "optimal":
+                continue
+            prob = with_flag_column(base, row)
+            calls = []
+
+            def rounded_to(value):
+                def fake(*args):
+                    calls.append(value)
+                    return None if value is None else np.append(optimum.primal, value)
+                return fake
+
+            monkeypatch.setattr(branch_bound, "_rounded", rounded_to(good))
+            passed = solve_milp(prob, mip_gap=1e9)
+            if not calls:
+                continue  # the root LP was integral: no rounding
+            np.testing.assert_array_equal(passed.primal, np.append(optimum.primal, good))
+            assert passed.nodes_explored == 1
+            monkeypatch.setattr(branch_bound, "_rounded", rounded_to(bad))
+            flawed = solve_milp(prob, mip_gap=1e9)
+            monkeypatch.setattr(branch_bound, "_rounded", rounded_to(None))
+            assert_same_result(flawed, solve_milp(prob, mip_gap=1e9))
+            assert calls.count(bad) >= 1
             checked += 1
-        assert checked >= 20
+        assert checked >= 10
 
 
 def c_b_b_inverse(problem, basis):

@@ -28,6 +28,7 @@ from graphopt import (
     check_solution,
     flatten,
     linear,
+    validate_graph,
 )
 from graphopt.fixtures import storage_fixture, storage_membership
 from graphopt.solvers import solve_lp
@@ -235,6 +236,36 @@ class TestModelErrors:
         with pytest.raises(IdCollisionError):
             g.attach_node(a)
         assert [n.id for n in g.local_nodes()] == ["a", "b"]
+
+    def test_validate_graph_rejects_an_overlap_without_the_flag(self):
+        g = Graph("g", allow_overlap=True)
+        holder, twin = Graph("a"), Graph("b")
+        shared = holder.add_node("s")
+        shared.add_variable("x", lower=0, upper=1)
+        g.add_subgraph(holder)
+        twin.attach_node(shared)
+        g.add_subgraph(twin)
+        validate_graph(g)  # opted in
+        g.allow_overlap = False
+        with pytest.raises(IdCollisionError, match=r"\['s'\]"):
+            validate_graph(g)
+
+    def test_validate_graph_passes_a_built_fixture(self):
+        g = storage_fixture()
+        validate_graph(g)
+        apply_partition(g, storage_membership())
+        validate_graph(g)
+
+    def test_set_to_node_objectives_restores_the_sum_of_node_objectives(self):
+        g, a, b, x, y = two_node_graph()
+        a.set_objective(2 * x)
+        b.set_objective(3 * y + 1.0)
+        g.set_objective(x - y)
+        assert g.effective_objective().terms == {x: 1.0, y: -1.0}
+        g.set_to_node_objectives()
+        total = a.objective + b.objective
+        assert g.effective_objective().terms == total.terms == {x: 2.0, y: 3.0}
+        assert g.effective_objective().constant == total.constant == 1.0
 
 
 class TestFlatten:

@@ -1,10 +1,12 @@
 """Partitioning, aggregation, condensed topology, and link rerouting."""
 
+import numpy as np
 import pytest
 
 from graphopt import (
     EmptyBlockError,
     Graph,
+    IdCollisionError,
     LevelOutOfRangeError,
     LocalNodesAtRootError,
     NoSubgraphsError,
@@ -142,6 +144,23 @@ class TestApplyPartition:
         apply_partition(g, [["n0", "n1"], ["n2", "n3"]])
         with pytest.raises(PartitionError):
             apply_partition(g, [["block1", "block2"]])
+
+    @pytest.mark.parametrize("membership", [
+        {"n0": "cyc", "n1": "cyc", "n2": "b", "n3": "b"},  # the graph's own id
+        {"n0": 1, "n1": 1, "n2": "block1", "n3": "block1"},  # two blocks named block1
+    ])
+    def test_a_clashing_block_id_raises_before_the_graph_changes(self, membership):
+        g, _ = four_cycle()
+        before = flatten(g)
+        with pytest.raises(IdCollisionError, match="already exists in this hierarchy"):
+            apply_partition(g, membership)
+        assert [n.id for n in g.all_nodes()] == ["n0", "n1", "n2", "n3"]
+        assert [sorted(e.incident_nodes) for e in g.all_edges()] == [
+            ["n0", "n1"], ["n1", "n2"], ["n2", "n3"], ["n0", "n3"]]
+        assert not g.local_subgraphs()
+        after = flatten(g)
+        assert (after.n_rows, after.n_cols) == (before.n_rows, before.n_cols)
+        np.testing.assert_array_equal(after.dense_rows(), before.dense_rows())
 
     def test_unknown_mode_is_rejected(self):
         g, _ = four_cycle()
