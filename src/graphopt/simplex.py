@@ -17,10 +17,10 @@ the negative parts of the free ones, one logical column per row (the slacks
 of the inequality rows, then a zero-width column for each equality row) and
 the rhs.  The reduced costs are carried as one extra tableau row that every
 pivot updates like any other row, and the rank-1 update only touches rows
-with a nonzero in the pivot column.  Dantzig pricing is used until the
-iteration count stalls on degenerate pivots (60 in a row; in the dual
-simplex, as many as there are rows, if more), after which Bland's rule takes
-over so the method cannot cycle.
+with a nonzero in the pivot column and columns with one in the pivot row.
+Dantzig pricing is used until the iteration count stalls on degenerate
+pivots (60 in a row; in the dual simplex, as many as there are rows, if
+more), after which Bland's rule takes over so the method cannot cycle.
 
 Every solve takes one path (Koberstein, *The dual simplex method*, 2005,
 ch. 4).  It starts from a tableau, in which nonbasic boxed columns go to
@@ -35,25 +35,31 @@ whatever the costs (see :func:`_run_dual`).
 The start.  A problem may carry a :class:`~graphopt.standard_form.Basis`
 hint, such as its parent's final basis in branch-and-bound.  Every optimal
 solve keeps the tableau its pivots ended on, with its layout, privately on
-the basis it returns, and nothing writes to it again.  When the hint keeps
-one, the problem has the same dense matrix object, and every row is signed
-and every column shifted, reflected or split as before, that tableau is
-copied and re-priced: B^-1 [A | I] depends on none of the bounds' values,
-right-hand sides or costs, and the logical columns read B^-1, so the new rhs
-column ``B^-1 b'`` is one matrix-vector product and the new reduced-cost row
-``c - c_B B^-1 A`` one vector-matrix product.  This is the re-solve of a
-branch-and-bound child, of a Benders stage whose pinned copies moved, and of
-a Lagrangian step whose objective moved; it pays only for what moved.  The
-reduced-cost row is priced afresh even under the same objective: the kept
-row has been through the pivots, and its rounding would steer the next ones
-elsewhere.  Otherwise the hint's basic columns are pivoted into the
-all-logical tableau by Gauss-Jordan elimination: the simplex pivot, each on
-the open row where the column is largest, and counted as no iteration.
-Without a hint, or with one of the wrong size or a singular one, the start
-is the all-logical tableau itself.  A hinted start on which the dual simplex
-finds a row it can neither repair nor prove infeasible, or could repair only
-by pivoting on rounding noise, starts once more from the all-logical
-tableau; there the same failure raises :class:`NumericalBreakdownError`.
+the basis it returns, and nothing writes to it again.  B^-1 [A | I] depends
+on none of the bounds' values, right-hand sides or costs, and the logical
+columns read B^-1.  So when the hint keeps a tableau over the same matrix
+object, with every row signed and every column shifted, reflected or split
+as before, the tableau is copied, its rhs column ``B^-1 b'`` is one
+matrix-vector product and its reduced costs ``c - c_B B^-1 A`` one
+vector-matrix product, priced afresh even under the same objective.  This
+is the re-solve of a branch-and-bound child, of a Benders stage whose pins
+moved and of a Lagrangian step.  When the matrix has gained rows below an
+equal copy of the kept one, as a Benders stage gains cut rows, each joins
+the copy with its logical basic, as ``a - a_B B^-1 [A | I]``: the bordered
+inverse ``[B^-1 0; -a_B B^-1 1]`` (Koberstein 2005); no kept row is redone.
+Otherwise the hint's basic columns are pivoted into the all-logical tableau
+by Gauss-Jordan elimination, counted as no iteration; rows past the hint's
+keep their logicals basic.  Without a hint, or with one of the wrong size or
+a singular one, the start is the all-logical tableau itself.  A start from
+a kept tableau on which the dual simplex finds a row it can neither repair
+nor prove infeasible, or could repair only by pivoting on rounding noise,
+is rebuilt once by Gauss-Jordan elimination, since the pivots the kept
+tableau carries may hold the rounding at fault.  Any other hinted start
+that fails so starts once more from the all-logical tableau; there the same
+failure raises :class:`NumericalBreakdownError`.
+
+The optimum is read from ``B^-1 b'``, refined by one step of iterative
+refinement in the problem's own columns (see :func:`_optimal`).
 
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
@@ -92,15 +98,13 @@ class SolveResult:
     module docstring and are ``None`` for MILP solves.  ``iterations`` counts
     primal and dual simplex pivots plus bound flips (summed over the nodes of
     a MILP).  ``basis`` is the final basis of an optimal LP solve, in the
-    problem's own columns and rows, and for an optimal MILP solve the final
-    basis of its root relaxation, whose result is ``relaxation``; handed
-    back as ``problem.basis`` to a problem of the same shape, it starts the
-    simplex there.  Every optimal LP solve keeps on ``basis`` the tableau
-    its last pivot left, and a re-solve over the same matrix, whatever its
-    bounds, right-hand sides and objective, starts from a copy of it.
-    ``duals``, ``reduced_costs`` and the basis status codes are worked out
-    from that tableau when they are first read; nothing writes to it once
-    it is kept, so they read the same whenever that is.
+    problem's own columns and rows, and for an optimal MILP solve that of its
+    root relaxation, whose result is ``relaxation``; handed back as
+    ``problem.basis``, it starts the simplex there, from a copy of the
+    tableau it keeps (see the module docstring).  ``duals``,
+    ``reduced_costs`` and the basis status codes are worked out from that
+    tableau when they are first read; nothing writes to it once it is kept,
+    so they read the same whenever that is.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -141,8 +145,8 @@ class _Frame:
 
     Problems with the same matrix object and the same ``lookup`` share a
     frame, which a kept tableau carries to the next re-solve.  B^-1 [A | I]
-    depends only on the matrix and on ``key``: the row signs and each
-    column's reflection and split.
+    depends only on the matrix, the row signs and ``key``: each column's
+    reflection and split.
     """
 
     a: np.ndarray             # the dense matrix, compared by identity
@@ -153,6 +157,7 @@ class _Frame:
     sign: np.ndarray          # -1 on columns reflected about their upper bound
     free: np.ndarray          # the split columns
     logical: np.ndarray       # row i's logical column: inequality slacks first, then equality rows
+    order: np.ndarray         # the rows in the order of their logical columns
     n_price: int              # the columns before the equality rows' logicals, which never enter
     tail: np.ndarray          # widths past the structural columns: negative parts, logicals, rhs
 
@@ -165,14 +170,17 @@ class _Frame:
         logical = np.empty(eq.size, dtype=np.intp)
         logical[order] = np.arange(n_struct, n_struct + eq.size)
         return _Frame(a=a, eq=eq, given_sign=given_sign, lookup=lookup,
-                      key=given_sign.tobytes() + sign.tobytes() + free.tobytes(),
-                      sign=sign, free=free, logical=logical,
+                      key=sign.tobytes() + free.tobytes(), sign=sign, free=free, logical=logical, order=order,
                       n_price=n_struct + eq.size - np.count_nonzero(eq),
                       tail=np.concatenate([np.full(free.size, np.inf), np.where(eq[order], 0.0, np.inf),
                                            [np.inf]]))
 
-    def same_tableau(self, other: _Frame) -> bool:
-        return self is other or (self.a is other.a and self.key == other.key)
+    def holds(self, kept: _Frame) -> bool:
+        """Can ``kept``'s tableau start a solve here: ``kept``'s matrix object, or rows appended to it?"""
+        m = kept.eq.size
+        return self is kept or (self.key == kept.key and np.array_equal(self.eq[:m], kept.eq)
+                                and np.array_equal(self.given_sign[:m], kept.given_sign)
+                                and (self.a is kept.a or self.eq.size > m and np.array_equal(self.a[:m], kept.a)))
 
     def internal_cost(self, c: np.ndarray) -> np.ndarray:
         """The objective over the tableau columns, uncomplemented."""
@@ -194,9 +202,10 @@ def _pivot(t: _Tableau, row: int, col: int) -> None:
     else:
         t.tiny_pivots = 0
     pivot_row = t.rows[row] / piv
-    # rows with an exact zero in the pivot column are left as they are
-    touched = t.rows[:, col].nonzero()[0]
-    t.rows[touched] -= np.multiply.outer(t.rows[touched, col], pivot_row)
+    # rows with an exact zero in the pivot column, and columns with one in the
+    # pivot row (every basic column but this row's), are left as they are
+    touched, cols = t.rows[:, col].nonzero()[0], pivot_row.nonzero()[0]
+    t.rows[touched[:, None], cols] -= np.multiply.outer(t.rows[touched, col], pivot_row[cols])
     t.rows[row] = pivot_row
     t.basis[row] = col
     t.row_upper[row] = t.upper[col]
@@ -422,9 +431,14 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     if max_iterations is None:
         max_iterations = max(5000, 50 * (upper.size - 1 + b.size))
     start = None
-    if kept is not None and kept.frame.same_tableau(frame):
+    if kept is not None and frame.holds(kept.frame):
         start = _from_kept(kept, frame, upper, c_int, b)
-    if hint is not None and start is None:
+    if start is not None:
+        try:
+            return _solve_from(problem, start, offset, c_int, b, max_iterations)
+        except NumericalBreakdownError:
+            start = _rebuilt(hint, frame, upper, c_int, b)  # the kept tableau's rounding may be at fault
+    elif hint is not None:
         start = _from_crash(hint, frame, upper, c_int, b)
     if start is not None:
         try:
@@ -468,33 +482,71 @@ def _solve_from(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c
 
 def _from_kept(kept: _Tableau, frame: _Frame, upper: np.ndarray, c_int: np.ndarray,
                b: np.ndarray) -> Optional[_Tableau]:
-    """A copy of a kept final tableau with a new rhs column and reduced costs, or ``None``.
+    """A copy of a kept final tableau, bordered with the rows the matrix gained, or ``None``.
 
     The new rhs column ``B^-1 b'`` is one matrix-vector product (see
     :func:`_rhs_column`), with each complemented column at its new width;
     the reduced costs are one vector-matrix product (see :func:`_price`).
     """
-    if (upper[kept.flipped] == np.inf).any():
+    if frame.eq.size > kept.basis.size:
+        rows, basis, flipped = _bordered(kept, frame)
+    else:
+        rows, basis, flipped = kept.rows.copy(), kept.basis.copy(), kept.flipped.copy()
+    if (upper[flipped] == np.inf).any():
         return None  # a complemented column has lost its upper bound
-    t = _Tableau(frame, kept.rows.copy(), kept.basis.copy(), upper, kept.flipped.copy())
+    t = _Tableau(frame, rows, basis, upper, flipped)
     t.rows[:b.size, -1] = _rhs_column(t, b)[0]
     _price(t, c_int)
     return t
 
 
+def _bordered(kept: _Tableau, frame: _Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, basis and complementing of ``kept`` over ``frame``, whose matrix has rows appended.
+
+    Each new row ``a`` joins with its logical basic, as ``a - a_B B^-1 [A | I]``: the
+    logical block then reads the bordered inverse ``[B^-1 0; -a_B B^-1 1]``.
+    """
+    m, grown = kept.basis.size, frame.eq.size
+    n, nf = frame.sign.size, frame.free.size
+    width = n + nf + grown + 1
+    place = np.concatenate([np.arange(n + nf), frame.logical[kept.frame.order], [width - 1]])
+    rows = np.zeros((grown + 1, width))
+    rows[:m, place] = kept.rows[:m]
+    flipped = np.zeros(width, dtype=bool)
+    flipped[place] = kept.flipped
+    basis = np.concatenate([place[kept.basis], frame.logical[m:]])
+    new = rows[m:grown]
+    new[:, :n] = frame.a[m:] * frame.sign * frame.given_sign[m:, None]
+    new[:, n:n + nf] = -new[:, frame.free]
+    new[:, flipped] *= -1.0
+    new[np.arange(grown - m), frame.logical[m:]] = 1.0
+    a_b = new[:, basis[:m]]
+    held = a_b.any(axis=0).nonzero()[0]  # the basic columns that the new rows hold
+    new -= a_b[:, held] @ rows[held]
+    return rows, basis, flipped
+
+
 def _rhs_column(t: _Tableau, b: np.ndarray):
     """``(B^-1 b', b')``: the rhs column of a warm tableau, from its logical columns.
 
-    The logical columns read B^-1, negated where a zero-width logical is
-    complemented; ``b'`` is ``b`` less each complemented structural column
-    at its width, negated on those logicals' rows.
+    ``b'`` is ``b`` less each complemented structural column at its width.
     """
-    frame, flipped = t.frame, t.flipped
-    at_upper = flipped[:frame.sign.size].nonzero()[0]  # the structural ones; logicals have width 0
+    frame = t.frame
+    at_upper = t.flipped[:frame.sign.size].nonzero()[0]  # the structural ones; logicals have width 0
     if at_upper.size:
         b = b - frame.a[:, at_upper] @ (frame.sign[at_upper] * t.upper[at_upper]) * frame.given_sign
-    b = np.where(flipped[frame.logical], -b, b)
-    return t.rows[:b.size, frame.logical] @ b, b
+    return _inverse_times(t, b), b
+
+
+def _inverse_times(t: _Tableau, v: np.ndarray) -> np.ndarray:
+    """``B^-1 v`` for ``v`` over the rows.
+
+    The logical columns, the block before the rhs, read B^-1 over the rows in
+    the frame's order, each negated where its logical is complemented.
+    """
+    m = v.size
+    v = v[t.frame.order]
+    return t.rows[:m, -1 - m:-1] @ np.where(t.flipped[-1 - m:-1], -v, v)
 
 
 def _all_logical(frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
@@ -519,14 +571,16 @@ def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray
                 b: np.ndarray) -> Optional[_Tableau]:
     """The tableau of ``hint`` built from the all-logical one.
 
-    ``None`` when the hint has the wrong size or number of basic entries, or
-    is singular.
+    Rows past the hint's, such as cut rows added since, keep their logical
+    basic.  ``None`` when the hint has the wrong size or number of basic
+    entries, or is singular.
     """
     free = frame.free
     m, n = frame.a.shape
-    if np.shape(hint.columns) != (n,) or np.shape(hint.rows) != (m,):
+    hint_rows = np.concatenate([hint.rows, np.full(max(m - np.size(hint.rows), 0), BASIC)])
+    if np.shape(hint.columns) != (n,) or hint_rows.shape != (m,):
         return None
-    if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint.rows == BASIC) != m:
+    if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint_rows == BASIC) != m:
         return None
     t = _all_logical(frame, upper, c_int, b)
     width = upper[:n]
@@ -537,7 +591,7 @@ def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray
     # whose first calls fault in library pages, stays off the warm-start path
     rows = t.rows
     open_rows = np.ones(m)
-    open_rows[hint.rows == BASIC] = 0.0
+    open_rows[hint_rows == BASIC] = 0.0
     basic_cols = np.flatnonzero(hint.columns == BASIC)
     small = _PIVOT_GOOD * np.maximum.reduce(np.abs(rows[:m, basic_cols]), axis=None, initial=1.0)
     for j in basic_cols:
@@ -559,6 +613,12 @@ def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray
     return t
 
 
+def _rebuilt(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray,
+             b: np.ndarray) -> Optional[_Tableau]:
+    """:func:`_from_crash`, once a start from the hint's kept tableau broke down."""
+    return _from_crash(hint, frame, upper, c_int, b)
+
+
 def _once(compute):
     """``compute``, run on the first call only; ``functools.cache`` costs more to set up."""
     memo = []
@@ -574,20 +634,32 @@ def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_in
              b: np.ndarray) -> SolveResult:
     """The result of an optimal tableau, which its basis keeps for re-solves.
 
-    The primal point and the objective are worked out here, from a rhs
-    column recomputed as ``B^-1 b'`` (the pivoted one carries the rounding
-    of every pivot); the duals, the reduced costs and the basis status codes
-    on first read, since no branch-and-bound node reads them.
+    The primal point and the objective are worked out here, from basic
+    values recomputed as ``B^-1 b'`` (the pivoted rhs column carries the
+    rounding of every pivot) and refined once in the problem's own columns:
+    ``x_B += B^-1 r`` for the residual ``r = sign (rhs - A x) - s`` of the
+    rows, ``s`` their logicals' values.  ``b'`` mixes every bound's shift,
+    such as a -1e9 one, into each basic value, and a value shifted by 1e9
+    holds no more than 1e-7 of it; ``r`` and the step hold neither.  The
+    duals, the reduced costs and the basis status codes are worked out on
+    first read, since no branch-and-bound node reads them.
     """
     frame, rows, m = t.frame, t.rows, t.basis.size
-    rows[:m, -1] = _rhs_column(t, b)[0]
-    x_int = np.zeros(rows.shape[1])
-    x_int[t.basis] = rows[:m, -1]
-    x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
     c, n, nf = problem.objective, problem.n_cols, frame.free.size
-    x = offset + frame.sign * x_int[:n]
-    if nf:
-        x[frame.free] -= x_int[n:n + nf]
+
+    def structural(v: np.ndarray) -> np.ndarray:  # tableau columns, uncomplemented, to the problem's
+        x = frame.sign * v[:n]
+        if nf:
+            x[frame.free] -= v[n:n + nf]
+        return x
+
+    x_int = np.zeros(rows.shape[1])
+    x_int[t.basis] = _rhs_column(t, b)[0]
+    x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
+    x = offset + structural(x_int)
+    step = np.zeros(rows.shape[1])
+    step[t.basis] = _inverse_times(t, frame.given_sign * (problem.rhs - frame.a @ x) - x_int[frame.logical])
+    x += structural(np.where(t.flipped, -step, step))
 
     @_once
     def duals():
@@ -595,7 +667,7 @@ def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_in
         # logical columns read B^-1, negated where a logical is complemented
         cost = np.where(t.flipped, -c_int, c_int)
         sign = np.where(t.flipped[frame.logical], -frame.given_sign, frame.given_sign)
-        return (cost[t.basis] @ rows[:m, frame.logical]) * sign
+        return (cost[t.basis] @ rows[:m, -1 - m:-1])[frame.logical - (n + nf)] * sign
 
     @_once
     def codes():

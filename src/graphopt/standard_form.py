@@ -135,10 +135,11 @@ class StandardFormProblem:
         when ``senses`` is, and ``copy()`` carries neither over.  While both
         are current, another call rebuilds nothing.
         """
-        a = self.dense_rows()
-        a.flags.writeable = False
+        self._keep(self.dense_rows())
+
+    def _keep(self, a: np.ndarray) -> None:
         signs = self.row_signs()
-        for array in signs:
+        for array in (a, *signs):
             array.flags.writeable = False
         self._dense = (self.triplets, len(self.triplets), a, self.senses, len(self.senses), signs)
 
@@ -159,23 +160,30 @@ class StandardFormProblem:
         new.__dict__.update(self.__dict__, **changes)
         return new
 
-    def with_row(self, coefs: Mapping[int, float], sense: str, rhs: float, provenance: str,
-                 **changes) -> "StandardFormProblem":
-        """This problem plus the row ``sum coefs[j] x_j (sense) rhs``, with ``changes`` set.
+    def with_rows(self, rows: list[tuple[Mapping[int, float], str, float, str]],
+                  **changes) -> "StandardFormProblem":
+        """This problem plus each row ``(coefs, sense, rhs, provenance)``, with ``changes`` set.
 
-        The row lists are new ones, so a problem that shares this one's rows
-        keeps them, and the new problem keeps no matrix; every other field is
-        shared, as in :meth:`with_changes`.
+        A row reads ``sum coefs[j] x_j (sense) rhs``.  The row lists are new
+        ones, so a problem that shares this one's rows keeps them.  The new
+        problem keeps this one's matrix with the rows appended, so nothing is
+        rebuilt from the triplets; every other field is shared, as in
+        :meth:`with_changes`.
         """
-        row = self.n_rows
-        return self.with_changes(
-            triplets=self.triplets + [(row, col, value) for col, value in coefs.items()],
-            senses=self.senses + [sense],
+        m = self.n_rows
+        coefs, senses, rhs, provenance = zip(*rows)
+        block = np.zeros((len(rows), self.n_cols))
+        for i, row in enumerate(coefs):
+            block[i, list(row)] = list(row.values())
+        new = self.with_changes(
+            triplets=self.triplets + [(m + i, j, v) for i, row in enumerate(coefs) for j, v in row.items()],
+            senses=self.senses + list(senses),
             rhs=np.append(self.rhs, rhs),
-            row_provenance={**self.row_provenance, row: provenance},
-            _dense=None,
+            row_provenance={**self.row_provenance, **dict(enumerate(provenance, m))},
             **changes,
         )
+        new._keep(np.vstack([self.dense_rows(), block]))
+        return new
 
     def integer_columns(self) -> list[int]:
         return [j for j, kind in enumerate(self.integrality) if kind != "continuous"]

@@ -8,9 +8,16 @@ both of their bounds to it.  A pinned copy's reduced cost is the stage's
 sensitivity to that value, and a Lagrangian step unpins the copies back to
 the bounds of the variables they copy.  Optional elastic slacks keep
 relocated rows feasible for any parent iterate; optional value-function
-columns (theta) and cut rows support the decomposition loop.  Each cut
-appends a row to a new problem that shares everything else, so a problem
-handed out earlier keeps its rows and its matrix.
+columns (theta) and cut rows support the decomposition loop.  A cut's row
+waits until the stage is next assembled; then every row added since joins
+a new problem that appends them to the kept matrix and shares everything
+else, so a problem handed out earlier keeps its rows and its matrix.  The
+stage keeps one basis, its last optimal solve's, and every solve of it
+starts there: forward, backward and each Lagrangian step.  The simplex
+borders that basis's kept tableau with the cut rows added since.  The tableau
+lays out a copy of a variable with an infinite bound one way pinned and
+another unpinned (reflected or split), so a switch between the two
+rebuilds the basis (see :mod:`graphopt.simplex`).
 
 Column layout is fixed as ``[own variables][copies][slacks][thetas]`` so a
 stage built without thetas produces exactly the same pivot sequence as one
@@ -27,7 +34,7 @@ import numpy as np
 from .model import Constraint, Graph, VariableRef
 from .solvers import LinearSolver, solve
 from .simplex import SolveResult
-from .standard_form import BASIC, Basis, StandardFormProblem, flatten, lp_relaxation
+from .standard_form import Basis, StandardFormProblem, flatten, lp_relaxation
 
 _INF = float("inf")
 _SAME = 1e-9  # relative tolerance of two cuts' slopes and right-hand sides
@@ -66,14 +73,6 @@ class CutData:
         rhs_self = float(self.pi @ self.anchor) - self.phi
         rhs_other = float(other.pi @ other.anchor) - other.phi
         return abs(rhs_self - rhs_other) <= _SAME * max(1.0, abs(rhs_self), abs(rhs_other))
-
-
-def _extended(basis: Optional[Basis], n_rows: int) -> Optional[Basis]:
-    """``basis`` with a basic slack on every row appended since it was taken."""
-    if basis is None or basis.rows.size == n_rows:
-        return basis
-    rows = np.concatenate([basis.rows, np.full(n_rows - basis.rows.size, BASIC, np.int8)])
-    return Basis(basis.columns, rows)
 
 
 class StageProblem:
@@ -150,10 +149,10 @@ class StageProblem:
         )
 
         self.cuts: list[CutData] = []
-        # the last optimal solve's basis (a MILP's root basis), and the last
-        # Lagrangian solve's: the next solve of each starts there.
+        self._cuts_by_key: dict[tuple[str, int], list[CutData]] = {}  # by (child_id, theta_index)
+        self._new_rows: list[tuple[dict[int, float], str, float, str]] = []  # cut rows not yet in _problem
+        # the last optimal solve's basis (a MILP's root basis); every solve starts there
         self._basis: Optional[Basis] = None
-        self._lagrangian_basis: Optional[Basis] = None
 
     def fixed_values(self) -> np.ndarray:
         return self._problem.lower[self._copies]
@@ -179,21 +178,29 @@ class StageProblem:
             if coef:
                 coefs[col] = coefs.get(col, 0.0) + float(coef)
         rhs = float(cut.pi @ cut.anchor) - cut.phi
-        self._problem = self._problem.with_row(coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}")
+        self._new_rows.append((coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}"))
         self.cuts.append(cut)
+        self._cuts_by_key.setdefault((cut.child_id, cut.theta_index), []).append(cut)
 
     def has_equivalent_cut(self, cut: CutData) -> bool:
-        return any(cut.same_hyperplane(old) for old in self.cuts)
+        # a cut can only equal an installed one of its own child and theta column
+        return any(cut.same_hyperplane(old) for old in self._cuts_by_key.get((cut.child_id, cut.theta_index), ()))
 
     # -- problem assembly ------------------------------------------------
 
-    def problem(self, relax: bool = False) -> StandardFormProblem:
-        """The stage as it stands, sharing the kept matrix and row lists; its arrays are its own.
+    def _kept(self) -> StandardFormProblem:
+        """The stage's problem with the rows added since joined; a basis with no tableau then goes."""
+        if self._new_rows:
+            self._problem = self._problem.with_rows(self._new_rows)
+            self._new_rows = []
+            if self._basis is not None and self._basis._tableau is None:
+                self._basis = None
+        self._problem.keep_dense_rows()
+        return self._problem
 
-        The matrix is built on the first read after a cut adds a row.
-        """
-        kept = self._problem
-        kept.keep_dense_rows()
+    def problem(self, relax: bool = False) -> StandardFormProblem:
+        """The stage as it stands, sharing the kept matrix and row lists; its arrays are its own."""
+        kept = self._kept()
         prob = kept.with_changes(objective=kept.objective.copy(), rhs=kept.rhs.copy(),
                                  lower=kept.lower.copy(), upper=kept.upper.copy())
         return lp_relaxation(prob) if relax else prob
@@ -206,8 +213,7 @@ class StageProblem:
         Only the objective and the copies' bounds differ from :meth:`problem`,
         whose kept matrix and row lists every call shares until a cut adds a row.
         """
-        kept = self._problem
-        kept.keep_dense_rows()
+        kept = self._kept()
         objective = kept.objective.copy()
         objective[self._copies] -= mu
         lower, upper = kept.lower.copy(), kept.upper.copy()
@@ -217,49 +223,45 @@ class StageProblem:
 
     def level_set_problem(self, level: float) -> StandardFormProblem:
         """Zero objective plus a cap on the original objective value."""
-        prob = self._problem
+        prob = self._kept()
         cap = {int(c): float(prob.objective[c]) for c in np.flatnonzero(prob.objective)}
-        return prob.with_row(cap, "le", float(level) - self.objective_constant, "level_set",
-                             objective=np.zeros(prob.n_cols), objective_constant=0.0,
-                             lower=prob.lower.copy(), upper=prob.upper.copy())
+        return prob.with_rows([(cap, "le", float(level) - self.objective_constant, "level_set")],
+                              objective=np.zeros(prob.n_cols), objective_constant=0.0,
+                              lower=prob.lower.copy(), upper=prob.upper.copy())
 
     # -- solving and extraction -------------------------------------------
 
     def solve(self, solver: Optional[LinearSolver] = None, relax: bool = False) -> SolveResult:
-        """Solve the stage, starting from the last optimal solve's basis.
+        """Solve the stage from its basis: a MIP stage's relaxation and MILP share it.
 
-        That is the final basis of an LP solve or the root basis of a MILP
-        solve; a MIP stage's relaxation and its MILP share it, since the
-        MILP's root is that relaxation.  Between forward passes only the
-        pinned copies' bounds move, so the basis stays dual feasible; a cut
-        added since gets a basic slack.
+        That basis may be a Lagrangian step's, under other costs and with the
+        copies unpinned; the simplex starts from any basis (see
+        :mod:`graphopt.simplex`).
         """
-        problem = self.problem(relax=relax)
-        problem.basis = _extended(self._basis, problem.n_rows)
+        return self._solve(self.problem(relax=relax), solver)
+
+    def solve_lagrangian(self, mu: np.ndarray, anchor: np.ndarray,
+                         solver: Optional[LinearSolver] = None) -> SolveResult:
+        """Solve :meth:`lagrangian_problem` from the stage's basis.
+
+        Its optimum is the Lagrangian value L(mu) at the anchor: one step of
+        a Lagrangian ascent, and the whole of a strengthened cut.
+        """
+        return self._solve(self.lagrangian_problem(mu, anchor), solver)
+
+    def _solve(self, problem: StandardFormProblem, solver: Optional[LinearSolver]) -> SolveResult:
+        problem.basis = self._basis
         result = solve(problem, solver)
         if result.basis is not None:  # only optimal solves return one
             self._basis = result.basis
         return result
 
-    def solve_lagrangian(self, mu: np.ndarray, anchor: np.ndarray,
-                         solver: Optional[LinearSolver] = None) -> SolveResult:
-        """Solve :meth:`lagrangian_problem`, starting from the last such solve's root basis.
-
-        Its optimum is the Lagrangian value L(mu) at the anchor: one step of
-        a Lagrangian ascent, and the whole of a strengthened cut.
-        Successive multipliers change only the objective, so the MILP root
-        re-prices the kept tableau of the last root and the simplex
-        finishes from it.
-        """
-        problem = self.lagrangian_problem(mu, anchor)
-        problem.basis = _extended(self._lagrangian_basis, problem.n_rows)
-        result = solve(problem, solver)
-        if result.basis is not None:  # only optimal solves return one
-            self._lagrangian_basis = result.basis
-        return result
-
     def fixing_duals(self, result: SolveResult) -> np.ndarray:
-        """The pinned copies' reduced costs: the sensitivity of the stage's value to each pin."""
+        """The pinned copies' reduced costs: the sensitivity of the stage's value to each pin.
+
+        A copy that a solve from a Lagrangian step's basis leaves basic at its
+        pin reads 0, a degenerate but valid slope: any optimal duals give one.
+        """
         if result.reduced_costs is None:
             raise ValueError("solve result carries no duals")
         return np.asarray(result.reduced_costs, dtype=float)[self._copies]

@@ -112,8 +112,14 @@ def validate_partition(graph: Graph, membership: MembershipLike) -> Partition:
     """Check that a node->block assignment covers the local layer exactly.
 
     ``membership`` can be a map from node id to block key, an iterable of
-    node-id groups, or an existing :class:`Partition` to re-validate.
+    node-id groups, or an existing :class:`Partition` to re-validate.  Each
+    sub-partition must cover its block's nodes in the same way; one whose
+    key names no block is dropped, as it would never be applied.
     """
+    return _validated({node.id for node in graph.local_nodes()}, membership)
+
+
+def _validated(local_ids: set[str], membership: MembershipLike) -> Partition:
     if isinstance(membership, Partition):
         blocks = [(b.id, list(b.node_ids)) for b in membership.blocks]
         subs = membership.sub_partitions
@@ -128,7 +134,6 @@ def validate_partition(graph: Graph, membership: MembershipLike) -> Partition:
         blocks = [(f"block{i}", list(group)) for i, group in enumerate(membership, start=1)]
         subs = None
 
-    local_ids = {node.id for node in graph.local_nodes()}
     seen: set[str] = set()
     for bid, ids in blocks:
         if not ids:
@@ -142,9 +147,11 @@ def validate_partition(graph: Graph, membership: MembershipLike) -> Partition:
     missing = local_ids - seen
     if missing:
         raise NotCoveringError(f"partition misses nodes {sorted(missing)}")
+    members = dict(blocks)
     return Partition(
         blocks=[PartitionBlock(bid, tuple(ids)) for bid, ids in blocks],
-        sub_partitions=subs,
+        sub_partitions=subs and {bid: _validated(set(members[bid]), sub)
+                                 for bid, sub in subs.items() if bid in members},
     )
 
 
@@ -167,6 +174,16 @@ def _split_into_blocks(graph: Graph, partition: Partition) -> tuple[list[Graph],
     return children, left
 
 
+def _claim_block_ids(partition: Partition, taken: set[str]) -> None:
+    """Add every block id of the partition tree to ``taken``; raise on one already there."""
+    for block in partition.blocks:
+        if block.id in taken:
+            raise IdCollisionError(f"subgraph id {block.id!r} already exists in this hierarchy")
+        taken.add(block.id)
+    for sub in (partition.sub_partitions or {}).values():
+        _claim_block_ids(sub, taken)
+
+
 def apply_partition(graph: Graph, partition: MembershipLike, mode: str = "in_place") -> Graph:
     """Move local nodes into one subgraph per block.
 
@@ -179,14 +196,12 @@ def apply_partition(graph: Graph, partition: MembershipLike, mode: str = "in_pla
         raise PartitionError(
             f"graph {graph.id!r} already has subgraphs; partitions apply to the local layer"
         )
+    # the whole partition tree is checked before any write, so that a bad
+    # block at any level leaves the graph whole
     partition = validate_partition(graph, partition)
-    if mode == "in_place":  # check before any write, so that a clash leaves the graph whole
+    if mode == "in_place":
         root = graph.root()
-        taken = {root.id, *root._subgraph_index}
-        for block in partition.blocks:
-            if block.id in taken:
-                raise IdCollisionError(f"subgraph id {block.id!r} already exists in this hierarchy")
-            taken.add(block.id)
+        _claim_block_ids(partition, {root.id, *root._subgraph_index})
 
     children, left = _split_into_blocks(graph, partition)
     if mode == "assemble_new":

@@ -412,7 +412,7 @@ class TestKeptLagrangianProblem:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(solve_milp(expected).objective, rel=1e-9, abs=1e-9)
 
-    def test_steps_start_cold_at_most_once_per_stage_and_cut_set(self, monkeypatch):
+    def test_no_lagrangian_step_starts_cold(self, monkeypatch):
         cold_starts, steps = Counter(), []
         solve_lagrangian = StageProblem.solve_lagrangian
 
@@ -428,8 +428,120 @@ class TestKeptLagrangianProblem:
             res = run_decomposition(mini_pcm_fixture(), root="b2",
                                     config=BendersConfig(lagrangian=True, add_slacks=True))
         assert res.status == "converged"
-        assert max(cold_starts.values()) <= 1
+        assert not any(cold_starts.values())  # a stage's first step starts from its forward solve's basis
         assert len(steps) >= 10 * len(cold_starts)
+
+
+def free_state_chain():
+    """mini_pcm's shape over 6 periods in 3 blocks, whose state of charge has no lower bound.
+
+    A row keeps each state at or above 0, so a stage's copy of its parent's
+    state unpins, in a Lagrangian step, to ``(-inf, 20]``: a column the
+    simplex reflects about its upper bound, which a pinned copy is not.
+    """
+    graph, nodes = Graph("free_state"), []
+    for t, demand in enumerate([4.0, 9.0, 16.0, 22.0, 12.0, 6.0], 1):
+        node = graph.add_node(f"t{t}")
+        p, on = node.add_variable("p", 0.0, 10.0), node.add_variable("on", 0.0, 1.0, "binary")
+        charge, discharge = node.add_variable("charge", 0.0, 5.0), node.add_variable("discharge", 0.0, 5.0)
+        soc, shed = node.add_variable("soc", upper=20.0), node.add_variable("shed", 0.0)
+        node.add_constraint(1.0 * soc, "ge", 0.0)
+        node.add_constraint(p - 10.0 * on, "le", 0.0)
+        node.add_constraint(p + discharge - charge + shed, "eq", demand)
+        node.set_objective(p + 2.0 * on + 500.0 * shed)
+        nodes.append(node)
+    nodes[0].add_constraint(1.0 * nodes[0].var("soc"), "eq", 10.0)
+    for prev, node in zip(nodes, nodes[1:]):
+        graph.add_link_constraint(node.var("soc") - prev.var("soc") - 0.9 * node.var("charge")
+                                  + node.var("discharge"), "eq", 0.0)
+    apply_partition(graph, {f"t{t}": f"b{(t + 1) // 2}" for t in range(1, 7)})
+    return graph
+
+
+def pcm_milp_run():
+    """The benchmark's ``pcm_milp`` model at seed 1, as Benders runs it."""
+    graph, membership = generators.pcm_milp_build(generators.pcm_milp_data(np.random.default_rng(1)))
+    apply_partition(graph, membership)
+    return graph, "b2", BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True, theta_lb=-1e9)
+
+
+class TestOneKeptBasisPerStage:
+    """Every solve of a stage starts from its last optimal basis, bordered with the cuts added since."""
+
+    @pytest.mark.parametrize("model", [
+        lambda: (partitioned_storage(), "design", BendersConfig(add_slacks=True)),
+        lambda: (mini_pcm_fixture(), "b2", BendersConfig(lagrangian=True, add_slacks=True)),
+        pcm_milp_run,
+    ], ids=["storage", "mini_pcm", "pcm_milp"])
+    def test_a_benders_call_builds_no_tableau_by_gauss_jordan(self, model):
+        """Only a start from a kept tableau that broke down is rebuilt (mini_pcm has some)."""
+        graph, root, config = model()
+        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
+                mock.patch.object(simplex, "_rebuilt", wraps=simplex._rebuilt) as rebuilds, \
+                mock.patch.object(simplex, "_bordered", wraps=simplex._bordered) as bordered:
+            res = run_decomposition(graph, root, config)
+        assert res.status == "converged"
+        assert builds.call_count == rebuilds.call_count
+        assert bordered.call_count >= 1
+
+    def test_a_free_copy_starts_each_stage_cold_once(self):
+        """The tableau lays a copy out one way pinned, another unpinned: a switch costs a build, not a cold start."""
+        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
+                mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
+            res = run_decomposition(free_state_chain(), "b1", BendersConfig(lagrangian=True, add_slacks=True))
+        assert res.status == "converged"
+        assert res.objective == pytest.approx(solve_flat(free_state_chain())[0].objective, rel=1e-9)
+        assert cold_starts.call_count == 3 and builds.call_count >= 1
+
+    def test_a_cut_after_a_lagrangian_step_keeps_the_forward_solve_warm(self):
+        st = BendersTree(free_state_chain(), root="b1").stages["b2"]
+        prob = StageProblem(st.subgraph, st.relocated, theta_count=1, add_slacks=True)
+        prob.set_fixed_values([10.0])
+        assert prob.solve().status == "optimal"
+        assert prob.solve_lagrangian(np.array([1.5]), np.array([10.0])).status == "optimal"
+        refs = tuple(r for r in prob.columns if r.qualified_name == "t4.soc")  # b3's copy reads it
+        prob.add_cut(CutData("b3", refs, np.array([-40.0]), 50.0, np.array([5.0]), "lagrangian", 1, 0))
+        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
+                mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
+            res = prob.solve()  # from the Lagrangian step's basis, one row short
+        assert (builds.call_count, cold_starts.call_count) == (1, 0)
+        assert res.objective == pytest.approx(solve_milp(prob.problem()).objective, rel=1e-9)
+
+    def test_every_lp_optimum_of_a_pcm_milp_run_meets_its_rows(self, monkeypatch):
+        """``theta_lb = -1e9`` reaches every basic value through B^-1 b'; the refined optimum keeps none of it."""
+        worst = []
+        optimal = simplex._optimal
+
+        def checked(problem, *args):
+            res = optimal(problem, *args)
+            _, sign = problem.row_signs()
+            excess = sign * (problem.dense_rows() @ res.primal - problem.rhs)
+            eq = np.array([sense == "eq" for sense in problem.senses], dtype=bool)
+            worst.append(float(np.max(np.where(eq, np.abs(excess), excess), initial=0.0)))
+            return res
+
+        monkeypatch.setattr(simplex, "_optimal", checked)
+        graph, root, config = pcm_milp_run()
+        assert run_decomposition(graph, root, config).status == "converged"
+        assert len(worst) >= 10
+        assert max(worst) <= 1e-9
+
+    def test_a_stage_dedups_a_cut_only_against_its_own_child_and_theta(self):
+        g, x, _ = toy_two_stage()
+        prob = StageProblem(BendersTree(g, root="p").stages["p"].subgraph, theta_count=2)
+
+        def cut(child, theta, phi, anchor=0.0):
+            return CutData(child, (x,), np.array([-1.0]), phi, np.array([anchor]), "benders", 1, theta)
+
+        for phi in (1.0, 2.0, 3.0):
+            prob.add_cut(cut("c", 0, phi))
+            prob.add_cut(cut("d", 1, phi))
+        with mock.patch.object(CutData, "same_hyperplane", autospec=True,
+                               side_effect=CutData.same_hyperplane) as compared:
+            assert prob.has_equivalent_cut(cut("c", 0, 0.0, anchor=1.0))  # the first cut, anchored elsewhere
+            assert not prob.has_equivalent_cut(cut("c", 0, 4.0))
+            assert not prob.has_equivalent_cut(cut("c", 1, 1.0))  # no cut on theta 1 from child c
+        assert compared.call_count == 1 + 3 + 0
 
 
 class TestLagrangianAscent:

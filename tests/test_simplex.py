@@ -707,6 +707,68 @@ class TestKeptTableau:
             assert res.iterations == rebuilt.iterations
             np.testing.assert_array_equal(res.primal, rebuilt.primal)
 
+    def test_a_kept_start_that_breaks_down_is_rebuilt_from_its_basis(self):
+        prob = self.boxed_lp()
+        prob.keep_dense_rows()
+        parent = solve_lp(replace(prob, basis=solve_lp(prob).basis))
+        child = replace(prob, rhs=np.array([3.5, -1.0]), basis=parent.basis)
+        solve_from, starts = simplex._solve_from, []
+
+        def breaks_down_once(problem, t, *args):
+            starts.append(t)
+            if len(starts) == 1:
+                raise NumericalBreakdownError("rounding in the kept tableau")
+            return solve_from(problem, t, *args)
+
+        with mock.patch.object(simplex, "_solve_from", breaks_down_once), \
+                mock.patch.object(simplex, "_rebuilt", wraps=simplex._rebuilt) as rebuilds, \
+                mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
+            res = solve_lp(child)
+        assert (len(starts), rebuilds.call_count, cold_starts.call_count) == (2, 1, 0)
+        cold = solve_lp(replace(child, basis=None))
+        assert res.status == cold.status == "optimal"
+        assert res.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+class TestBorderedRows:
+    """Rows appended to a kept matrix join its kept tableau, each with its logical basic."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_a_bordered_re_solve_matches_a_gauss_jordan_build(self, rng, k):
+        checked = 0
+        for _ in range(100):
+            drawn = kept_parent(rng)
+            if drawn is None:
+                continue
+            prob, parent = drawn
+            rows = []
+            for _ in range(k):  # an "le" row cuts the parent's point off, an "eq" row holds there
+                a = np.round(rng.uniform(-3.0, 3.0, prob.n_cols), 2) * (rng.random(prob.n_cols) < 0.7)
+                sense, cut = ("eq", 0.0) if rng.random() < 0.2 else ("le", rng.uniform(0.0, 0.3))
+                rows.append(({j: a[j] for j in np.flatnonzero(a)}, sense, a @ parent.primal - cut, "cut"))
+            grown = prob.with_rows(rows)
+            np.testing.assert_array_equal(grown.dense_rows(), grown.copy().dense_rows())  # no rebuild needed
+            with mock.patch.object(simplex, "_bordered", wraps=simplex._bordered) as bordered_starts, \
+                    mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts, \
+                    crash_builds() as builds:
+                bordered = solve_lp(grown.with_changes(basis=parent.basis))
+            assert (bordered_starts.call_count, cold_starts.call_count, builds.call_count) == (1, 0, 0)
+            codes = Basis(parent.basis.columns, np.concatenate([parent.basis.rows, np.full(k, BASIC, np.int8)]))
+            with crash_builds() as builds:
+                rebuilt = solve_lp(grown.with_changes(basis=codes))
+            assert builds.call_count == 1
+            assert bordered.status == rebuilt.status
+            if bordered.status != "optimal":
+                continue
+            checked += 1
+            assert bordered.objective == pytest.approx(rebuilt.objective, rel=1e-9, abs=1e-9)
+            for got, want in [(bordered.primal, rebuilt.primal), (bordered.duals, rebuilt.duals)]:
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(bordered.basis.columns, rebuilt.basis.columns)
+            np.testing.assert_array_equal(bordered.basis.rows, rebuilt.basis.rows)
+            assert_strong_duality(grown, bordered)
+        assert checked >= 10
+
 
 def dispatch_lp(rng, periods):
     """One scenario stage of a capacity expansion model, as Benders hands it out.

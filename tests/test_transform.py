@@ -162,6 +162,23 @@ class TestApplyPartition:
         assert (after.n_rows, after.n_cols) == (before.n_rows, before.n_cols)
         np.testing.assert_array_equal(after.dense_rows(), before.dense_rows())
 
+    @pytest.mark.parametrize("left, error", [
+        ([PartitionBlock("l0", ("n0",)), PartitionBlock("l1", ("n1", "n9"))], NotCoveringError),
+        ([PartitionBlock("cyc", ("n0",)), PartitionBlock("l1", ("n1",))], IdCollisionError),
+        ([PartitionBlock("right", ("n0",)), PartitionBlock("l1", ("n1",))], IdCollisionError),
+    ])
+    def test_a_bad_sub_partition_raises_before_the_graph_changes(self, left, error):
+        g, _ = four_cycle()
+        part = Partition(
+            blocks=[PartitionBlock("left", ("n0", "n1")), PartitionBlock("right", ("n2", "n3"))],
+            sub_partitions={"left": Partition(left)},
+        )
+        with pytest.raises(error):
+            apply_partition(g, part)
+        assert not g.local_subgraphs()
+        assert [n.id for n in g.local_nodes()] == ["n0", "n1", "n2", "n3"]
+        assert len(g.local_edges()) == 4
+
     def test_unknown_mode_is_rejected(self):
         g, _ = four_cycle()
         with pytest.raises(ValueError):
