@@ -1,65 +1,65 @@
 """Dense bounded-variable simplex, primal and dual, with dual values.
 
 The solver works on a :class:`~graphopt.standard_form.StandardFormProblem`.
-Every column is moved to a lower bound of zero: shifted by a finite lower
-bound, reflected about its upper bound when only that one is finite, or
-split in two when it is free.  A finite width ``u = upper - lower`` stays
-data and never becomes a row: this is the upper-bounding technique (Dantzig
-1955; Chvatal, *Linear Programming*, ch. 8).  A fixed column stays in the
-tableau at zero width and never enters.  A nonbasic column at its upper
-bound is stored complemented, ``x -> u - x``, so that every nonbasic column
-reads zero.  The ratio test stops a basic column at zero or at its upper
-bound; when the entering column's own bound binds first, the column just
-flips to its complement and no pivot is made.
+Every column stays one column in its own units: a nonbasic column rests at
+one of its bounds, or at zero when it is free, and the tableau reads each
+column's distance from where it rests (Koberstein, *The dual simplex
+method*, 2005, ch. 3).  A finite width ``u = upper - lower`` stays data and
+never becomes a row: this is the upper-bounding technique (Dantzig 1955;
+Chvatal, *Linear Programming*, ch. 8).  A fixed column stays in the tableau
+at zero width and never enters.  A column at its upper bound, or with only
+an upper bound, is stored complemented, ``x -> u - x``.  A basic free
+column may take either sign and never leaves; a nonbasic one is negated at
+zero distance to enter downward, which counts as no iteration.  The ratio
+test stops a basic column at its bounds; when the entering column's own
+bound binds first, the column just flips to its complement and no pivot is
+made.
 
-One layout (:class:`_Frame`) serves every solve: the structural columns,
-the negative parts of the free ones, one logical column per row (the slacks
-of the inequality rows, then a zero-width column for each equality row) and
-the rhs.  The reduced costs are carried as one extra tableau row that every
-pivot updates like any other row, and the rank-1 update only touches rows
-with a nonzero in the pivot column and columns with one in the pivot row.
-Dantzig pricing is used until the iteration count stalls on degenerate
-pivots (60 in a row; in the dual simplex, as many as there are rows, if
-more), after which Bland's rule takes over so the method cannot cycle.
+One layout (:class:`_Frame`) serves every solve of one matrix and its row
+signs, whatever the bounds: the structural columns, one logical column per
+row (the slacks of the inequality rows, then a zero-width column for each
+equality row) and the rhs.  The reduced costs are one extra tableau row
+that every pivot updates like any other row, and the rank-1 update only
+touches rows with a nonzero in the pivot column and columns with one in the
+pivot row.  Dantzig pricing is used until the iteration count stalls on
+degenerate pivots (60 in a row; in the dual simplex, as many as there are
+rows, if more), after which Bland's rule takes over so the method cannot
+cycle.
 
-Every solve takes one path (Koberstein, *The dual simplex method*, 2005,
-ch. 4).  It starts from a tableau, in which nonbasic boxed columns go to
-the bound their reduced cost favours.  A column unbounded above whose
-reduced cost is still negative has its cost shifted for the dual run, so
-that its reduced cost reads zero: the start is then dual feasible, and a
-bounded dual simplex restores primal feasibility.  Where a cost was
-shifted the true costs are then priced back in; primal Phase II finishes.
-An infeasible verdict is the dual simplex's certificate, which holds
-whatever the costs (see :func:`_run_dual`).
+Every solve takes one path (Koberstein 2005, ch. 4).  In its start tableau
+nonbasic boxed columns go to the bound their reduced cost favours and free
+ones face the way their cost falls.  A column unbounded above whose reduced
+cost is still negative has its cost shifted to read zero, so that the start
+is dual feasible, and a bounded dual simplex restores primal feasibility.
+The true costs are then priced back in, and primal Phase II finishes.  An
+infeasible verdict is the dual simplex's certificate, which holds whatever
+the costs (see :func:`_run_dual`).
 
 The start.  A problem may carry a :class:`~graphopt.standard_form.Basis`
 hint, such as its parent's final basis in branch-and-bound.  Every optimal
-solve keeps the tableau its pivots ended on, with its layout, privately on
-the basis it returns, and nothing writes to it again.  B^-1 [A | I] depends
-on none of the bounds' values, right-hand sides or costs, and the logical
-columns read B^-1.  So when the hint keeps a tableau over the same matrix
-object, with every row signed and every column shifted, reflected or split
-as before, the tableau is copied, its rhs column ``B^-1 b'`` is one
-matrix-vector product and its reduced costs ``c - c_B B^-1 A`` one
-vector-matrix product, priced afresh even under the same objective.  This
-is the re-solve of a branch-and-bound child, of a Benders stage whose pins
-moved and of a Lagrangian step.  When the matrix has gained rows below an
-equal copy of the kept one, as a Benders stage gains cut rows, each joins
-the copy with its logical basic, as ``a - a_B B^-1 [A | I]``: the bordered
-inverse ``[B^-1 0; -a_B B^-1 1]`` (Koberstein 2005); no kept row is redone.
-Otherwise the hint's basic columns are pivoted into the all-logical tableau
-by Gauss-Jordan elimination, counted as no iteration; rows past the hint's
-keep their logicals basic.  Without a hint, or with one of the wrong size or
-a singular one, the start is the all-logical tableau itself.  A start from
-a kept tableau on which the dual simplex finds a row it can neither repair
-nor prove infeasible, or could repair only by pivoting on rounding noise,
-is rebuilt once by Gauss-Jordan elimination, since the pivots the kept
-tableau carries may hold the rounding at fault.  Any other hinted start
-that fails so starts once more from the all-logical tableau; there the same
-failure raises :class:`NumericalBreakdownError`.
-
-The optimum is read from ``B^-1 b'``, refined by one step of iterative
-refinement in the problem's own columns (see :func:`_optimal`).
+solve keeps its final tableau privately on the basis it returns, and
+nothing writes to it again.  B^-1 [A | I] depends on none of the bounds,
+right-hand sides or costs, and the logical columns read B^-1.  So when the
+hint keeps a tableau over the same matrix object and row signs, the tableau
+is copied and each column rests where it rested, or, where that bound is
+now infinite, at its other bound or zero.  The rhs column ``B^-1 (b - A_N
+x_N)`` is then one matrix-vector product and the reduced costs ``c - c_B
+B^-1 A`` one vector-matrix product, priced afresh even under the same
+objective: the re-solve of a branch-and-bound child, of a Benders stage
+whose copies are pinned or unpinned, and of a Lagrangian step.  Rows the
+matrix gained below the kept ones, such as a Benders stage's cuts, join the
+copy with their logicals basic, as ``a - a_B B^-1 [A | I]``: the bordered
+inverse ``[B^-1 0; -a_B B^-1 1]``.  Otherwise the hint's basic columns are
+pivoted into the all-logical tableau by Gauss-Jordan elimination, counted as
+no iteration; rows past the hint's keep their logicals basic.  Without a
+usable hint (the wrong size, or singular) the start is the all-logical
+tableau itself.  A kept start on which the dual simplex finds a row it can
+neither repair nor prove infeasible, or could repair only by pivoting on
+rounding noise, is rebuilt once by Gauss-Jordan elimination, since the kept
+pivots may hold the rounding at fault.  Any other hinted start that fails
+so starts once more from the all-logical tableau; there the same failure
+raises :class:`NumericalBreakdownError`.  The optimum is read from ``B^-1
+b'``, refined by one step of iterative refinement (see :func:`_optimal`).
 
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -96,15 +96,15 @@ class SolveResult:
 
     ``duals`` and ``reduced_costs`` follow the sensitivity convention of the
     module docstring and are ``None`` for MILP solves.  ``iterations`` counts
-    primal and dual simplex pivots plus bound flips (summed over the nodes of
-    a MILP).  ``basis`` is the final basis of an optimal LP solve, in the
-    problem's own columns and rows, and for an optimal MILP solve that of its
-    root relaxation, whose result is ``relaxation``; handed back as
-    ``problem.basis``, it starts the simplex there, from a copy of the
-    tableau it keeps (see the module docstring).  ``duals``,
+    primal and dual simplex pivots and bound flips, nothing else (summed over
+    the nodes of a MILP).  ``basis`` is the final basis of an optimal LP
+    solve, in the problem's own columns and rows, and for an optimal MILP
+    solve that of its root relaxation, whose result is ``relaxation``;
+    handed back as ``problem.basis``, it starts the simplex there, from a
+    copy of the tableau it keeps (see the module docstring).  ``duals``,
     ``reduced_costs`` and the basis status codes are worked out from that
-    tableau when they are first read; nothing writes to it once it is kept,
-    so they read the same whenever that is.
+    tableau when first read; nothing writes to it once it is kept, so they
+    read the same whenever that is.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -122,73 +122,100 @@ class SolveResult:
 
 @dataclass(eq=False)
 class _Tableau:
-    """A solve's tableau; an optimal solve keeps its final one on its basis, never written to again."""
+    """A solve's tableau; an optimal solve keeps its final one on its basis, never written to again.
+
+    It is made with every column resting at a finite bound, or at zero when
+    free: one resting at an infinite bound is complemented, which moves no
+    value, since its offset is the same either way.  A basic one's row is
+    negated too, which restores its unit entry.
+    """
 
     frame: _Frame             # the layout of the columns and rows
     rows: np.ndarray          # (m + 1, n_total + 1): rows, then reduced costs; rhs last
     basis: np.ndarray         # basic column per row
-    upper: np.ndarray         # width of each column, inf when unbounded above
-    flipped: np.ndarray       # bool mask: column stored complemented, x -> upper - x
+    columns: _Columns         # this solve's bounds
+    flipped: np.ndarray       # bool mask: column stored complemented, at its upper bound or negated
+    upper: np.ndarray = field(init=False)      # columns.upper
+    free: np.ndarray = field(init=False)       # columns.free
     row_upper: np.ndarray = field(init=False)  # width of each row's basic column
+    row_lower: np.ndarray = field(init=False)  # 0, or -inf where the basic column is free
     iterations: int = 0
     tiny_pivots: int = 0
     degenerate: int = 0
     bland: bool = False
 
     def __post_init__(self) -> None:
+        self.upper, self.free = self.columns.upper, self.columns.free
+        stray = (self.upper == np.inf) & (self.columns.lower == 0.0) & (self.flipped != self.columns.reflect)
+        if stray.any():
+            _negate(self, stray)
+            self.rows[:-1][stray[self.basis]] *= -1.0
         self.row_upper = self.upper[self.basis]
+        self.row_lower = self.columns.lower[self.basis]
+
+
+class _Columns(NamedTuple):
+    """One solve's bounds over the tableau columns: where each rests and how far it runs."""
+
+    offset: np.ndarray        # per structural column: its finite lower bound, else its upper bound, else 0
+    upper: np.ndarray         # the width of each column, inf when unbounded; the rhs last
+    lower: np.ndarray         # 0, or -inf for a free column, whose value takes any sign
+    free: np.ndarray          # the free columns
+    reflect: np.ndarray       # bool mask: a column with only an upper bound, which rests there
+
+    @staticmethod
+    def read(lo: np.ndarray, hi: np.ndarray, tail: np.ndarray) -> _Columns:
+        has_lo = np.isfinite(lo)
+        reflect = np.zeros(lo.size + tail.size, dtype=bool)
+        if has_lo.all():  # the common case: every column rests at its lower bound
+            offset, free = lo, _NO_COLUMNS
+            width = np.maximum(hi - lo, 0.0)
+        else:
+            has_hi = np.isfinite(hi)
+            width = np.full(lo.size, np.inf)
+            width[has_lo] = np.maximum(hi[has_lo] - lo[has_lo], 0.0)
+            offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+            free = (~(has_lo | has_hi)).nonzero()[0]
+            reflect[:lo.size] = has_hi & ~has_lo
+        upper = np.concatenate((width, tail))
+        lower = np.zeros(upper.size)
+        lower[free] = -np.inf
+        return _Columns(offset, upper, lower, free, reflect)
 
 
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """The layout of one matrix, one set of row senses and one pattern of finite bounds.
+    """The layout of one matrix and one set of row senses, whatever the bounds.
 
     Problems with the same matrix object and the same ``lookup`` share a
-    frame, which a kept tableau carries to the next re-solve.  B^-1 [A | I]
-    depends only on the matrix, the row signs and ``key``: each column's
-    reflection and split.
+    frame, which a kept tableau carries to the next re-solve.
     """
 
     a: np.ndarray             # the dense matrix, compared by identity
     eq: np.ndarray            # the equality rows
     given_sign: np.ndarray    # -1 on "ge" rows
-    lookup: bytes             # the equality rows, the row signs and which bounds are finite
-    key: bytes
-    sign: np.ndarray          # -1 on columns reflected about their upper bound
-    free: np.ndarray          # the split columns
+    lookup: bytes             # the equality rows and the row signs
     logical: np.ndarray       # row i's logical column: inequality slacks first, then equality rows
     order: np.ndarray         # the rows in the order of their logical columns
     n_price: int              # the columns before the equality rows' logicals, which never enter
-    tail: np.ndarray          # widths past the structural columns: negative parts, logicals, rhs
+    tail: np.ndarray          # widths past the structural columns: logicals, rhs
 
     @staticmethod
-    def build(a: np.ndarray, eq: np.ndarray, given_sign: np.ndarray, lo: np.ndarray,
-              hi: np.ndarray, lookup: bytes) -> _Frame:
-        _, sign, _, free = _column_transform(lo, hi)
-        n_struct = lo.size + free.size
+    def build(a: np.ndarray, eq: np.ndarray, given_sign: np.ndarray, lookup: bytes) -> _Frame:
+        n = a.shape[1]
         order = np.argsort(eq, kind="stable")  # the rows in the order of their logicals
         logical = np.empty(eq.size, dtype=np.intp)
-        logical[order] = np.arange(n_struct, n_struct + eq.size)
-        return _Frame(a=a, eq=eq, given_sign=given_sign, lookup=lookup,
-                      key=sign.tobytes() + free.tobytes(), sign=sign, free=free, logical=logical, order=order,
-                      n_price=n_struct + eq.size - np.count_nonzero(eq),
-                      tail=np.concatenate([np.full(free.size, np.inf), np.where(eq[order], 0.0, np.inf),
-                                           [np.inf]]))
+        logical[order] = np.arange(n, n + eq.size)
+        return _Frame(a=a, eq=eq, given_sign=given_sign, lookup=lookup, logical=logical, order=order,
+                      n_price=n + eq.size - np.count_nonzero(eq),
+                      tail=np.concatenate([np.where(eq[order], 0.0, np.inf), [np.inf]]))
 
     def holds(self, kept: _Frame) -> bool:
         """Can ``kept``'s tableau start a solve here: ``kept``'s matrix object, or rows appended to it?"""
         m = kept.eq.size
-        return self is kept or (self.key == kept.key and np.array_equal(self.eq[:m], kept.eq)
+        return self is kept or (np.array_equal(self.eq[:m], kept.eq)
                                 and np.array_equal(self.given_sign[:m], kept.given_sign)
                                 and (self.a is kept.a or self.eq.size > m and np.array_equal(self.a[:m], kept.a)))
-
-    def internal_cost(self, c: np.ndarray) -> np.ndarray:
-        """The objective over the tableau columns, uncomplemented."""
-        c_int = np.zeros(c.size + self.tail.size)
-        c_int[:c.size] = c * self.sign
-        if self.free.size:
-            c_int[c.size:c.size + self.free.size] = -c_int[self.free]
-        return c_int
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
@@ -209,6 +236,7 @@ def _pivot(t: _Tableau, row: int, col: int) -> None:
     t.rows[row] = pivot_row
     t.basis[row] = col
     t.row_upper[row] = t.upper[col]
+    t.row_lower[row] = t.columns.lower[col]
     t.iterations += 1
 
 
@@ -216,9 +244,14 @@ def _flip(t: _Tableau, cols: np.ndarray | list[int]) -> None:
     """Move nonbasic columns to their other bound by complementing them; each counts as an iteration."""
     if len(cols):
         t.rows[:, -1] -= t.rows[:, cols] @ t.upper[cols]
-        t.rows[:, cols] *= -1.0
-        t.flipped[cols] = ~t.flipped[cols]
+        _negate(t, cols)
         t.iterations += len(cols)
+
+
+def _negate(t: _Tableau, cols: np.ndarray | list[int]) -> None:
+    """Complement columns where they rest, moving no value: a nonbasic free column turns to enter downward."""
+    t.rows[:, cols] *= -1.0
+    t.flipped[cols] = ~t.flipped[cols]
 
 
 def _price(t: _Tableau, c_int: np.ndarray) -> None:
@@ -252,6 +285,8 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
     while True:
         if t.iterations > max_iterations:
             return "iteration_limit"
+        if t.free.size:  # a nonbasic free column enters either way
+            _negate(t, t.free[reduced[t.free] > _RC_TOL])
         rc = reduced if can_enter is None else np.where(can_enter, reduced, 0.0)
         if t.bland:
             candidates = (rc < -_RC_TOL).nonzero()[0]
@@ -267,7 +302,7 @@ def _run_phase(t: _Tableau, n_price: int, max_iterations: int,
         tol = _PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)
         down = col > tol            # basic column falls toward zero
         up = col < -tol             # basic column rises toward its upper bound
-        ratios = np.divide(np.where(down, rhs, rhs - t.row_upper), col,
+        ratios = np.divide(np.where(down, rhs - t.row_lower, rhs - t.row_upper), col,
                            out=no_ratio.copy(), where=down | up)
         best = np.minimum.reduce(ratios, initial=np.inf)
         width = t.upper[entering]
@@ -292,8 +327,10 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int, b: np.nda
 
     The basic column farthest outside its bounds leaves (the lowest-indexed
     one under Bland's rule); one above its upper bound is complemented first,
-    so that it leaves at that bound.  Only ``can_enter`` columns may enter.
-    Returns "optimal", "infeasible", or "iteration_limit".
+    so that it leaves at that bound.  A basic free column never leaves.  Only
+    ``can_enter`` columns may enter; a free one is turned to enter downward
+    only when none can as it stands, since its zero dual step would take it
+    at any pivot size.  Returns "optimal", "infeasible", or "iteration_limit".
 
     A leaving row with no entering column is not yet proof of infeasibility:
     its value may be rounding that the pivots left behind.  The rhs column is
@@ -307,12 +344,11 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int, b: np.nda
     nothing.  Otherwise the run raises :class:`NumericalBreakdownError`, so
     this bound errs wide.  A row that is merely within it still leaves when a
     column can enter: accepting it would return values outside their bounds,
-    by as much as 1e-3 on rows that a -1e9 bound reaches.
-
-    An entry below ``_PIVOT_GOOD`` times the row's largest is no pivot
-    while a larger one can enter: a pivot of -1.2e-10 on a row whose largest
-    entry is 2 left entries near 1e10 in B^-1 and a feasible LP called
-    infeasible.  Where only such entries can enter, the run raises too.
+    by as much as 1e-3 on rows that a -1e9 bound reaches.  An entry below
+    ``_PIVOT_GOOD`` times the row's largest is no pivot while a larger one
+    can enter: a pivot of -1.2e-10 on a row whose largest entry is 2 left
+    entries near 1e10 in B^-1 and a feasible LP called infeasible.  Where
+    only such entries can enter, the run raises too.
     """
     m = t.basis.size
     rhs = t.rows[:m, -1]
@@ -327,7 +363,7 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int, b: np.nda
     while True:
         if t.iterations > max_iterations:
             return "iteration_limit"
-        excess = np.maximum(-rhs, rhs - t.row_upper)
+        excess = np.maximum(t.row_lower - rhs, rhs - t.row_upper)
         if t.bland:
             outside = (excess > _PRIMAL_TOL).nonzero()[0]
             if outside.size == 0:
@@ -342,6 +378,9 @@ def _run_dual(t: _Tableau, can_enter: np.ndarray, max_iterations: int, b: np.nda
         row = t.rows[leaving, :-1]
         largest = np.maximum.reduce(np.abs(row), initial=1.0)
         candidates = ((row < -_PIVOT_TOL * largest) & can_enter).nonzero()[0]
+        if not candidates.size and t.free.size:
+            candidates = t.free[row[t.free] > _PIVOT_TOL * largest]
+            _negate(t, candidates)
         if candidates.size:
             usable = candidates[row[candidates] < -_PIVOT_GOOD * largest]
             if usable.size == 0:
@@ -386,25 +425,6 @@ def _count_degenerate(t: _Tableau, step: float, stall: int = _DEGEN_STALL) -> No
         t.degenerate = 0
 
 
-def _column_transform(lo: np.ndarray, hi: np.ndarray):
-    """Offsets, signs and widths that take every column to ``0 <= t <= width``.
-
-    Returns ``(offset, sign, width, free)``.
-    """
-    has_lo = np.isfinite(lo)
-    if has_lo.all():  # the common case: every column shifts by its lower bound
-        offset, sign, free = lo, np.ones(lo.size), _NO_COLUMNS
-        width = np.maximum(hi - lo, 0.0)
-    else:
-        has_hi = np.isfinite(hi)
-        width = np.full(lo.size, np.inf)
-        width[has_lo] = np.maximum(hi[has_lo] - lo[has_lo], 0.0)
-        offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-        sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
-        free = (~(has_lo | has_hi)).nonzero()[0]  # split: the negative part comes last
-    return offset, sign, width, free
-
-
 def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = None) -> SolveResult:
     """Solve the LP relaxation of ``problem`` (integrality is ignored).
 
@@ -419,33 +439,31 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     eq, given_sign = problem.row_signs()
     hint = problem.basis
     kept = None if hint is None else hint._tableau
-    lookup = eq.tobytes() + given_sign.tobytes() + np.isfinite(lo).tobytes() + np.isfinite(hi).tobytes()
+    lookup = eq.tobytes() + given_sign.tobytes()
     if kept is not None and kept.frame.a is a and kept.frame.lookup == lookup:
         frame = kept.frame
     else:
-        frame = _Frame.build(a, eq, given_sign, lo, hi, lookup)
-    offset, _, width, _ = _column_transform(lo, hi)
-    upper = np.concatenate((width, frame.tail))
-    b = given_sign * (problem.rhs - a @ offset)
-    c_int = frame.internal_cost(problem.objective)
+        frame = _Frame.build(a, eq, given_sign, lookup)
+    cols = _Columns.read(lo, hi, frame.tail)
+    b = given_sign * (problem.rhs - a @ cols.offset)
+    c_int = np.concatenate((problem.objective, np.zeros(frame.tail.size)))
     if max_iterations is None:
-        max_iterations = max(5000, 50 * (upper.size - 1 + b.size))
+        max_iterations = max(5000, 50 * (cols.upper.size - 1 + b.size))
     start = None
     if kept is not None and frame.holds(kept.frame):
-        start = _from_kept(kept, frame, upper, c_int, b)
-    if start is not None:
+        start = _from_kept(kept, frame, cols, c_int, b)
         try:
-            return _solve_from(problem, start, offset, c_int, b, max_iterations)
+            return _solve_from(problem, start, cols.offset, c_int, b, max_iterations)
         except NumericalBreakdownError:
-            start = _rebuilt(hint, frame, upper, c_int, b)  # the kept tableau's rounding may be at fault
+            start = _rebuilt(hint, frame, cols, c_int, b)  # the kept tableau's rounding may be at fault
     elif hint is not None:
-        start = _from_crash(hint, frame, upper, c_int, b)
+        start = _from_crash(hint, frame, cols, c_int, b)
     if start is not None:
         try:
-            return _solve_from(problem, start, offset, c_int, b, max_iterations)
+            return _solve_from(problem, start, cols.offset, c_int, b, max_iterations)
         except NumericalBreakdownError:
             pass  # the hinted basis is unreliable: start over from the all-logical one
-    return _solve_from(problem, _from_logical(frame, upper, c_int, b), offset, c_int, b, max_iterations)
+    return _solve_from(problem, _from_logical(frame, cols, c_int, b), cols.offset, c_int, b, max_iterations)
 
 
 def _solve_from(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_int: np.ndarray,
@@ -459,6 +477,8 @@ def _solve_from(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c
         return SolveResult(status="iteration_limit")
     m = b.size
     can_enter = t.upper[:-1] != 0.0  # fixed columns and equality rows' logicals never enter
+    if t.free.size:  # a free column faces the way its cost falls
+        _negate(t, t.free[t.rows[m, t.free] > _RC_TOL])
     wrong_side = (t.rows[m, :-1] < -_RC_TOL) & can_enter
     boxed = wrong_side & (t.upper[:-1] < np.inf)
     _flip(t, boxed.nonzero()[0])  # to the bound their reduced cost favours
@@ -480,21 +500,16 @@ def _solve_from(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c
     return _optimal(problem, t, offset, c_int, b)
 
 
-def _from_kept(kept: _Tableau, frame: _Frame, upper: np.ndarray, c_int: np.ndarray,
-               b: np.ndarray) -> Optional[_Tableau]:
-    """A copy of a kept final tableau, bordered with the rows the matrix gained, or ``None``.
+def _from_kept(kept: _Tableau, frame: _Frame, cols: _Columns, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
+    """A copy of a kept final tableau, bordered with the rows the matrix gained, each column at rest.
 
-    The new rhs column ``B^-1 b'`` is one matrix-vector product (see
-    :func:`_rhs_column`), with each complemented column at its new width;
-    the reduced costs are one vector-matrix product (see :func:`_price`).
+    The rhs column (see :func:`_rhs_column`) and the reduced costs (see :func:`_price`) are worked out afresh.
     """
     if frame.eq.size > kept.basis.size:
         rows, basis, flipped = _bordered(kept, frame)
     else:
         rows, basis, flipped = kept.rows.copy(), kept.basis.copy(), kept.flipped.copy()
-    if (upper[flipped] == np.inf).any():
-        return None  # a complemented column has lost its upper bound
-    t = _Tableau(frame, rows, basis, upper, flipped)
+    t = _Tableau(frame, rows, basis, cols, flipped)
     t.rows[:b.size, -1] = _rhs_column(t, b)[0]
     _price(t, c_int)
     return t
@@ -507,17 +522,16 @@ def _bordered(kept: _Tableau, frame: _Frame) -> tuple[np.ndarray, np.ndarray, np
     logical block then reads the bordered inverse ``[B^-1 0; -a_B B^-1 1]``.
     """
     m, grown = kept.basis.size, frame.eq.size
-    n, nf = frame.sign.size, frame.free.size
-    width = n + nf + grown + 1
-    place = np.concatenate([np.arange(n + nf), frame.logical[kept.frame.order], [width - 1]])
+    n = frame.a.shape[1]
+    width = n + grown + 1
+    place = np.concatenate([np.arange(n), frame.logical[kept.frame.order], [width - 1]])
     rows = np.zeros((grown + 1, width))
     rows[:m, place] = kept.rows[:m]
     flipped = np.zeros(width, dtype=bool)
     flipped[place] = kept.flipped
     basis = np.concatenate([place[kept.basis], frame.logical[m:]])
     new = rows[m:grown]
-    new[:, :n] = frame.a[m:] * frame.sign * frame.given_sign[m:, None]
-    new[:, n:n + nf] = -new[:, frame.free]
+    new[:, :n] = frame.a[m:] * frame.given_sign[m:, None]
     new[:, flipped] *= -1.0
     new[np.arange(grown - m), frame.logical[m:]] = 1.0
     a_b = new[:, basis[:m]]
@@ -529,12 +543,13 @@ def _bordered(kept: _Tableau, frame: _Frame) -> tuple[np.ndarray, np.ndarray, np
 def _rhs_column(t: _Tableau, b: np.ndarray):
     """``(B^-1 b', b')``: the rhs column of a warm tableau, from its logical columns.
 
-    ``b'`` is ``b`` less each complemented structural column at its width.
+    ``b'`` is ``b`` less each column complemented at a finite width, at that width.
     """
     frame = t.frame
-    at_upper = t.flipped[:frame.sign.size].nonzero()[0]  # the structural ones; logicals have width 0
+    n = frame.a.shape[1]  # the structural columns; logicals have width 0 or none
+    at_upper = (t.flipped[:n] & (t.upper[:n] < np.inf)).nonzero()[0]
     if at_upper.size:
-        b = b - frame.a[:, at_upper] @ (frame.sign[at_upper] * t.upper[at_upper]) * frame.given_sign
+        b = b - frame.a[:, at_upper] @ t.upper[at_upper] * frame.given_sign
     return _inverse_times(t, b), b
 
 
@@ -549,25 +564,24 @@ def _inverse_times(t: _Tableau, v: np.ndarray) -> np.ndarray:
     return t.rows[:m, -1 - m:-1] @ np.where(t.flipped[-1 - m:-1], -v, v)
 
 
-def _all_logical(frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
-    """``[A | I | b]`` over the frame's columns under the costs ``c_int``, every logical basic."""
-    a, free = frame.a, frame.free
+def _all_logical(frame: _Frame, cols: _Columns, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
+    """``[A | I | b]`` under the costs ``c_int``, every logical basic and every other column at rest."""
+    a = frame.a
     m, n = a.shape
     rows = np.zeros((m + 1, n + frame.tail.size))
-    rows[:m, :n] = a * frame.sign * frame.given_sign[:, None]
-    rows[:m, n:n + free.size] = -rows[:m, free]
+    rows[:m, :n] = a * frame.given_sign[:, None]
     rows[np.arange(m), frame.logical] = 1.0
     rows[:m, -1] = b
     rows[m] = c_int
-    return _Tableau(frame, rows, frame.logical.copy(), upper, np.zeros(rows.shape[1], dtype=bool))
+    return _Tableau(frame, rows, frame.logical.copy(), cols, np.zeros(rows.shape[1], dtype=bool))
 
 
-def _from_logical(frame: _Frame, upper: np.ndarray, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
-    """The all-logical tableau, every other column at zero: the start without a usable hint."""
-    return _all_logical(frame, upper, c_int, b)
+def _from_logical(frame: _Frame, cols: _Columns, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
+    """The all-logical tableau, every other column at rest: the start without a usable hint."""
+    return _all_logical(frame, cols, c_int, b)
 
 
-def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray,
+def _from_crash(hint: Basis, frame: _Frame, cols: _Columns, c_int: np.ndarray,
                 b: np.ndarray) -> Optional[_Tableau]:
     """The tableau of ``hint`` built from the all-logical one.
 
@@ -575,15 +589,14 @@ def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray
     basic.  ``None`` when the hint has the wrong size or number of basic
     entries, or is singular.
     """
-    free = frame.free
     m, n = frame.a.shape
     hint_rows = np.concatenate([hint.rows, np.full(max(m - np.size(hint.rows), 0), BASIC)])
     if np.shape(hint.columns) != (n,) or hint_rows.shape != (m,):
         return None
     if np.count_nonzero(hint.columns == BASIC) + np.count_nonzero(hint_rows == BASIC) != m:
         return None
-    t = _all_logical(frame, upper, c_int, b)
-    width = upper[:n]
+    t = _all_logical(frame, cols, c_int, b)
+    width = cols.upper[:n]
     _flip(t, np.flatnonzero((hint.columns == AT_UPPER) & (width > 0.0) & (width < np.inf)))
 
     # B^-1 [A | I | b], and the reduced costs, by Gauss-Jordan elimination with
@@ -602,21 +615,13 @@ def _from_crash(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray
         open_rows[p] = 0.0
         _pivot(t, p, j)
     t.iterations = 0  # building the start is no simplex step
-    if free.size:
-        # a basic free column that reads negative hands its row to its negative part
-        swap = np.flatnonzero(np.isin(t.basis, free) & (rows[:m, -1] < 0.0))
-        neg = n + np.searchsorted(free, t.basis[swap])
-        rows[swap] *= -1.0
-        rows[:, neg] = 0.0
-        rows[swap, neg] = 1.0
-        t.basis[swap] = neg
     return t
 
 
-def _rebuilt(hint: Basis, frame: _Frame, upper: np.ndarray, c_int: np.ndarray,
+def _rebuilt(hint: Basis, frame: _Frame, cols: _Columns, c_int: np.ndarray,
              b: np.ndarray) -> Optional[_Tableau]:
     """:func:`_from_crash`, once a start from the hint's kept tableau broke down."""
-    return _from_crash(hint, frame, upper, c_int, b)
+    return _from_crash(hint, frame, cols, c_int, b)
 
 
 def _once(compute):
@@ -645,21 +650,17 @@ def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_in
     first read, since no branch-and-bound node reads them.
     """
     frame, rows, m = t.frame, t.rows, t.basis.size
-    c, n, nf = problem.objective, problem.n_cols, frame.free.size
+    c, n = problem.objective, problem.n_cols
 
-    def structural(v: np.ndarray) -> np.ndarray:  # tableau columns, uncomplemented, to the problem's
-        x = frame.sign * v[:n]
-        if nf:
-            x[frame.free] -= v[n:n + nf]
-        return x
-
+    # each column's value less its offset: a complemented one's is its width, or 0, less its tableau value
     x_int = np.zeros(rows.shape[1])
     x_int[t.basis] = _rhs_column(t, b)[0]
-    x_int[t.flipped] = t.upper[t.flipped] - x_int[t.flipped]
-    x = offset + structural(x_int)
+    width = t.upper[t.flipped]
+    x_int[t.flipped] = np.where(width < np.inf, width, 0.0) - x_int[t.flipped]
+    x = offset + x_int[:n]
     step = np.zeros(rows.shape[1])
     step[t.basis] = _inverse_times(t, frame.given_sign * (problem.rhs - frame.a @ x) - x_int[frame.logical])
-    x += structural(np.where(t.flipped, -step, step))
+    x += np.where(t.flipped[:n], -step[:n], step[:n])
 
     @_once
     def duals():
@@ -667,17 +668,14 @@ def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_in
         # logical columns read B^-1, negated where a logical is complemented
         cost = np.where(t.flipped, -c_int, c_int)
         sign = np.where(t.flipped[frame.logical], -frame.given_sign, frame.given_sign)
-        return (cost[t.basis] @ rows[:m, -1 - m:-1])[frame.logical - (n + nf)] * sign
+        return (cost[t.basis] @ rows[:m, -1 - m:-1])[frame.logical - n] * sign
 
     @_once
     def codes():
         in_basis = np.zeros(rows.shape[1], dtype=bool)
         in_basis[t.basis] = True
-        at_upper = t.flipped[:n] | (frame.sign < 0.0)
-        columns = np.where(in_basis[:n], BASIC, np.where(at_upper, AT_UPPER, AT_LOWER)).astype(np.int8)
-        if nf:
-            split_basic = in_basis[frame.free] | in_basis[n:n + nf]
-            columns[frame.free] = np.where(split_basic, BASIC, FREE_ZERO)
+        columns = np.where(in_basis[:n], BASIC, np.where(t.flipped[:n], AT_UPPER, AT_LOWER)).astype(np.int8)
+        columns[t.free[~in_basis[t.free]]] = FREE_ZERO
         return columns, np.where(in_basis[frame.logical], BASIC, NONBASIC).astype(np.int8)
 
     return SolveResult(

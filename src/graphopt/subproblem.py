@@ -14,10 +14,8 @@ a new problem that appends them to the kept matrix and shares everything
 else, so a problem handed out earlier keeps its rows and its matrix.  The
 stage keeps one basis, its last optimal solve's, and every solve of it
 starts there: forward, backward and each Lagrangian step.  The simplex
-borders that basis's kept tableau with the cut rows added since.  The tableau
-lays out a copy of a variable with an infinite bound one way pinned and
-another unpinned (reflected or split), so a switch between the two
-rebuilds the basis (see :mod:`graphopt.simplex`).
+borders that basis's kept tableau with the cut rows added since (see
+:mod:`graphopt.simplex`).
 
 Column layout is fixed as ``[own variables][copies][slacks][thetas]`` so a
 stage built without thetas produces exactly the same pivot sequence as one

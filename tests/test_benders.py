@@ -436,8 +436,9 @@ def free_state_chain():
     """mini_pcm's shape over 6 periods in 3 blocks, whose state of charge has no lower bound.
 
     A row keeps each state at or above 0, so a stage's copy of its parent's
-    state unpins, in a Lagrangian step, to ``(-inf, 20]``: a column the
-    simplex reflects about its upper bound, which a pinned copy is not.
+    state unpins, in a Lagrangian step, to ``(-inf, 20]``: a column with an
+    upper bound only, which rests complemented there, where a pinned copy
+    rests at its lower bound.
     """
     graph, nodes = Graph("free_state"), []
     for t, demand in enumerate([4.0, 9.0, 16.0, 22.0, 12.0, 6.0], 1):
@@ -484,16 +485,18 @@ class TestOneKeptBasisPerStage:
         assert builds.call_count == rebuilds.call_count
         assert bordered.call_count >= 1
 
-    def test_a_free_copy_starts_each_stage_cold_once(self):
-        """The tableau lays a copy out one way pinned, another unpinned: a switch costs a build, not a cold start."""
+    def test_a_copy_with_no_lower_bound_re_solves_from_the_kept_tableau(self):
+        """Pinning and unpinning a copy moves where it rests, not the tableau's layout: no build."""
         with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
+                mock.patch.object(simplex, "_rebuilt", wraps=simplex._rebuilt) as rebuilds, \
                 mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
             res = run_decomposition(free_state_chain(), "b1", BendersConfig(lagrangian=True, add_slacks=True))
         assert res.status == "converged"
         assert res.objective == pytest.approx(solve_flat(free_state_chain())[0].objective, rel=1e-9)
-        assert cold_starts.call_count == 3 and builds.call_count >= 1
+        assert builds.call_count == rebuilds.call_count
+        assert cold_starts.call_count <= 3
 
-    def test_a_cut_after_a_lagrangian_step_keeps_the_forward_solve_warm(self):
+    def test_a_cut_after_a_lagrangian_step_re_solves_from_the_kept_tableau(self):
         st = BendersTree(free_state_chain(), root="b1").stages["b2"]
         prob = StageProblem(st.subgraph, st.relocated, theta_count=1, add_slacks=True)
         prob.set_fixed_values([10.0])
@@ -503,8 +506,8 @@ class TestOneKeptBasisPerStage:
         prob.add_cut(CutData("b3", refs, np.array([-40.0]), 50.0, np.array([5.0]), "lagrangian", 1, 0))
         with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
                 mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
-            res = prob.solve()  # from the Lagrangian step's basis, one row short
-        assert (builds.call_count, cold_starts.call_count) == (1, 0)
+            res = prob.solve()  # from the Lagrangian step's tableau, bordered with the cut
+        assert (builds.call_count, cold_starts.call_count) == (0, 0)
         assert res.objective == pytest.approx(solve_milp(prob.problem()).objective, rel=1e-9)
 
     def test_every_lp_optimum_of_a_pcm_milp_run_meets_its_rows(self, monkeypatch):

@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -153,6 +154,39 @@ def test_a_cold_result_re_solves_from_its_own_tableau():
         assert spy.call_count == 0
         assert warm.status == "optimal" and warm.iterations == 0
         np.testing.assert_allclose(warm.duals, cold.duals, rtol=1e-9, atol=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_new_bound_pattern_re_solves_from_the_kept_tableau(seed):
+    """Columns move between box, lower, upper, free and fixed bounds over the same matrix object.
+
+    Bounds are drawn around the cold optimum, and may cut it off.  The duals
+    are read from the cold solve's B^-1, which carries its pivots' rounding:
+    a basic column's reduced cost reads up to 5e-9 over 10,000 draws at this
+    size (and 6.8e-8 at 60 x 80), so strong duality is checked to 1e-7.
+    """
+    rng = np.random.default_rng(seed)
+    problem = mixed_bound_lp(rng, m=30, n=40)
+    problem.keep_dense_rows()
+    cold = solve_lp(problem)
+    assert cold.status == "optimal"
+    moved = rng.choice(problem.n_cols, size=int(rng.integers(1, 12)), replace=False)
+    kinds = rng.choice(["box", "lower", "upper", "free", "fixed"], size=moved.size)
+    below = np.round(cold.primal[moved] - rng.uniform(-0.5, 3.0, moved.size), 2)
+    above = below + np.round(rng.uniform(0.0, 4.0, moved.size), 2)
+    lo, hi = problem.lower.copy(), problem.upper.copy()
+    lo[moved] = np.where(np.isin(kinds, ["box", "lower", "fixed"]), below, -np.inf)
+    hi[moved] = np.select([np.isin(kinds, ["box", "upper"]), kinds == "fixed"], [above, below], np.inf)
+    child = problem.with_changes(lower=lo, upper=hi, basis=cold.basis)
+    assert child.dense_rows() is problem.dense_rows()
+    status, objective = highs_lp(child)
+    with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds:
+        warm = solve_lp(child)
+    assert builds.call_count == 0
+    assert warm.status == status
+    if status == "optimal":
+        assert warm.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
+        assert_strong_duality(child, warm, tol=1e-7)
 
 
 def test_storage_fixture_matches_highs():
