@@ -26,15 +26,13 @@ from .errors import (
     CyclicStructureError,
     DisconnectedError,
     HyperedgeSpanError,
-    LevelSetInfeasibleError,
     RelaxationInfeasibleError,
     RootNotFoundError,
-    StructureError,
     SubproblemInfeasibleError,
 )
 from .model import Constraint, Graph, VariableRef
 from .simplex import SolveResult
-from .solvers import LinearSolver, default_solver, require_status, solve
+from .solvers import LinearSolver, default_solver, require_status
 from .standard_form import check_solution, flatten, lp_relaxation
 from .subproblem import CutData, StageProblem
 from .transform import CondensedTopology, condensed_topology, first_level_topology
@@ -130,8 +128,6 @@ class BendersConfig:
     strengthened: bool = False
     lagrangian: bool = False
     lagrangian_iters: int = 50
-    regularize: bool = False
-    alpha: float = 0.5
     add_slacks: bool = False
     slack_penalty: float = 1e6
     warm_start_cuts: bool = False
@@ -142,10 +138,12 @@ class BendersConfig:
             raise ValueError("max_iters must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
         if self.lagrangian_iters < 1:
             raise ValueError("lagrangian_iters must be at least 1")
+        if not self.slack_penalty > 0:
+            raise ValueError("slack_penalty must be positive")
+        if not math.isfinite(self.theta_lb):
+            raise ValueError("theta_lb must be finite")
 
 
 @dataclass
@@ -157,7 +155,6 @@ class IterationRecord:
     gap: float
     cuts_added: int = 0
     wall_time: float = 0.0
-    regularized: bool = False
 
 
 @dataclass
@@ -175,7 +172,6 @@ class BendersResult:
     trace: list[IterationRecord]
     cuts: list[CutData]
     flags: dict[str, bool]
-    level_set_audit: list[tuple[int, float, float]]
     max_violation: float
     config: BendersConfig
     tree: BendersTree
@@ -261,11 +257,6 @@ class _Decomposition:
         self.solver = solver
         topo = validate_structure(graph)
         self.tree = BendersTree(graph, root, topo)
-        if config.regularize and self.tree.n_levels > 2:
-            raise StructureError(
-                f"level-set regularization needs a stage tree of at most 2 levels; "
-                f"this one has {self.tree.n_levels}"
-            )
         self.problems: dict[str, StageProblem] = {}
         self.theta_index: dict[str, int] = {}
         for gid in self.tree.order:
@@ -424,10 +415,8 @@ class _Decomposition:
         lb_history: list[float] = []
         ub_history: list[float] = []
         trace: list[IterationRecord] = []
-        audit: list[tuple[int, float, float]] = []
         status = "max_iterations"
         message = ""
-        previous_iterate: Optional[np.ndarray] = None
         final_results: dict[str, SolveResult] = {}
 
         for k in range(1, config.max_iters + 1):
@@ -436,18 +425,7 @@ class _Decomposition:
                                       f"stage {tree.root!r}", "the root solve", root_prob.infeasible_hint)
             lower = root_res.objective
 
-            iterate_res = root_res
-            regularized = False
-            if config.regularize and math.isfinite(best_ub):
-                level = lower + config.alpha * (best_ub - lower)
-                level_res = require_status(solve(root_prob.level_set_problem(level), self.solver), _OPTIMAL,
-                                           LevelSetInfeasibleError,
-                                           f"stage {tree.root!r}'s level-set solve at iteration {k} is")
-                audit.append((k, root_prob.full_objective_value(level_res), level))
-                iterate_res = level_res
-                regularized = True
-
-            results = self.forward(iterate_res)
+            results = self.forward(root_res)
             final_results = results
 
             iteration_cost = 0.0
@@ -470,7 +448,6 @@ class _Decomposition:
             record = IterationRecord(
                 k, lower, best_ub, iteration_cost, gap,
                 cuts_added=warm_cuts if k == 1 else 0,
-                regularized=regularized,
             )
             trace.append(record)
             if gap <= config.tol:
@@ -480,17 +457,12 @@ class _Decomposition:
             if k < config.max_iters:
                 added = self.backward(results, k)
                 record.cuts_added += added
-                # with no new cut the root problem is unchanged; unregularized,
-                # its iterate is too, and regularized, a repeated iterate gives
-                # the same upper bound and so the same level
-                repeats = not config.regularize or (
-                    previous_iterate is not None and np.array_equal(iterate_res.primal, previous_iterate))
-                if added == 0 and repeats:
+                # with no new cut the root problem is unchanged, and so is its iterate
+                if added == 0:
                     status = "stalled"
                     message = self._stall_message(k)
                     record.wall_time = time.perf_counter() - started
                     break
-                previous_iterate = iterate_res.primal
             record.wall_time = time.perf_counter() - started
 
         theta_at_bound = False
@@ -521,7 +493,6 @@ class _Decomposition:
             trace=trace,
             cuts=list(self.cuts),
             flags=flags,
-            level_set_audit=audit,
             max_violation=violation,
             config=config,
             tree=tree,
@@ -530,10 +501,7 @@ class _Decomposition:
 
     def _stall_message(self, k: int) -> str:
         config = self.config
-        text = f"iteration {k} added no cut"
-        if config.regularize:
-            text += " and repeated the previous root iterate"
-        text += ", so every later iteration would repeat it"
+        text = f"iteration {k} added no cut, so every later iteration would repeat it"
         mip = [gid for gid in self.tree.order[1:] if self.problems[gid].is_mip]
         if mip and not config.lagrangian:
             families = "lagrangian" if config.strengthened else "strengthened or lagrangian"

@@ -19,7 +19,6 @@ from .benders import BendersConfig, run_decomposition
 from .errors import (
     GraphOptError,
     IterationLimitError,
-    LevelSetInfeasibleError,
     NodeLimitError,
     NumericalBreakdownError,
     RelaxationInfeasibleError,
@@ -72,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--multicut", action="store_true")
     parser.add_argument("--strengthened", action="store_true")
     parser.add_argument("--lagrangian", action="store_true")
-    parser.add_argument("--regularize", action="store_true")
-    parser.add_argument("--alpha", type=float, default=0.5)
     parser.add_argument("--slacks", action="store_true")
     parser.add_argument("--slack-penalty", type=float, default=1e6)
     parser.add_argument("--warm-start-cuts", action="store_true")
@@ -100,8 +97,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
         "multicut": args.multicut,
         "strengthened": args.strengthened,
         "lagrangian": args.lagrangian,
-        "regularize": args.regularize,
-        "alpha": args.alpha,
         "slacks": args.slacks,
         "slack_penalty": args.slack_penalty,
         "warm_start_cuts": args.warm_start_cuts,
@@ -130,8 +125,6 @@ def _run_benders(graph: Graph, args: argparse.Namespace, report: RunReport) -> i
             multicut=args.multicut,
             strengthened=args.strengthened,
             lagrangian=args.lagrangian,
-            regularize=args.regularize,
-            alpha=args.alpha,
             add_slacks=args.slacks,
             slack_penalty=args.slack_penalty,
             warm_start_cuts=args.warm_start_cuts,
@@ -151,7 +144,6 @@ def _run_benders(graph: Graph, args: argparse.Namespace, report: RunReport) -> i
             "upper": rec.upper_bound,
             "gap": rec.gap,
             "cuts_added": rec.cuts_added,
-            "regularized": rec.regularized,
         }
         for rec in result.trace
     ]
@@ -223,7 +215,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "bound": _run_bound,
         }[args.mode]
         code = runner(graph, args, report)
-    except (SubproblemInfeasibleError, LevelSetInfeasibleError, RelaxationInfeasibleError) as exc:
+    except (SubproblemInfeasibleError, RelaxationInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         report.status = "infeasible"
         code = EXIT_INFEASIBLE

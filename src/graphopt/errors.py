@@ -134,11 +134,7 @@ class SubproblemInfeasibleError(GraphOptError):
 
 
 class UnboundedError(GraphOptError):
-    """A stage, level-set or relaxation solve that must reach an optimum is unbounded."""
-
-
-class LevelSetInfeasibleError(GraphOptError):
-    """The level-set restricted problem is infeasible (bounds inconsistent)."""
+    """A stage or relaxation solve that must reach an optimum is unbounded."""
 
 
 class RelaxationInfeasibleError(GraphOptError):

@@ -55,6 +55,8 @@ def sequential_solve(
         raise UsageError(
             f"order {order} is not a permutation of the subgraphs {sorted(by_id)}"
         )
+    if not slack_penalty > 0:
+        raise UsageError("slack_penalty must be positive")
     position = {gid: i for i, gid in enumerate(order)}
 
     relocated: dict[str, list[Constraint]] = {gid: [] for gid in order}

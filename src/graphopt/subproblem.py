@@ -219,6 +219,7 @@ class StageProblem:
         constant = self.objective_constant + float(mu @ anchor)
         return kept.with_changes(objective=objective, objective_constant=constant, lower=lower, upper=upper)
 
+    # no library caller; perfbench/tracing.py still wraps it by name, so it goes with that file's next change
     def level_set_problem(self, level: float) -> StandardFormProblem:
         """Zero objective plus a cap on the original objective value."""
         prob = self._kept()
@@ -273,11 +274,6 @@ class StageProblem:
         assert result.primal is not None
         n = self._problem.n_cols - len(self.theta_cols)
         return float(np.dot(self._problem.objective[:n], result.primal[:n]) + self.objective_constant)
-
-    def full_objective_value(self, result: SolveResult) -> float:
-        """Objective value including value-function columns (for level-set audits)."""
-        assert result.primal is not None
-        return float(np.dot(self._problem.objective, result.primal) + self.objective_constant)
 
     def slack_activity(self, result: SolveResult) -> float:
         if not self.slack_cols or result.primal is None:

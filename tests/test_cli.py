@@ -44,12 +44,6 @@ class TestExitCodes:
         assert report["objective"] == pytest.approx(-10700.0)
         assert report["max_violation"] <= 1e-9
 
-    def test_regularization_on_a_deeper_tree_is_a_usage_error(self, tmp_path):
-        out = tmp_path / "r.json"
-        argv = ["--fixture", "chain3_milp", "--mode", "benders", "--root", "g1", "--regularize"]
-        assert main(argv + ["--output", str(out)]) == EXIT_USAGE
-        assert read_report(out)["status"] == "error"
-
     def test_benders_converges(self, membership_file, tmp_path):
         out = tmp_path / "r.json"
         code = main(
@@ -191,10 +185,16 @@ class TestExitCodes:
         assert main(["--fixture", "storage", "--instance", "x.json"]) == EXIT_USAGE
         assert main(["--fixture", "storage", "--mode", "benders"]) == EXIT_USAGE  # flat graph
         assert main(["--mode", "nonsense"]) == EXIT_USAGE
+        benders = ["--fixture", "chain3_milp", "--mode", "benders", "--root", "g1"]
+        assert main(benders + ["--regularize"]) == EXIT_USAGE
+        assert main(benders + ["--alpha", "0.5"]) == EXIT_USAGE
+        sequential = ["--fixture", "mini_pcm", "--mode", "sequential", "--slacks"]
+        assert main(sequential + ["--slack-penalty", "0"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-iters", "0", "max_iters must be at least 1"),
-        ("--alpha", "2", "alpha must lie in (0, 1]"),
+        ("--slack-penalty", "0", "slack_penalty must be positive"),
+        ("--slack-penalty", "-1", "slack_penalty must be positive"),
         ("--tol", "-1", "tol must be positive"),
     ])
     def test_an_out_of_range_benders_value_is_a_usage_error(self, membership_file, capsys,
@@ -203,6 +203,11 @@ class TestExitCodes:
                 "--partition", membership_file, flag, value]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_non_positive_sequential_penalty_is_a_usage_error(self, capsys):
+        argv = ["--fixture", "mini_pcm", "--mode", "sequential", "--slacks", "--slack-penalty", "-1"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: slack_penalty must be positive\n"
 
     def test_sequential_mode(self, tmp_path):
         out = tmp_path / "r.json"
@@ -265,6 +270,20 @@ class TestReports:
         assert config["tol"] == 1e-5
         assert config["max_iters"] == 30
         assert config["slacks"] is True
+
+    def test_report_keys_name_only_what_a_run_has(self, membership_file, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["--fixture", "storage", "--mode", "benders", "--root", "design",
+                "--partition", membership_file, "--slacks", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        report = read_report(out)
+        assert set(report["config"]) == {
+            "mode", "root", "max_iters", "tol", "multicut", "strengthened", "lagrangian",
+            "slacks", "slack_penalty", "warm_start_cuts", "order",
+        }
+        assert report["bounds_per_iteration"]
+        for record in report["bounds_per_iteration"]:
+            assert set(record) == {"iteration", "lower", "upper", "gap", "cuts_added"}
 
     def test_instance_file_round_trips_through_the_cli(self, tmp_path):
         graph = generate_fixture("mini_cem")

@@ -21,6 +21,7 @@ from graphopt import (
 )
 from graphopt.benders import BendersTree
 from graphopt.branch_bound import solve_milp
+from graphopt.errors import NumericalBreakdownError
 from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
 from graphopt.simplex import solve_lp
 from graphopt.standard_form import AT_LOWER, BASIC, Basis
@@ -139,6 +140,54 @@ def test_a_dual_pivot_below_the_good_pivot_size_is_not_taken():
     for res in (solve_lp(problem), solve_lp(replace(problem, basis=all_slack))):
         assert res.status == "optimal"
         assert res.objective == pytest.approx(objective, rel=1e-9)
+
+
+# Finding K2: the root relaxation of the last level-set MILP that level-set
+# regularization (since removed) built at stage b2 of pcm_milp (seed 1, model
+# 0) under the workload's Benders config.  Rows 0-14 are the stage's own, rows
+# 15-17 its cuts on theta (column 32, bounded below at -1e9), and row 18 caps
+# the stage's objective; the objective is zero.  Triplets (row, column, value).
+_K2_ROWS = [
+    (0, 0, 1.0), (0, 2, -15.0),
+    (1, 1, 1.0), (1, 3, -14.0),
+    (2, 0, 1.0), (2, 1, 1.0), (2, 4, -1.0), (2, 5, 1.0), (2, 7, 1.0),
+    (3, 8, 1.0), (3, 10, -15.0),
+    (4, 9, 1.0), (4, 11, -14.0),
+    (5, 8, 1.0), (5, 9, 1.0), (5, 12, -1.0), (5, 13, 1.0), (5, 15, 1.0),
+    (6, 16, 1.0), (6, 18, -15.0),
+    (7, 17, 1.0), (7, 19, -14.0),
+    (8, 16, 1.0), (8, 17, 1.0), (8, 20, -1.0), (8, 21, 1.0), (8, 23, 1.0),
+    (9, 24, 1.0), (9, 26, -15.0),
+    (10, 25, 1.0), (10, 27, -14.0),
+    (11, 24, 1.0), (11, 25, 1.0), (11, 28, -1.0), (11, 29, 1.0), (11, 31, 1.0),
+    (12, 6, -1.0), (12, 12, -0.9), (12, 13, 1.0), (12, 14, 1.0),
+    (13, 14, -1.0), (13, 20, -0.9), (13, 21, 1.0), (13, 22, 1.0),
+    (14, 22, -1.0), (14, 28, -0.9), (14, 29, 1.0), (14, 30, 1.0),
+    (15, 4, -1.0), (15, 5, 1.1111111111111112), (15, 6, 1.1111111111111112), (15, 30, -1.0),
+    (15, 32, -1.0),
+    (16, 4, 900000.0), (16, 5, -1000000.0), (16, 6, -1000000.0), (16, 30, -1.0), (16, 32, -1.0),
+    (17, 4, -0.9), (17, 5, 1.0), (17, 6, 1.0), (17, 30, -1.0), (17, 32, -1.0),
+    (18, 0, 1.0), (18, 1, 8.0), (18, 3, 4.0), (18, 7, 500.0), (18, 8, 1.0), (18, 9, 8.0),
+    (18, 11, 4.0), (18, 15, 500.0), (18, 16, 1.0), (18, 17, 8.0), (18, 19, 4.0), (18, 23, 500.0),
+    (18, 24, 1.0), (18, 25, 8.0), (18, 27, 4.0), (18, 31, 500.0), (18, 32, 1.0),
+]
+_K2_SENSES = "le le eq le le eq le le eq le le eq eq eq eq le le le le".split()
+_K2_RHS = [0.0, 0.0, 12.406, 0.0, 0.0, 14.456, 0.0, 0.0, 15.703, 0.0, 0.0, 13.451, 0.0, 0.0, 0.0,
+           -39.01188888888888, -40.123000000137836, -40.123, 96.20844444444444]
+_K2_LOWER = [0.0] * 32 + [-1e9]
+_K2_UPPER = [15.0, 14.0, 1.0, 1.0, 5.0, 5.0, 20.0, np.inf] * 4 + [np.inf]
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdownError, reason="ROADMAP item 2, finding K2")
+def test_a_cap_row_over_big_cut_slopes_solves_from_the_all_logical_start():
+    """The all-logical start raises ``tableau row 8: only pivots below 1e-09 ...``; HiGHS finds 0.0."""
+    a = np.zeros((19, 33))
+    for i, j, value in _K2_ROWS:
+        a[i, j] = value
+    problem = make_problem(np.zeros(33), a, _K2_SENSES, _K2_RHS, _K2_LOWER, _K2_UPPER)
+    assert highs_lp(problem) == ("optimal", 0.0)
+    res = solve_lp(problem)
+    assert res.status == "optimal" and res.objective == 0.0
 
 
 def test_a_cold_result_re_solves_from_its_own_tableau():

@@ -106,6 +106,12 @@ class TestSequentialSolve:
         with pytest.raises(UsageError):
             sequential_solve(chain3_graph, ["g1", "g2", "g3", "g4"])
 
+    @pytest.mark.parametrize("penalty", [0.0, -1.0, math.nan])
+    def test_a_penalty_that_does_not_charge_slack_is_rejected(self, chain3_graph, penalty):
+        # a free or rewarded slack would relax every relocated edge away
+        with pytest.raises(UsageError, match="slack_penalty must be positive"):
+            sequential_solve(chain3_graph, add_slacks=True, slack_penalty=penalty)
+
     def test_flat_graph_is_rejected(self):
         g = Graph("flat")
         g.add_node("n").add_variable("x")
