@@ -10,6 +10,16 @@ Bounds follow the usual pattern: the root objective (value-function columns
 included) is a lower bound, and the summed stage costs of any forward pass
 are an upper bound.  Iteration stops when the relative gap closes, or
 as "stalled" when an iteration adds no cut and so would repeat itself.
+
+Two kinds of stage solve are skipped, since the run already holds their
+answer; both skips are exact.  A tight relaxation is its own cut: a MIP
+stage whose forward MILP's root relaxation, with no cut added since,
+reaches the MILP value v* takes its Lagrangian or strengthened cut from
+that relaxation, and no ascent runs (see :meth:`_Decomposition._child_cut`
+for why that is the ascent's own cut).  An unchanged stage returns its last
+result: a forward solve at its last solve's pins, with no cut added since
+and its basis still that result's, would only find the same tableau
+optimal again (see :meth:`StageProblem.solve`).
 """
 
 from __future__ import annotations
@@ -190,6 +200,11 @@ def _relative_gap(upper: float, lower: float) -> float:
     return (upper - lower) / abs(lower)
 
 
+def _reaches(value: float, target: float) -> bool:
+    """Is ``value`` at ``target``, or within 1e-9 of it (relative, at least absolute)?"""
+    return value >= target - 1e-9 * max(1.0, abs(target))
+
+
 def _lagrangian_ascent(
     prob: StageProblem,
     lam: np.ndarray,
@@ -211,14 +226,13 @@ def _lagrangian_ascent(
     """
     mu = lam.astype(float)
     best_val, best_mu = -_INF, mu
-    reached = target - 1e-9 * max(1.0, abs(target))
     for _ in range(steps):
         res = prob.solve_lagrangian(mu, anchor, solver)
         if res.status != "optimal":
             break
         if res.objective > best_val:
             best_val, best_mu = res.objective, mu
-        if res.objective >= reached:
+        if _reaches(res.objective, target):
             break
         subgrad = anchor - prob.values_for(prob.fixed_refs, res)
         if float(np.max(np.abs(subgrad), initial=0.0)) <= 1e-12:
@@ -298,11 +312,22 @@ class _Decomposition:
             added += 1
         return added
 
-    def _child_cut(self, gid: str, result: SolveResult, target: float, iteration: int) -> CutData:
+    def _child_cut(self, gid: str, result: SolveResult, target: float, iteration: int,
+                   own_relaxation: bool) -> CutData:
         """Build this stage's contribution to its parent's cuts.
 
-        ``target`` is the stage's forward-pass value, where a MIP stage's
-        Lagrangian ascent stops; a strengthened cut is that ascent's first step.
+        ``result`` is the stage's LP at the pins, and ``target`` its
+        forward-pass value, where a MIP stage's Lagrangian ascent stops; a
+        strengthened cut is that ascent's first step, from ``result``'s duals
+        λ.  A tight relaxation is its own cut: when ``result`` is the forward
+        MILP's own root relaxation (``own_relaxation``: no cut added since),
+        the target is v* itself, and where ``result`` reaches it the cut is
+        ``(result.objective, λ)`` and no ascent runs.  That is exact: weak
+        duality gives L(λ) <= v*, and LP duality at λ gives L(λ) >= v_LP, so
+        the ascent's first step would stop at once with the same slope λ and a
+        value L(λ) within its stopping tolerance (1e-9 relative) of v_LP.
+        After a fresh cut the target is only a lower estimate of v*, so the
+        ascent runs.
         """
         prob = self.problems[gid]
         anchor = prob.fixed_values()
@@ -310,11 +335,15 @@ class _Decomposition:
         phi = result.objective
         kind = "benders"
         if prob.is_mip and (self.config.lagrangian or self.config.strengthened):
-            steps = self.config.lagrangian_iters if self.config.lagrangian else 1
-            best = _lagrangian_ascent(prob, lam, anchor, target, steps, self.solver)
-            if best is not None:
-                phi, lam = best
-                kind = "lagrangian" if self.config.lagrangian else "strengthened"
+            family = "lagrangian" if self.config.lagrangian else "strengthened"
+            if own_relaxation and _reaches(phi, target):
+                kind = family
+            else:
+                steps = self.config.lagrangian_iters if self.config.lagrangian else 1
+                best = _lagrangian_ascent(prob, lam, anchor, target, steps, self.solver)
+                if best is not None:
+                    phi, lam = best
+                    kind = family
         return CutData(
             gid, tuple(prob.fixed_refs), lam.astype(float), float(phi), anchor, kind,
             iteration, self.theta_index[gid],
@@ -323,6 +352,13 @@ class _Decomposition:
     # -- passes --------------------------------------------------------------
 
     def forward(self, root_result: SolveResult) -> dict[str, SolveResult]:
+        """Pin each stage to its parent's iterate and solve it, root first.
+
+        A stage whose pins and rows are those of its last solve, and whose
+        basis is still that solve's, returns that solve's result without a
+        solve (see :meth:`StageProblem.solve`); on a MIP stage the same
+        relaxation then certifies its cut again.
+        """
         results: dict[str, SolveResult] = {self.tree.root: root_result}
         for gid in self.tree.order[1:]:
             prob = self.problems[gid]
@@ -334,7 +370,14 @@ class _Decomposition:
         return results
 
     def backward(self, results: dict[str, SolveResult], iteration: int) -> int:
-        """Harvest sensitivities leaves-first and install cuts on parents."""
+        """Harvest sensitivities leaves-first and install cuts on parents.
+
+        A stage's cut comes from the LP at its pins: a MIP stage's forward
+        MILP's own root relaxation while no cut has been added to it since,
+        else a fresh relaxation solve.  A MIP stage's own relaxation that
+        reaches the forward value v* is its own Lagrangian or strengthened
+        cut, so no ascent runs for it (:meth:`_child_cut`).
+        """
         pending: dict[str, list[CutData]] = {}
         fresh: dict[str, int] = {gid: 0 for gid in self.tree.order}
         added = 0
@@ -349,13 +392,14 @@ class _Decomposition:
             # a MIP stage's cut comes from its MILP's root relaxation, the
             # LP at the same pins, unless a cut has been added since
             res = results[gid].relaxation if prob.is_mip else results[gid]
-            if fresh[gid] or res is None:
+            own = not fresh[gid] and res is not None
+            if not own:
                 res = require_status(prob.solve(self.solver, relax=True), _OPTIMAL, SubproblemInfeasibleError,
                                      f"stage {gid!r}", "the backward pass", prob.infeasible_hint)
             # the forward-pass value is the stage's own value at the pins, or
             # a lower estimate of it once a cut has been added since
             pending.setdefault(self.tree.stages[gid].parent, []).append(
-                self._child_cut(gid, res, results[gid].objective, iteration)
+                self._child_cut(gid, res, results[gid].objective, iteration, own)
             )
         for gid, parts in pending.items():
             added += self._install_cuts(gid, parts, iteration)

@@ -17,7 +17,10 @@ Rounding.  Before it branches, a node rounds its LP point at no LP solve
 (simple rounding: Achterberg 2007, Berthold 2006).  An equality row locks
 each integer column it holds both ways, and a ``le`` row (a ``ge`` row
 negated) locks a positive entry up and a negative one down: moving the
-column that way can break the row.  Each fractional column moves to the
+column that way can break the row.  The locks depend only on the matrix,
+its row signs and the integer columns, so they are found once per kept
+matrix (:meth:`StandardFormProblem.memo`) and shared by every MILP over
+it, such as a Benders stage's solves.  Each fractional column moves to the
 next integer in a way that no row locks and the node's bounds allow, the
 cheaper way where both do, or the node makes no attempt.  The point becomes
 the incumbent if its price, the bound plus the change in objective, beats
@@ -117,7 +120,7 @@ def solve_milp(
     ]
 
     incumbent: Optional[SolveResult] = None
-    unlocked = None  # found at the first rounding
+    unlocked = None  # read at the first rounding; found once per kept matrix
     cost = relaxed.objective[int_cols]
     nodes = 1  # the root
     lp_iterations = root.iterations
@@ -154,7 +157,7 @@ def solve_milp(
             )
             continue
         if unlocked is None:
-            unlocked = _unlocked(relaxed, int_cols)
+            unlocked = relaxed.memo(("unlocked", int_cols.tobytes()), lambda: _unlocked(relaxed, int_cols))
         r = _rounded(x, dist, lo, hi, int_cols, unlocked, cost)
         if r is not None and (incumbent is None
                               or res.objective + cost @ (r - x) < incumbent.objective - 1e-9):

@@ -3,6 +3,8 @@
 Exit codes: 0 solved/converged, 2 stopped early (an iteration limit, or a
 Benders stall), 3 infeasible, 4 usage or structure errors, 5 unbounded,
 6 solver failure (numerical breakdown or the branch-and-bound node limit).
+A flag that the chosen mode does not read is a usage error, so no flag is
+ignored without a word.
 When ``--output`` is given a JSON run report is written no matter how the
 run ends.
 """
@@ -49,6 +51,21 @@ _EXIT_OF_STATUS = {
 }
 
 
+# the flags that only some modes read: the modes, and the value a flag not given takes
+_MODE_FLAGS = {
+    "root": (("benders",), None),
+    "max_iters": (("benders",), 100),
+    "tol": (("benders",), 1e-6),
+    "multicut": (("benders",), False),
+    "strengthened": (("benders",), False),
+    "lagrangian": (("benders",), False),
+    "slacks": (("benders", "sequential"), False),
+    "slack_penalty": (("benders", "sequential"), 1e6),
+    "warm_start_cuts": (("benders",), False),
+    "order": (("sequential",), None),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -64,19 +81,31 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("monolithic", "benders", "sequential", "bound"),
         default="monolithic",
     )
+    # a mode flag reads None until main() checks it against the mode and gives it its default
     parser.add_argument("--root", help="root subgraph id for benders mode")
     parser.add_argument("--partition", help="membership file: 'node_id block' per line")
-    parser.add_argument("--max-iters", type=int, default=100)
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--multicut", action="store_true")
-    parser.add_argument("--strengthened", action="store_true")
-    parser.add_argument("--lagrangian", action="store_true")
-    parser.add_argument("--slacks", action="store_true")
-    parser.add_argument("--slack-penalty", type=float, default=1e6)
-    parser.add_argument("--warm-start-cuts", action="store_true")
+    parser.add_argument("--max-iters", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--multicut", action="store_true", default=None)
+    parser.add_argument("--strengthened", action="store_true", default=None)
+    parser.add_argument("--lagrangian", action="store_true", default=None)
+    parser.add_argument("--slacks", action="store_true", default=None)
+    parser.add_argument("--slack-penalty", type=float)
+    parser.add_argument("--warm-start-cuts", action="store_true", default=None)
     parser.add_argument("--order", help="comma-separated subgraph ids for sequential mode")
     parser.add_argument("--output", help="write a JSON run report here")
     return parser
+
+
+def _settle_mode_flags(args: argparse.Namespace) -> None:
+    """Refuse each given flag that ``args.mode`` does not read, then give each flag not given its default."""
+    unread = [f"--{dest.replace('_', '-')}" for dest, (modes, _) in _MODE_FLAGS.items()
+              if getattr(args, dest) is not None and args.mode not in modes]
+    if unread:
+        raise UsageError(f"--mode {args.mode} does not read {', '.join(unread)}")
+    for dest, (_, default) in _MODE_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -206,6 +235,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     code = EXIT_USAGE
     try:
         report.mode = args.mode
+        _settle_mode_flags(args)
         report.config = _config_echo(args)
         graph = _load_graph(args)
         runner = {

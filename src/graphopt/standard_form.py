@@ -14,7 +14,7 @@ a provenance string naming the constraint it came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Any, Callable, Hashable, Mapping, Optional
 
 import numpy as np
 
@@ -100,8 +100,8 @@ class StandardFormProblem:
     integrality: list[str]
     row_provenance: dict[int, str] = field(default_factory=dict)
     basis: Optional[Basis] = None
-    # (triplets, their count, read-only matrix, senses, their count, row signs)
-    # once keep_dense_rows() has run
+    # (triplets, their count, read-only matrix, senses, their count, row signs,
+    # what memo() worked out from them) once keep_dense_rows() has run
     _dense: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -133,15 +133,30 @@ class StandardFormProblem:
         The kept matrix is read-only, and so are the row signs kept with it.
         The matrix is rebuilt when ``triplets`` is replaced or grows, the signs
         when ``senses`` is, and ``copy()`` carries neither over.  While both
-        are current, another call rebuilds nothing.
+        are current, another call changes nothing.
         """
-        self._keep(self.dense_rows())
+        a = self.dense_rows()
+        if self._dense is None or self._dense[2] is not a or self._dense[5] is not self.row_signs():
+            self._keep(a)
 
     def _keep(self, a: np.ndarray) -> None:
         signs = self.row_signs()
         for array in (a, *signs):
             array.flags.writeable = False
-        self._dense = (self.triplets, len(self.triplets), a, self.senses, len(self.senses), signs)
+        self._dense = (self.triplets, len(self.triplets), a, self.senses, len(self.senses), signs, {})
+
+    def memo(self, key: Hashable, make: Callable[[], Any]) -> Any:
+        """``make()``, worked out once per kept matrix and row signs, under ``key``.
+
+        Keeps the matrix first (see :meth:`keep_dense_rows`); every problem
+        that shares it then shares the value.  ``make`` may read nothing but
+        the matrix, the row signs and what ``key`` names.
+        """
+        self.keep_dense_rows()
+        memo = self._dense[6]
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     def row_signs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(eq, sign)``: a mask of the equality rows, and -1 on "ge" rows, 1 elsewhere."""

@@ -41,7 +41,7 @@ from graphopt.fixtures import (
 )
 from graphopt import benders, simplex
 from graphopt.simplex import SolveResult
-from graphopt.solvers import default_solver, solve_milp
+from graphopt.solvers import SimplexSolver, default_solver, solve_milp
 from graphopt.subproblem import CutData, StageProblem
 from graphopt.transform import apply_partition
 
@@ -456,11 +456,26 @@ def free_state_chain():
     return graph
 
 
-def pcm_milp_run():
-    """The benchmark's ``pcm_milp`` model at seed 1, as Benders runs it."""
-    graph, membership = generators.pcm_milp_build(generators.pcm_milp_data(np.random.default_rng(1)))
+def pcm_milp_run(seed=1):
+    """The benchmark's ``pcm_milp`` model built from ``default_rng(seed)``, as Benders runs it."""
+    graph, membership = generators.pcm_milp_build(generators.pcm_milp_data(np.random.default_rng(seed)))
     apply_partition(graph, membership)
     return graph, "b2", BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True, theta_lb=-1e9)
+
+
+def gated_model(workload, seed, index):
+    """Model ``index`` of a gated benchmark workload at ``seed``, with the benchmark's root and config."""
+    data, build, root, config = {
+        "storage_lp": (generators.storage_lp_data, generators.storage_lp_build, "design",
+                       BendersConfig(add_slacks=True)),
+        "pcm_milp": (generators.pcm_milp_data, generators.pcm_milp_build, "b2",
+                     BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True)),
+    }[workload]
+    graph, membership = build(data(np.random.default_rng([seed, index])))
+    return apply_partition(graph, membership), root, config
+
+
+GATED = [(w, seed, index) for w in ("storage_lp", "pcm_milp") for seed in (1, 2, 3) for index in range(4)]
 
 
 class TestOneKeptBasisPerStage:
@@ -521,8 +536,9 @@ class TestOneKeptBasisPerStage:
             return res
 
         monkeypatch.setattr(simplex, "_optimal", checked)
-        graph, root, config = pcm_milp_run()
-        assert run_decomposition(graph, root, config).status == "converged"
+        for seed in (1, 2, 3):  # a run reaches only 9 LP optima once the skipped solves are gone
+            graph, root, config = pcm_milp_run(seed)
+            assert run_decomposition(graph, root, config).status == "converged"
         assert len(worst) >= 10
         assert max(worst) <= 1e-9
 
@@ -547,8 +563,8 @@ class TestOneKeptBasisPerStage:
 class TestLagrangianAscent:
     """Polyak steps toward the stage's forward-pass value, stopped when they reach it."""
 
-    def test_an_ascent_that_reaches_the_stage_value_stops_there(self, monkeypatch):
-        # every pcm_milp ascent reaches v* at its first step
+    def test_pcm_milp_makes_no_ascent_and_no_lagrangian_solve(self, monkeypatch):
+        # every pcm_milp stage's root relaxation reaches v*, so each cut is certified by its relaxation
         ascents, steps = [], []
         ascent, solve_lagrangian = benders._lagrangian_ascent, StageProblem.solve_lagrangian
 
@@ -562,13 +578,28 @@ class TestLagrangianAscent:
 
         monkeypatch.setattr(benders, "_lagrangian_ascent", counted_ascent)
         monkeypatch.setattr(StageProblem, "solve_lagrangian", counted_step)
-        graph, membership = generators.pcm_milp_build(generators.pcm_milp_data(np.random.default_rng(1)))
-        apply_partition(graph, membership)
-        config = BendersConfig(lagrangian=True, lagrangian_iters=15, add_slacks=True)
-        res = run_decomposition(graph, root="b2", config=config)
+        graph, root, config = pcm_milp_run()
+        res = run_decomposition(graph, root=root, config=config)
         assert res.status == "converged"
-        assert ascents == [15] * 6
-        assert len(steps) == len(ascents)
+        assert {cut.kind for cut in res.cuts} == {"lagrangian"}
+        assert (ascents, steps) == ([], [])
+
+    def test_an_ascent_that_reaches_its_target_stops_there(self, chain3_graph, monkeypatch):
+        st = BendersTree(chain3_graph, root="g1").stages["g3"]
+        prob = StageProblem(st.subgraph, st.relocated)
+        anchor = np.array([1.0])
+        prob.set_fixed_values(anchor)
+        lam = prob.fixing_duals(prob.solve(relax=True))
+        first = solve_milp(prob.lagrangian_problem(lam, anchor)).objective  # L(lam) = 2.3, v* = 2.6
+        steps = []
+        solve_lagrangian = StageProblem.solve_lagrangian
+        monkeypatch.setattr(StageProblem, "solve_lagrangian",
+                            lambda p, mu, a, solver=None: steps.append(mu) or solve_lagrangian(p, mu, a, solver))
+        phi, mu = _lagrangian_ascent(prob, lam, anchor, first, 15, default_solver())
+        assert (phi, len(steps)) == (pytest.approx(first, rel=1e-9), 1)
+        np.testing.assert_array_equal(mu, lam)
+        phi, _ = _lagrangian_ascent(prob, lam, anchor, prob.solve().objective, 15, default_solver())
+        assert len(steps) > 2 and phi == pytest.approx(2.6)  # a target above L(lam) takes more steps
 
     def test_mini_pcm_from_b1_converges(self):
         mono, _ = solve_flat(mini_pcm_fixture())
@@ -587,6 +618,107 @@ class TestLagrangianAscent:
         for cut in leaf_cuts:  # its value is one Lagrangian MILP at its own multipliers
             value = solve_milp(leaf.lagrangian_problem(cut.pi, cut.anchor)).objective
             assert cut.phi == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+class CountingSolver(SimplexSolver):
+    """The built-in solver, counting its MILP solves and their nodes."""
+
+    def __init__(self):
+        super().__init__()
+        self.milps = self.nodes = 0
+
+    def solve_milp(self, problem):
+        res = super().solve_milp(problem)
+        self.milps += 1
+        self.nodes += res.nodes_explored
+        return res
+
+
+def without_skips(monkeypatch):
+    """Patch both skips out: every stage solve runs, and every MIP stage's ascent runs."""
+    solve, child_cut = StageProblem.solve, _Decomposition._child_cut
+
+    def every_solve(prob, solver=None, relax=False):
+        prob._last = None
+        return solve(prob, solver, relax)
+
+    monkeypatch.setattr(StageProblem, "solve", every_solve)
+    monkeypatch.setattr(_Decomposition, "_child_cut",
+                        lambda dec, gid, result, target, iteration, own: child_cut(dec, gid, result, target,
+                                                                                   iteration, False))
+
+
+class TestSkippedStageSolves:
+    """A tight MIP relaxation is its own Lagrangian cut, and an unchanged stage keeps its last result."""
+
+    def test_an_unchanged_stage_returns_its_last_result(self, chain3_graph):
+        st = BendersTree(chain3_graph, root="g1").stages["g2"]  # a MIP stage with a child
+        prob = StageProblem(st.subgraph, st.relocated, theta_count=1)
+        solver = CountingSolver()
+        prob.set_fixed_values([0.0])
+        first = prob.solve(solver)
+        prob.set_fixed_values([0.0])
+        assert prob.solve(solver) is first and solver.milps == 1
+        assert prob.solve(solver, relax=True).status == "optimal"  # not the MILP's result
+        assert prob.solve(solver) is not first and solver.milps == 2
+        prob.set_fixed_values([-0.0])  # the same value, but not the same bits
+        again = prob.solve(solver)
+        assert again is not first and solver.milps == 3
+        assert prob.solve_lagrangian(np.array([1.0]), np.array([0.0]), solver).status == "optimal"
+        assert prob.solve(solver) is not again and solver.milps == 5  # the kept basis moved
+        refs = tuple(r for r in prob.columns if r.qualified_name == "n2.x")
+        prob.add_cut(CutData("g3", refs, np.array([-1.0]), 2.0, np.array([0.0]), "benders", 1, 0))
+        after = prob.solve(solver)
+        assert solver.milps == 6
+        assert after.objective == pytest.approx(solve_milp(prob.problem()).objective, rel=1e-9)
+
+    def test_a_pcm_milp_call_solves_each_stage_milp_once_per_change(self):
+        graph, root, config = pcm_milp_run()
+        solver = CountingSolver()
+        res = run_decomposition(graph, root, config, solver=solver)
+        assert (res.status, res.iterations, len(res.cuts)) == ("converged", 4, 3)
+        # 4 root and 8 forward MILPs, less 3 forward solves at the previous pins; no Lagrangian MILP
+        assert (solver.milps, solver.nodes) == (9, 9)
+
+    @pytest.mark.parametrize("seed, index", [(seed, index) for seed in (1, 2, 3) for index in range(4)])
+    def test_every_certified_cut_is_the_ascent_s_own(self, monkeypatch, seed, index):
+        """Where a relaxation certifies a cut, the ascent at the same point returns that cut."""
+        ascent, child_cut = benders._lagrangian_ascent, _Decomposition._child_cut
+        ascents, certified = [], []
+
+        def checked(dec, gid, result, target, iteration, own):
+            cut = child_cut(dec, gid, result, target, iteration, own)
+            prob = dec.problems[gid]
+            kept = prob._basis  # the ascent moves the stage's basis; the run must not see that
+            phi, mu = ascent(prob, cut.pi, cut.anchor, target, 15, dec.solver)
+            prob._basis = kept
+            assert phi == pytest.approx(cut.phi, rel=1e-9)
+            np.testing.assert_array_equal(mu, cut.pi)
+            certified.append(cut.kind)
+            return cut
+
+        monkeypatch.setattr(benders, "_lagrangian_ascent", lambda *args: ascents.append(args) or ascent(*args))
+        monkeypatch.setattr(_Decomposition, "_child_cut", checked)
+        graph, root, config = gated_model("pcm_milp", seed, index)
+        res = run_decomposition(graph, root, config)
+        assert res.status == "converged"
+        assert ascents == [] and certified == ["lagrangian"] * 6
+
+    @pytest.mark.parametrize("model", [
+        *[lambda w=w, seed=seed, index=index: gated_model(w, seed, index) for w, seed, index in GATED],
+        lambda: (mini_pcm_fixture(), "b1", BendersConfig(lagrangian=True, add_slacks=True, max_iters=20)),
+        lambda: (mini_pcm_fixture(), "b2", BendersConfig(lagrangian=True, add_slacks=True)),
+        lambda: (chain3_fixture(), "g1", BendersConfig(strengthened=True)),
+    ], ids=[f"{w}-{seed}-{index}" for w, seed, index in GATED] + ["mini_pcm-b1", "mini_pcm-b2", "chain3"])
+    def test_a_run_without_the_skips_is_the_same_run(self, monkeypatch, model):
+        res = run_decomposition(*model())
+        with monkeypatch.context() as patch:
+            without_skips(patch)
+            every = run_decomposition(*model())
+        assert (res.status, res.iterations, len(res.cuts)) == (every.status, every.iterations, len(every.cuts))
+        np.testing.assert_allclose(res.lb_history, every.lb_history, rtol=1e-9)
+        np.testing.assert_allclose(res.ub_history, every.ub_history, rtol=1e-9)
+        assert [cut.kind for cut in res.cuts] == [cut.kind for cut in every.cuts]
 
 
 class TestCuts:

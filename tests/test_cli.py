@@ -204,6 +204,34 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--fixture", "storage", "--mode", "monolithic", "--multicut", "--lagrangian", "--slack-penalty", "0",
+          "--order", "x,y"], "--mode monolithic does not read --multicut, --lagrangian, --slack-penalty, --order"),
+        (["--fixture", "mini_pcm", "--mode", "bound", "--slacks", "--max-iters", "3"],
+         "--mode bound does not read --max-iters, --slacks"),
+        (["--fixture", "mini_pcm", "--mode", "benders", "--root", "b2", "--order", "b1,b2,b3"],
+         "--mode benders does not read --order"),
+        (["--fixture", "mini_pcm", "--mode", "sequential", "--tol", "1e-5"],
+         "--mode sequential does not read --tol"),
+    ], ids=["monolithic", "bound", "benders", "sequential"])
+    def test_a_flag_the_mode_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read_report(out)["status"] == "error"
+
+    @pytest.mark.parametrize("argv", [
+        ["--fixture", "storage", "--mode", "monolithic", "--partition", "{blocks}"],
+        ["--fixture", "mini_pcm", "--mode", "benders", "--root", "b1", "--lagrangian", "--slacks",
+         "--max-iters", "20", "--warm-start-cuts"],
+        ["--fixture", "mini_pcm", "--mode", "sequential", "--order", "b1,b2,b3", "--slack-penalty", "1e6"],
+        ["--fixture", "mini_pcm", "--mode", "bound", "--output", "{report}"],
+    ], ids=["monolithic", "benders", "sequential", "bound"])
+    def test_a_flag_the_mode_reads_is_accepted(self, membership_file, tmp_path, argv):
+        # --partition and --output serve every mode
+        argv = [arg.format(blocks=membership_file, report=tmp_path / "r.json") for arg in argv]
+        assert main(argv) == EXIT_OK
+
     def test_a_non_positive_sequential_penalty_is_a_usage_error(self, capsys):
         argv = ["--fixture", "mini_pcm", "--mode", "sequential", "--slacks", "--slack-penalty", "-1"]
         assert main(argv) == EXIT_USAGE

@@ -8,9 +8,10 @@ import pytest
 
 from graphopt import BendersConfig, NodeLimitError, branch_bound, run_decomposition, simplex
 from graphopt.branch_bound import _rounded as branch_bound_rounded, solve_milp
-from graphopt.fixtures import storage_fixture, storage_membership
+from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
 from graphopt.simplex import SolveResult, solve_lp
-from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, Basis, lp_relaxation
+from graphopt.solvers import SimplexSolver
+from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, Basis, StandardFormProblem, lp_relaxation
 from graphopt.transform import apply_partition
 
 from conftest import binary_enumeration_milp, make_problem, random_milp
@@ -336,6 +337,24 @@ class TestKeptDenseRows:
         assert edited.dense_rows().flags.writeable  # not the kept matrix
         np.testing.assert_array_equal(prob.dense_rows(), [[1.0, 2.0], [0.0, 3.0]])
 
+    def test_a_memo_is_worked_out_once_per_kept_matrix(self):
+        prob = self.problem()
+        made = []
+
+        def make():
+            made.append(len(made) + 1)
+            return made[-1]
+
+        assert prob.memo("k", make) == 1
+        assert not prob.dense_rows().flags.writeable  # the memo keeps the matrix first
+        assert lp_relaxation(prob).memo("k", make) == 1  # shares the kept matrix
+        assert prob.with_changes(lower=np.ones(2)).memo("k", make) == 1
+        assert prob.memo("other", make) == 2
+        assert prob.with_rows([({0: 1.0}, "le", 1.0, "cut")]).memo("k", make) == 3  # a new matrix
+        assert prob.copy().memo("k", make) == 4  # a copy keeps no matrix
+        assert replace(prob, senses=["le", "eq"]).memo("k", make) == 5  # new row signs
+        assert prob.memo("k", make) == 1
+
     def test_the_kept_matrix_is_dropped_when_triplets_change_in_place(self):
         prob = self.problem()
         prob.keep_dense_rows()
@@ -464,6 +483,43 @@ class TestRounding:
             assert calls.count(bad) >= 1
             checked += 1
         assert checked >= 10
+
+
+class RecordingSolver(SimplexSolver):
+    """The built-in solver, recording each MILP result's status, objective, nodes, pivots and point."""
+
+    def __init__(self):
+        super().__init__()
+        self.results = []
+
+    def solve_milp(self, problem):
+        res = super().solve_milp(problem)
+        self.results.append((res.status, res.objective, res.nodes_explored, res.iterations,
+                             None if res.primal is None else res.primal.tobytes()))
+        return res
+
+
+def test_rounding_finds_the_locks_once_per_kept_matrix(monkeypatch):
+    """mini_pcm from ``b2``: 470 lock computations over 14 kept stage matrices without the memo."""
+    found = []
+    unlocked = branch_bound._unlocked
+    monkeypatch.setattr(branch_bound, "_unlocked",
+                        lambda relaxed, cols: found.append(relaxed.dense_rows()) or unlocked(relaxed, cols))
+
+    def run():
+        solver = RecordingSolver()
+        res = run_decomposition(mini_pcm_fixture(), "b2", BendersConfig(lagrangian=True, add_slacks=True),
+                                solver=solver)
+        assert (res.status, res.iterations) == ("converged", 12)
+        return solver.results
+
+    kept = run()
+    assert len(found) == len({id(a) for a in found}) == 14  # ``found`` holds each matrix, so ids are not reused
+    with monkeypatch.context() as patch:
+        patch.setattr(StandardFormProblem, "memo", lambda self, key, make: make())
+        every = run()
+    assert len(found) == 14 + 470
+    assert kept == every  # bit for bit, node counts included
 
 
 def c_b_b_inverse(problem, basis):
