@@ -146,12 +146,14 @@ class BendersConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too
             raise ValueError("tol must be positive")
         if self.lagrangian_iters < 1:
             raise ValueError("lagrangian_iters must be at least 1")
-        if not self.slack_penalty > 0:
+        if not self.slack_penalty > 0:  # NaN too
             raise ValueError("slack_penalty must be positive")
+        if self.slack_penalty == math.inf:
+            raise ValueError("slack_penalty must be finite")
         if not math.isfinite(self.theta_lb):
             raise ValueError("theta_lb must be finite")
 

@@ -18,7 +18,7 @@ Rounding.  Before it branches, a node rounds its LP point at no LP solve
 each integer column it holds both ways, and a ``le`` row (a ``ge`` row
 negated) locks a positive entry up and a negative one down: moving the
 column that way can break the row.  The locks depend only on the matrix,
-its row signs and the integer columns, so they are found once per kept
+its row signs and the integer columns, so they are found once per
 matrix (:meth:`StandardFormProblem.memo`) and shared by every MILP over
 it, such as a Benders stage's solves.  Each fractional column moves to the
 next integer in a way that no row locks and the node's bounds allow, the
@@ -105,7 +105,6 @@ def solve_milp(
     if not int_cols.size:
         return solve_lp_fn(relaxed)
 
-    relaxed.keep_dense_rows()  # every node shares the matrix
     root = solve_lp_fn(relaxed)
     if root.status in ("infeasible", "unbounded", "iteration_limit"):
         return SolveResult(status=root.status, iterations=root.iterations)
@@ -120,7 +119,7 @@ def solve_milp(
     ]
 
     incumbent: Optional[SolveResult] = None
-    unlocked = None  # read at the first rounding; found once per kept matrix
+    unlocked = None  # read at the first rounding; found once per matrix
     cost = relaxed.objective[int_cols]
     nodes = 1  # the root
     lp_iterations = root.iterations

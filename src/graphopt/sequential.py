@@ -55,8 +55,10 @@ def sequential_solve(
         raise UsageError(
             f"order {order} is not a permutation of the subgraphs {sorted(by_id)}"
         )
-    if not slack_penalty > 0:
+    if not slack_penalty > 0:  # NaN too
         raise UsageError("slack_penalty must be positive")
+    if slack_penalty == _INF:
+        raise UsageError("slack_penalty must be finite")
     position = {gid: i for i, gid in enumerate(order)}
 
     relocated: dict[str, list[Constraint]] = {gid: [] for gid in order}

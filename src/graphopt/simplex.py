@@ -187,26 +187,28 @@ class _Columns(NamedTuple):
 class _Frame:
     """The layout of one matrix and one set of row senses, whatever the bounds.
 
-    Problems with the same matrix object and the same ``lookup`` share a
-    frame, which a kept tableau carries to the next re-solve.
+    Problems that share their rows through
+    :meth:`StandardFormProblem.with_changes` share one frame (see
+    :meth:`StandardFormProblem.memo`), which a kept tableau carries to the
+    next re-solve; :meth:`holds` says whether a kept tableau can start a
+    solve over another frame.
     """
 
     a: np.ndarray             # the dense matrix, compared by identity
     eq: np.ndarray            # the equality rows
     given_sign: np.ndarray    # -1 on "ge" rows
-    lookup: bytes             # the equality rows and the row signs
     logical: np.ndarray       # row i's logical column: inequality slacks first, then equality rows
     order: np.ndarray         # the rows in the order of their logical columns
     n_price: int              # the columns before the equality rows' logicals, which never enter
     tail: np.ndarray          # widths past the structural columns: logicals, rhs
 
     @staticmethod
-    def build(a: np.ndarray, eq: np.ndarray, given_sign: np.ndarray, lookup: bytes) -> _Frame:
+    def build(a: np.ndarray, eq: np.ndarray, given_sign: np.ndarray) -> _Frame:
         n = a.shape[1]
         order = np.argsort(eq, kind="stable")  # the rows in the order of their logicals
         logical = np.empty(eq.size, dtype=np.intp)
         logical[order] = np.arange(n, n + eq.size)
-        return _Frame(a=a, eq=eq, given_sign=given_sign, lookup=lookup, logical=logical, order=order,
+        return _Frame(a=a, eq=eq, given_sign=given_sign, logical=logical, order=order,
                       n_price=n + eq.size - np.count_nonzero(eq),
                       tail=np.concatenate([np.where(eq[order], 0.0, np.inf), [np.inf]]))
 
@@ -435,17 +437,11 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     lo, hi = problem.lower, problem.upper
     if (lo > hi + 1e-12).any():
         return SolveResult(status="infeasible", iterations=0)
-    a = problem.dense_rows()
-    eq, given_sign = problem.row_signs()
+    frame = problem.memo(_Frame, lambda: _Frame.build(problem.matrix, *problem.row_signs()))
     hint = problem.basis
     kept = None if hint is None else hint._tableau
-    lookup = eq.tobytes() + given_sign.tobytes()
-    if kept is not None and kept.frame.a is a and kept.frame.lookup == lookup:
-        frame = kept.frame
-    else:
-        frame = _Frame.build(a, eq, given_sign, lookup)
     cols = _Columns.read(lo, hi, frame.tail)
-    b = given_sign * (problem.rhs - a @ cols.offset)
+    b = frame.given_sign * (problem.rhs - frame.a @ cols.offset)
     c_int = np.concatenate((problem.objective, np.zeros(frame.tail.size)))
     if max_iterations is None:
         max_iterations = max(5000, 50 * (cols.upper.size - 1 + b.size))

@@ -3,8 +3,12 @@
 The standard form is a minimization over one dense column space:
 
     min  c'x + c0
-    s.t. rows with sense "le" or "eq"   (every "ge" row is negated here)
+    s.t. rows with sense "le", "eq" or "ge"
          lower <= x <= upper, per-column integrality
+
+:func:`flatten` negates every "ge" row of the model into a "le" row, so it
+emits "le" and "eq" rows only; a "ge" row given directly is accepted, and
+its row sign is -1 (see :meth:`StandardFormProblem.row_signs`).
 
 Column order follows the depth-first node order of the graph and variable
 insertion order inside each node, so it is reproducible.  Every row carries
@@ -14,7 +18,7 @@ a provenance string naming the constraint it came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Hashable, Mapping, Optional
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -85,24 +89,32 @@ class Basis:
 class StandardFormProblem:
     """One problem in standard form (see the module docstring), with an optional hint.
 
-    ``basis`` is a starting basis for the simplex to try first.
+    The problem takes ``matrix`` over and makes it read-only, and works out
+    its row signs once: every problem that shares them (see
+    :meth:`with_changes`) shares :meth:`memo` too.  ``basis`` is a starting
+    basis for the simplex to try first.
     """
 
     columns: list[VariableRef]
     var_index: dict[VariableRef, int]
     objective: np.ndarray
     objective_constant: float
-    triplets: list[tuple[int, int, float]]
-    senses: list[str]                  # "le" or "eq" only
+    matrix: np.ndarray                 # the rows, dense: (n_rows, n_cols)
+    senses: tuple[str, ...]            # "le", "eq" or "ge"; flatten() emits "le" and "eq" only
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     integrality: list[str]
     row_provenance: dict[int, str] = field(default_factory=dict)
     basis: Optional[Basis] = None
-    # (triplets, their count, read-only matrix, senses, their count, row signs,
-    # what memo() worked out from them) once keep_dense_rows() has run
-    _dense: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.senses = tuple(self.senses)
+        senses = np.array(self.senses, dtype=str)
+        self._signs = (senses == "eq", np.where(senses == "ge", -1.0, 1.0))
+        for array in (self.matrix, *self._signs):
+            array.flags.writeable = False
+        self._memo: dict[Hashable, Any] = {}
 
     @property
     def n_cols(self) -> int:
@@ -114,63 +126,38 @@ class StandardFormProblem:
     def n_rows(self) -> int:
         return len(self.senses)
 
+    @property
+    def triplets(self) -> list[tuple[int, int, float]]:
+        """The nonzero entries ``(i, j, value)`` of ``matrix``, row by row."""
+        i, j = self.matrix.nonzero()
+        return list(zip(i.tolist(), j.tolist(), self.matrix[i, j].tolist()))
+
     def dense_rows(self) -> np.ndarray:
-        m, n = self.n_rows, self.n_cols
-        kept = self._dense
-        if (kept is not None and kept[0] is self.triplets
-                and kept[1] == len(self.triplets) and kept[2].shape == (m, n)):
-            return kept[2]
-        if not self.triplets:
-            return np.zeros((m, n))
-        ijv = np.array(self.triplets, dtype=float)
-        # bincount sums repeated (i, j) entries in triplet order
-        flat = ijv[:, 0].astype(np.intp) * n + ijv[:, 1].astype(np.intp)
-        return np.bincount(flat, weights=ijv[:, 2], minlength=m * n).reshape(m, n)
-
-    def keep_dense_rows(self) -> None:
-        """Build the dense matrix once and share it with every ``replace()`` of this problem.
-
-        The kept matrix is read-only, and so are the row signs kept with it.
-        The matrix is rebuilt when ``triplets`` is replaced or grows, the signs
-        when ``senses`` is, and ``copy()`` carries neither over.  While both
-        are current, another call changes nothing.
-        """
-        a = self.dense_rows()
-        if self._dense is None or self._dense[2] is not a or self._dense[5] is not self.row_signs():
-            self._keep(a)
-
-    def _keep(self, a: np.ndarray) -> None:
-        signs = self.row_signs()
-        for array in (a, *signs):
-            array.flags.writeable = False
-        self._dense = (self.triplets, len(self.triplets), a, self.senses, len(self.senses), signs, {})
-
-    def memo(self, key: Hashable, make: Callable[[], Any]) -> Any:
-        """``make()``, worked out once per kept matrix and row signs, under ``key``.
-
-        Keeps the matrix first (see :meth:`keep_dense_rows`); every problem
-        that shares it then shares the value.  ``make`` may read nothing but
-        the matrix, the row signs and what ``key`` names.
-        """
-        self.keep_dense_rows()
-        memo = self._dense[6]
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
+        return self.matrix
 
     def row_signs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(eq, sign)``: a mask of the equality rows, and -1 on "ge" rows, 1 elsewhere."""
-        kept = self._dense
-        if kept is not None and kept[3] is self.senses and kept[4] == len(self.senses):
-            return kept[5]
-        senses = np.array(self.senses, dtype=str)
-        return senses == "eq", np.where(senses == "ge", -1.0, 1.0)
+        """``(eq, sign)``, read-only: a mask of the equality rows, and -1 on "ge" rows, 1 elsewhere."""
+        return self._signs
+
+    def memo(self, key: Hashable, make: Callable[[], Any]) -> Any:
+        """``make()``, worked out once under ``key`` for every problem that shares these rows.
+
+        ``make`` may read nothing but the matrix, the row signs and what
+        ``key`` names.
+        """
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def with_changes(self, **changes) -> "StandardFormProblem":
         """A shallow copy with ``changes`` set: ``dataclasses.replace`` at the cost of a dict copy.
 
-        Branch-and-bound makes one per node.
+        The copy shares the rows, their signs and :meth:`memo`, so ``changes``
+        may set neither ``matrix`` nor ``senses``.  Branch-and-bound makes one
+        per node.
         """
+        if "matrix" in changes or "senses" in changes:
+            raise TypeError("with_changes() keeps the rows; replace() or with_rows() makes new ones")
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, **changes)
         return new
@@ -179,26 +166,18 @@ class StandardFormProblem:
                   **changes) -> "StandardFormProblem":
         """This problem plus each row ``(coefs, sense, rhs, provenance)``, with ``changes`` set.
 
-        A row reads ``sum coefs[j] x_j (sense) rhs``.  The row lists are new
-        ones, so a problem that shares this one's rows keeps them.  The new
-        problem keeps this one's matrix with the rows appended, so nothing is
-        rebuilt from the triplets; every other field is shared, as in
-        :meth:`with_changes`.
+        A row reads ``sum coefs[j] x_j (sense) rhs``.  The new problem's
+        matrix is this one's with the rows stacked below it; every other field
+        is shared, as in :meth:`with_changes`.
         """
         m = self.n_rows
         coefs, senses, rhs, provenance = zip(*rows)
         block = np.zeros((len(rows), self.n_cols))
         for i, row in enumerate(coefs):
             block[i, list(row)] = list(row.values())
-        new = self.with_changes(
-            triplets=self.triplets + [(m + i, j, v) for i, row in enumerate(coefs) for j, v in row.items()],
-            senses=self.senses + list(senses),
-            rhs=np.append(self.rhs, rhs),
-            row_provenance={**self.row_provenance, **dict(enumerate(provenance, m))},
-            **changes,
-        )
-        new._keep(np.vstack([self.dense_rows(), block]))
-        return new
+        return replace(self, matrix=np.vstack([self.matrix, block]), senses=self.senses + senses,
+                       rhs=np.append(self.rhs, rhs),
+                       row_provenance={**self.row_provenance, **dict(enumerate(provenance, m))}, **changes)
 
     def integer_columns(self) -> list[int]:
         return [j for j, kind in enumerate(self.integrality) if kind != "continuous"]
@@ -209,26 +188,59 @@ class StandardFormProblem:
             columns=list(self.columns),
             var_index=dict(self.var_index),
             objective=self.objective.copy(),
-            triplets=list(self.triplets),
-            senses=list(self.senses),
+            matrix=self.matrix.copy(),
             rhs=self.rhs.copy(),
             lower=self.lower.copy(),
             upper=self.upper.copy(),
             integrality=list(self.integrality),
             row_provenance=dict(self.row_provenance),
-            _dense=None,
         )
 
     def values_by_ref(self, x: np.ndarray) -> dict[VariableRef, float]:
         return {ref: float(x[j]) for ref, j in self.var_index.items()}
 
 
+@dataclass
+class _Rows:
+    """Rows written one constraint at a time, each "ge" one negated into "le", then made dense once."""
+
+    entries: list[tuple[int, int, float]] = field(default_factory=list)  # (row, column, value), each once
+    senses: list[str] = field(default_factory=list)
+    rhs: list[float] = field(default_factory=list)
+    provenance: dict[int, str] = field(default_factory=dict)
+
+    def add(self, con: Constraint, column: Mapping[VariableRef, int], provenance: str,
+            extra: Sequence[tuple[int, float]] = ()) -> None:
+        """``con`` as a row: each term at ``column[ref]``, in any order, then the ``extra`` pairs."""
+        row = len(self.senses)
+        sign = -1.0 if con.sense == "ge" else 1.0
+        self.entries += [(row, column[ref], sign * coef) for ref, coef in con.expr.terms.items()]
+        self.entries += [(row, j, sign * v) for j, v in extra]
+        self.senses.append("eq" if con.sense == "eq" else "le")
+        self.rhs.append(sign * (con.rhs - con.expr.constant))
+        self.provenance[row] = provenance
+
+    def fields(self, n: int) -> dict[str, Any]:
+        """The row fields of a problem over ``n`` columns."""
+        m = len(self.senses)
+        ijv = np.array(self.entries, dtype=float).reshape(-1, 3)
+        # no (i, j) repeats, so bincount only scatters the entries; given none, it returns integer zeros
+        flat = ijv[:, 0].astype(np.intp) * n + ijv[:, 1].astype(np.intp)
+        matrix = np.bincount(flat, weights=ijv[:, 2], minlength=m * n).astype(float, copy=False)
+        return dict(matrix=matrix.reshape(m, n), senses=self.senses, rhs=np.array(self.rhs, dtype=float),
+                    row_provenance=self.provenance)
+
+
 def flatten(graph: Graph) -> StandardFormProblem:
     """Collapse the whole hierarchy into one StandardFormProblem."""
+    base, rows = _flat(graph)
+    return replace(base, **rows.fields(base.n_cols))
+
+
+def _flat(graph: Graph) -> tuple[StandardFormProblem, _Rows]:
+    """``graph``'s columns as a problem with no rows, and its rows, written but not yet dense."""
     nodes = graph.all_nodes()
-    columns: list[VariableRef] = []
-    for node in nodes:
-        columns.extend(node.variables)
+    columns = [ref for node in nodes for ref in node.variables]
     if not columns:
         raise EmptyModelError(f"graph {graph.id!r} declares no variables")
     var_index = {ref: j for j, ref in enumerate(columns)}
@@ -237,52 +249,30 @@ def flatten(graph: Graph) -> StandardFormProblem:
     obj_expr = graph.effective_objective()
     for ref, coef in obj_expr.terms.items():
         objective[var_index[ref]] += coef
-    constant = obj_expr.constant
 
-    triplets: list[tuple[int, int, float]] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-    provenance: dict[int, str] = {}
-
-    def emit(con: Constraint) -> None:
-        row = len(senses)
-        sign = -1.0 if con.sense == "ge" else 1.0
-        for ref, coef in con.expr.sorted_terms():
-            triplets.append((row, var_index[ref], sign * coef))
-        senses.append("eq" if con.sense == "eq" else "le")
-        rhs.append(sign * (con.rhs - con.expr.constant))
-        provenance[row] = con.uid
-
-    for node in nodes:
-        for con in node.constraints:
-            emit(con)
-    for edge in graph.all_edges():
-        for con in edge.constraints:
-            emit(con)
-
-    lower = np.array([ref.lower for ref in columns], dtype=float)
-    upper = np.array([ref.upper for ref in columns], dtype=float)
-    integrality = [ref.integrality for ref in columns]
+    rows = _Rows()
+    for part in (*nodes, *graph.all_edges()):
+        for con in part.constraints:
+            rows.add(con, var_index, con.uid)
 
     return StandardFormProblem(
         columns=columns,
         var_index=var_index,
         objective=objective,
-        objective_constant=constant,
-        triplets=triplets,
-        senses=senses,
-        rhs=np.array(rhs, dtype=float),
-        lower=lower,
-        upper=upper,
-        integrality=integrality,
-        row_provenance=provenance,
-    )
+        objective_constant=obj_expr.constant,
+        matrix=np.zeros((0, len(columns))),
+        senses=(),
+        rhs=np.zeros(0),
+        lower=np.array([ref.lower for ref in columns], dtype=float),
+        upper=np.array([ref.upper for ref in columns], dtype=float),
+        integrality=[ref.integrality for ref in columns],
+    ), rows
 
 
 def lp_relaxation(problem: StandardFormProblem) -> StandardFormProblem:
     """Drop integrality; binary columns keep their [0, 1] domain.
 
-    The relaxation has its own bounds and shares everything else, the kept
+    The relaxation has its own bounds and shares everything else, the
     matrix included, so that a basis it returns can re-solve ``problem``.
     """
     binary = np.array([kind == "binary" for kind in problem.integrality], dtype=bool)

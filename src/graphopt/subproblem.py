@@ -10,7 +10,7 @@ the bounds of the variables they copy.  Optional elastic slacks keep
 relocated rows feasible for any parent iterate; optional value-function
 columns (theta) and cut rows support the decomposition loop.  A cut's row
 waits until the stage is next assembled; then every row added since joins
-a new problem that appends them to the kept matrix and shares everything
+a new problem that stacks them below the stage's matrix and shares everything
 else, so a problem handed out earlier keeps its rows and its matrix.  The
 stage keeps one basis, its last optimal solve's, and every solve of it
 starts there: forward, backward and each Lagrangian step.  The simplex
@@ -34,7 +34,7 @@ import numpy as np
 from .model import Constraint, Graph, VariableRef
 from .solvers import LinearSolver, solve
 from .simplex import SolveResult
-from .standard_form import Basis, StandardFormProblem, flatten, lp_relaxation
+from .standard_form import Basis, StandardFormProblem, _flat, lp_relaxation
 
 _INF = float("inf")
 _SAME = 1e-9  # relative tolerance of two cuts' slopes and right-hand sides
@@ -93,7 +93,7 @@ class StageProblem:
         add_slacks: bool = False,
         slack_penalty: float = 1e6,
     ):
-        base = flatten(subgraph)
+        base, rows = _flat(subgraph)
         self.graph = subgraph
         self.columns: list[VariableRef] = base.columns
         self.var_index: dict[VariableRef, int] = base.var_index
@@ -115,24 +115,19 @@ class StageProblem:
                            np.array([ref.upper for ref in self.fixed_refs], dtype=float))
 
         # relocated rows over own columns and copies; slack columns follow the copies
-        triplets, senses, rhs = base.triplets, base.senses, list(base.rhs)
-        provenance = {r: f"own:{uid}" for r, uid in base.row_provenance.items()}
+        rows.provenance = {r: f"own:{uid}" for r, uid in rows.provenance.items()}
         self.slack_cols: list[int] = []
         first_slack = base.n_cols + len(self.fixed_refs)
+        column = {**self.var_index, **self.copy_col}
         for con in relocated:
-            coefs = {self.var_index.get(ref, self.copy_col.get(ref)): coef
-                     for ref, coef in con.expr.sorted_terms()}
+            slacks = []
             if add_slacks:
                 for sense, coef in (("le", -1.0), ("ge", 1.0)):
                     if con.sense in (sense, "eq"):
                         col = first_slack + len(self.slack_cols)
                         self.slack_cols.append(col)
-                        coefs[col] = coef
-            sign = -1.0 if con.sense == "ge" else 1.0
-            provenance[len(senses)] = f"link:{con.uid}"
-            triplets.extend((len(senses), col, sign * coef) for col, coef in coefs.items())
-            senses.append("eq" if con.sense == "eq" else "le")
-            rhs.append(sign * (con.rhs - con.expr.constant))
+                        slacks.append((col, coef))
+            rows.add(con, column, f"link:{con.uid}", slacks)
 
         # what an error on an infeasible solve of the stage suggests
         self.infeasible_hint = "" if self.slack_cols else " (consider enabling elastic slacks)"
@@ -144,13 +139,10 @@ class StageProblem:
             objective=np.concatenate([base.objective, np.zeros(k), np.full(s, self.slack_penalty),
                                       np.ones(theta_count)]),
             objective_constant=self.objective_constant,
-            triplets=triplets,
-            senses=senses,
-            rhs=np.array(rhs, dtype=float),
             lower=np.concatenate([base.lower, np.zeros(k + s), np.full(theta_count, self.theta_lb)]),
             upper=np.concatenate([base.upper, np.zeros(k), np.full(s + theta_count, _INF)]),
             integrality=base.integrality + ["continuous"] * (k + s + theta_count),
-            row_provenance=provenance,
+            **rows.fields(first_slack + s + theta_count),
         )
 
         self.cuts: list[CutData] = []
@@ -205,11 +197,10 @@ class StageProblem:
             self._new_rows = []
             if self._basis is not None and self._basis._tableau is None:
                 self._basis = None
-        self._problem.keep_dense_rows()
         return self._problem
 
     def problem(self, relax: bool = False) -> StandardFormProblem:
-        """The stage as it stands, sharing the kept matrix and row lists; its arrays are its own."""
+        """The stage as it stands, sharing the stage's matrix and senses; its arrays are its own."""
         kept = self._kept()
         prob = kept.with_changes(objective=kept.objective.copy(), rhs=kept.rhs.copy(),
                                  lower=kept.lower.copy(), upper=kept.upper.copy())
@@ -221,7 +212,7 @@ class StageProblem:
         min  c'y + theta - mu' (z - anchor)  over every row of the stage.
 
         Only the objective and the copies' bounds differ from :meth:`problem`,
-        whose kept matrix and row lists every call shares until a cut adds a row.
+        whose matrix and senses every call shares until a cut adds a row.
         """
         kept = self._kept()
         objective = kept.objective.copy()

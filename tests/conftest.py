@@ -48,22 +48,17 @@ def make_problem(
 ) -> StandardFormProblem:
     """Assemble a StandardFormProblem from dense pieces (for solver tests)."""
     c = np.asarray(c, dtype=float)
-    a = np.atleast_2d(np.asarray(rows, dtype=float)) if len(senses) else np.zeros((0, c.size))
+    # a copy: the problem makes its matrix read-only
+    a = np.atleast_2d(np.array(rows, dtype=float)) if len(senses) else np.zeros((0, c.size))
     n = c.size
     refs = [VariableRef("t", f"x{j}") for j in range(n)]
-    triplets = [
-        (i, j, float(a[i, j]))
-        for i in range(a.shape[0])
-        for j in range(n)
-        if a[i, j] != 0.0
-    ]
     return StandardFormProblem(
         columns=refs,
         var_index={ref: j for j, ref in enumerate(refs)},
         objective=c,
         objective_constant=float(constant),
-        triplets=triplets,
-        senses=list(senses),
+        matrix=a,
+        senses=senses,
         rhs=np.asarray(rhs, dtype=float),
         lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),

@@ -22,6 +22,7 @@ from graphopt import (
     RootNotFoundError,
     SubproblemInfeasibleError,
     UnboundedError,
+    flatten,
 )
 from graphopt.benders import (
     BendersConfig,
@@ -277,6 +278,21 @@ class TestStageProblem:
         assert now.n_rows == handed[0].n_rows + 2
         assert "level_set" not in now.row_provenance.values()
         assert prob.problem().dense_rows() is now.dense_rows()  # built once for both cuts
+
+    def test_every_problem_holds_read_only_rows(self, chain3_graph):
+        """A problem's matrix and row signs are made once; no problem that shares them can write to them."""
+        tree = BendersTree(chain3_graph, root="g1")
+        st = tree.stages["g2"]
+        stage = StageProblem(st.subgraph, st.relocated, theta_count=1, add_slacks=True)
+        flat = flatten(chain3_graph)
+        grown = flat.with_rows([({0: 1.0}, "ge", 0.0, "cut")])
+        for problem in (flat, grown, stage.problem(), stage.problem(relax=True),
+                        stage.lagrangian_problem(np.zeros(1), np.zeros(1))):
+            for array in (problem.matrix, *problem.row_signs()):
+                assert not array.flags.writeable
+        assert grown.row_signs()[1][-1] == -1.0  # a "ge" row keeps its sense
+        with pytest.raises(TypeError, match="keeps the rows"):
+            flat.with_changes(senses=grown.senses)
 
     def test_elastic_slacks_keep_relocated_rows_feasible(self, chain3_graph):
         tree = BendersTree(chain3_graph, root="g1")
@@ -1002,6 +1018,10 @@ class TestConfigAndGap:
         for penalty in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="slack_penalty must be positive"):
                 BendersConfig(add_slacks=True, slack_penalty=penalty)
+        with pytest.raises(ValueError, match="slack_penalty must be finite"):
+            BendersConfig(add_slacks=True, slack_penalty=math.inf)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            BendersConfig(tol=math.nan)  # a NaN gap test never converges, and the run only stalls
         for floor in (-math.inf, math.nan):
             with pytest.raises(ValueError, match="theta_lb must be finite"):
                 BendersConfig(theta_lb=floor)

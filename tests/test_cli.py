@@ -196,6 +196,8 @@ class TestExitCodes:
         ("--slack-penalty", "0", "slack_penalty must be positive"),
         ("--slack-penalty", "-1", "slack_penalty must be positive"),
         ("--tol", "-1", "tol must be positive"),
+        ("--tol", "nan", "tol must be positive"),
+        ("--slack-penalty", "inf", "slack_penalty must be finite"),
     ])
     def test_an_out_of_range_benders_value_is_a_usage_error(self, membership_file, capsys,
                                                             flag, value, message):
@@ -236,6 +238,11 @@ class TestExitCodes:
         argv = ["--fixture", "mini_pcm", "--mode", "sequential", "--slacks", "--slack-penalty", "-1"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: slack_penalty must be positive\n"
+
+    def test_an_infinite_sequential_penalty_is_a_usage_error(self, capsys):
+        argv = ["--fixture", "mini_pcm", "--mode", "sequential", "--slacks", "--slack-penalty", "inf"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: slack_penalty must be finite\n"
 
     def test_sequential_mode(self, tmp_path):
         out = tmp_path / "r.json"

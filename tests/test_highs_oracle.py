@@ -195,7 +195,6 @@ def test_a_cold_result_re_solves_from_its_own_tableau():
     rng = np.random.default_rng(20261019)
     for _ in range(12):
         problem = mixed_bound_lp(rng)
-        problem.keep_dense_rows()
         cold = solve_lp(problem)
         assert cold.status == "optimal"
         with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as spy:
@@ -216,7 +215,6 @@ def test_a_new_bound_pattern_re_solves_from_the_kept_tableau(seed):
     """
     rng = np.random.default_rng(seed)
     problem = mixed_bound_lp(rng, m=30, n=40)
-    problem.keep_dense_rows()
     cold = solve_lp(problem)
     assert cold.status == "optimal"
     moved = rng.choice(problem.n_cols, size=int(rng.integers(1, 12)), replace=False)

@@ -314,28 +314,9 @@ class TestKeptDenseRows:
 
     def test_nodes_share_one_read_only_matrix(self):
         prob = self.problem()
-        prob.keep_dense_rows()
         kept = prob.dense_rows()
         assert not kept.flags.writeable
         assert replace(prob, lower=np.ones(2)).dense_rows() is kept
-
-    @pytest.mark.parametrize("edit", ["append", "replace-entry", "reassign"])
-    def test_a_copy_with_edited_triplets_rebuilds(self, edit):
-        prob = self.problem()
-        prob.keep_dense_rows()
-        edited = prob.copy()
-        if edit == "append":
-            edited.triplets.append((1, 0, 7.0))
-        elif edit == "replace-entry":
-            edited.triplets[0] = (1, 0, 7.0)
-        else:
-            edited.triplets = edited.triplets + [(1, 0, 7.0)]
-        expected = np.zeros((2, 2))
-        for i, j, v in edited.triplets:
-            expected[i, j] += v
-        np.testing.assert_array_equal(edited.dense_rows(), expected)
-        assert edited.dense_rows().flags.writeable  # not the kept matrix
-        np.testing.assert_array_equal(prob.dense_rows(), [[1.0, 2.0], [0.0, 3.0]])
 
     def test_a_memo_is_worked_out_once_per_kept_matrix(self):
         prob = self.problem()
@@ -354,14 +335,6 @@ class TestKeptDenseRows:
         assert prob.copy().memo("k", make) == 4  # a copy keeps no matrix
         assert replace(prob, senses=["le", "eq"]).memo("k", make) == 5  # new row signs
         assert prob.memo("k", make) == 1
-
-    def test_the_kept_matrix_is_dropped_when_triplets_change_in_place(self):
-        prob = self.problem()
-        prob.keep_dense_rows()
-        prob.triplets.append((0, 0, 1.0))
-        np.testing.assert_array_equal(prob.dense_rows(), [[2.0, 2.0], [0.0, 3.0]])
-        swapped = replace(prob, triplets=[(1, 1, 1.0)])
-        np.testing.assert_array_equal(swapped.dense_rows(), [[0.0, 0.0], [0.0, 1.0]])
 
 
 def assert_same_result(res, ref):

@@ -315,17 +315,6 @@ class TestFlatten:
         a = prob.dense_rows()
         assert a[0, 0] == -1.0 and prob.rhs[0] == -3.0
 
-    def test_dense_rows_sums_triplets_like_the_loop(self, storage_graph):
-        prob = flatten(storage_graph)
-        # repeated (i, j) entries add up, in triplet order
-        prob.triplets = prob.triplets + [(0, 0, 0.1), (0, 0, 0.2), (prob.n_rows - 1, 3, -1.5)]
-        expected = np.zeros((prob.n_rows, prob.n_cols))
-        for i, j, v in prob.triplets:
-            expected[i, j] += v
-        np.testing.assert_array_equal(prob.dense_rows(), expected)
-        prob.triplets = []
-        np.testing.assert_array_equal(prob.dense_rows(), np.zeros((prob.n_rows, prob.n_cols)))
-
     def test_row_provenance_names_every_row(self, storage_graph):
         prob = flatten(storage_graph)
         assert sorted(prob.row_provenance) == list(range(prob.n_rows))

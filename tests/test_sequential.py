@@ -112,6 +112,11 @@ class TestSequentialSolve:
         with pytest.raises(UsageError, match="slack_penalty must be positive"):
             sequential_solve(chain3_graph, add_slacks=True, slack_penalty=penalty)
 
+    def test_an_infinite_penalty_is_rejected(self, chain3_graph):
+        # an infinite penalty turns the stage LPs' arithmetic to NaN instead of charging slack
+        with pytest.raises(UsageError, match="slack_penalty must be finite"):
+            sequential_solve(chain3_graph, add_slacks=True, slack_penalty=math.inf)
+
     def test_flat_graph_is_rejected(self):
         g = Graph("flat")
         g.add_node("n").add_variable("x")

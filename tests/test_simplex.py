@@ -334,7 +334,7 @@ def test_solve_lp_never_writes_to_its_input(rng):
     for _ in range(30):
         prob = random_lp(rng)
         prob.lower[0], prob.upper[1] = -np.inf, np.inf
-        prob.senses[0] = "ge"
+        prob = replace(prob, senses=("ge", *prob.senses[1:]))
         before = prob.copy()
         solve_lp(prob)
         for name in ("objective", "rhs", "lower", "upper"):
@@ -547,7 +547,6 @@ def kept_parent(rng):
     """A solved LP over a kept matrix whose basis keeps its final tableau, or ``None``."""
     for _ in range(50):
         prob = mixed_bound_feasible_lp(rng)
-        prob.keep_dense_rows()
         cold = solve_lp(prob)
         if cold.status == "optimal":
             # a re-solve from its own basis takes the warm path, which keeps the tableau
@@ -682,6 +681,21 @@ class TestKeptTableau:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("hand_back", ["with_changes", "replace"])
+    def test_a_problem_re_solves_from_its_own_basis_with_no_other_call(self, hand_back):
+        """A flattened problem's matrix is the one its result's tableau keeps: no build, no pivot."""
+        problem = flatten(generate_fixture("storage"))
+        first = solve_lp(problem)
+        assert first.status == "optimal"
+        if hand_back == "with_changes":
+            again = problem.with_changes(basis=first.basis)
+        else:
+            again = replace(problem, basis=first.basis)
+        with crash_builds() as builds:
+            res = solve_lp(again)
+        assert (res.status, builds.call_count, res.iterations) == ("optimal", 0, 0)
+        assert res.objective == first.objective
+
     def boxed_lp(self):
         return make_problem([-1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]], ["le", "ge"],
                             [4.0, -2.0], [0.0] * 3, [3.0] * 3)
@@ -689,7 +703,6 @@ class TestKeptTableau:
     @pytest.mark.parametrize("change", [None, "matrix", "upper_only"])
     def test_a_different_matrix_rebuilds_and_a_new_bound_pattern_does_not(self, change):
         prob = self.boxed_lp()
-        prob.keep_dense_rows()
         parent = solve_lp(replace(prob, basis=solve_lp(prob).basis))
         child = replace(prob, rhs=np.array([3.5, -1.0]))
         if change == "matrix":  # equal entries, another matrix object
@@ -709,7 +722,6 @@ class TestKeptTableau:
 
     def test_a_kept_start_that_breaks_down_is_rebuilt_from_its_basis(self):
         prob = self.boxed_lp()
-        prob.keep_dense_rows()
         parent = solve_lp(replace(prob, basis=solve_lp(prob).basis))
         child = replace(prob, rhs=np.array([3.5, -1.0]), basis=parent.basis)
         solve_from, starts = simplex._solve_from, []
@@ -809,7 +821,6 @@ class TestLargeRightHandSides:
     def test_a_warm_re_solve_has_the_status_of_a_cold_one(self, seed):
         rng = np.random.default_rng(seed)
         prob = dispatch_lp(rng, int(rng.integers(4, 25)))
-        prob.keep_dense_rows()
         basis = None
         for _ in range(6):
             rhs = prob.rhs.copy()
