@@ -283,7 +283,7 @@ class _Decomposition:
                 st.relocated,
                 theta_count=theta_count,
                 theta_lb=config.theta_lb,
-                add_slacks=config.add_slacks and bool(st.relocated),
+                add_slacks=config.add_slacks,
                 slack_penalty=config.slack_penalty,
             )
             for i, child in enumerate(st.children):
@@ -383,6 +383,8 @@ class _Decomposition:
         pending: dict[str, list[CutData]] = {}
         fresh: dict[str, int] = {gid: 0 for gid in self.tree.order}
         added = 0
+        # tree.order is breadth-first, so this walk reaches every stage after
+        # its children, and the root last: each stage's cuts are all pending
         for gid in reversed(self.tree.order):
             if pending.get(gid):
                 n = self._install_cuts(gid, pending.pop(gid), iteration)
@@ -403,8 +405,6 @@ class _Decomposition:
             pending.setdefault(self.tree.stages[gid].parent, []).append(
                 self._child_cut(gid, res, results[gid].objective, iteration, own)
             )
-        for gid, parts in pending.items():
-            added += self._install_cuts(gid, parts, iteration)
         return added
 
     def warm_start(self) -> int:

@@ -118,19 +118,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    return {
-        "mode": args.mode,
-        "root": args.root,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "multicut": args.multicut,
-        "strengthened": args.strengthened,
-        "lagrangian": args.lagrangian,
-        "slacks": args.slacks,
-        "slack_penalty": args.slack_penalty,
-        "warm_start_cuts": args.warm_start_cuts,
-        "order": args.order,
-    }
+    return {"mode": args.mode, **{dest: getattr(args, dest) for dest in _MODE_FLAGS}}
 
 
 def _run_monolithic(graph: Graph, args: argparse.Namespace, report: RunReport) -> int:

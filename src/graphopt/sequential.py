@@ -73,7 +73,7 @@ def sequential_solve(
         prob = StageProblem(
             by_id[gid],
             relocated[gid],
-            add_slacks=add_slacks and bool(relocated[gid]),
+            add_slacks=add_slacks,
             slack_penalty=slack_penalty,
         )
         prob.set_fixed_values(values[ref] for ref in prob.fixed_refs)

@@ -64,7 +64,9 @@ b'``, refined by one step of iterative refinement (see :func:`_optimal`).
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
 minimization with "le" rows this makes duals nonpositive.  Reduced costs
-are reported as `c - A'y` over the rows as given.
+are reported as `c - A'y` over the rows as given.  An optimal result holds
+its duals, reduced costs and basis status codes as plain arrays, worked out
+once when the solve ends.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import numpy as np
 
 from .errors import NumericalBreakdownError
 from .standard_form import (
-    AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis, Deferred, StandardFormProblem,
+    AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, NONBASIC, Basis, StandardFormProblem,
 )
 
 _RC_TOL = 1e-9          # entering threshold on reduced costs
@@ -101,23 +103,18 @@ class SolveResult:
     solve, in the problem's own columns and rows, and for an optimal MILP
     solve that of its root relaxation, whose result is ``relaxation``;
     handed back as ``problem.basis``, it starts the simplex there, from a
-    copy of the tableau it keeps (see the module docstring).  ``duals``,
-    ``reduced_costs`` and the basis status codes are worked out from that
-    tableau when first read; nothing writes to it once it is kept, so they
-    read the same whenever that is.
+    copy of the tableau it keeps (see the module docstring).
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
     objective: float = math.nan
     primal: Optional[np.ndarray] = None
-    duals: Optional[np.ndarray] = Deferred()
-    reduced_costs: Optional[np.ndarray] = Deferred()
+    duals: Optional[np.ndarray] = None
+    reduced_costs: Optional[np.ndarray] = None
     iterations: int = 0
     nodes_explored: int = 0
     basis: Optional[Basis] = None
     relaxation: Optional["SolveResult"] = None
-
-    __getstate__ = Deferred.state
 
 
 @dataclass(eq=False)
@@ -620,17 +617,6 @@ def _rebuilt(hint: Basis, frame: _Frame, cols: _Columns, c_int: np.ndarray,
     return _from_crash(hint, frame, cols, c_int, b)
 
 
-def _once(compute):
-    """``compute``, run on the first call only; ``functools.cache`` costs more to set up."""
-    memo = []
-
-    def once():
-        if not memo:
-            memo.append(compute())
-        return memo[0]
-    return once
-
-
 def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_int: np.ndarray,
              b: np.ndarray) -> SolveResult:
     """The result of an optimal tableau, which its basis keeps for re-solves.
@@ -642,8 +628,8 @@ def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_in
     rows, ``s`` their logicals' values.  ``b'`` mixes every bound's shift,
     such as a -1e9 one, into each basic value, and a value shifted by 1e9
     holds no more than 1e-7 of it; ``r`` and the step hold neither.  The
-    duals, the reduced costs and the basis status codes are worked out on
-    first read, since no branch-and-bound node reads them.
+    duals, the reduced costs and the basis status codes are worked out here
+    too, as plain arrays.
     """
     frame, rows, m = t.frame, t.rows, t.basis.size
     c, n = problem.objective, problem.n_cols
@@ -658,28 +644,22 @@ def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_in
     step[t.basis] = _inverse_times(t, frame.given_sign * (problem.rhs - frame.a @ x) - x_int[frame.logical])
     x += np.where(t.flipped[:n], -step[:n], step[:n])
 
-    @_once
-    def duals():
-        # y = c_B B^-1, priced afresh under the final complementing; the
-        # logical columns read B^-1, negated where a logical is complemented
-        cost = np.where(t.flipped, -c_int, c_int)
-        sign = np.where(t.flipped[frame.logical], -frame.given_sign, frame.given_sign)
-        return (cost[t.basis] @ rows[:m, -1 - m:-1])[frame.logical - n] * sign
+    # y = c_B B^-1, priced afresh under the final complementing; the logical
+    # columns read B^-1, negated where a logical is complemented
+    cost = np.where(t.flipped, -c_int, c_int)
+    sign = np.where(t.flipped[frame.logical], -frame.given_sign, frame.given_sign)
+    duals = (cost[t.basis] @ rows[:m, -1 - m:-1])[frame.logical - n] * sign
 
-    @_once
-    def codes():
-        in_basis = np.zeros(rows.shape[1], dtype=bool)
-        in_basis[t.basis] = True
-        columns = np.where(in_basis[:n], BASIC, np.where(t.flipped[:n], AT_UPPER, AT_LOWER)).astype(np.int8)
-        columns[t.free[~in_basis[t.free]]] = FREE_ZERO
-        return columns, np.where(in_basis[frame.logical], BASIC, NONBASIC).astype(np.int8)
-
+    in_basis = np.zeros(rows.shape[1], dtype=bool)
+    in_basis[t.basis] = True
+    columns = np.where(in_basis[:n], BASIC, np.where(t.flipped[:n], AT_UPPER, AT_LOWER)).astype(np.int8)
+    columns[t.free[~in_basis[t.free]]] = FREE_ZERO
     return SolveResult(
         status="optimal",
         objective=float(c @ x) + problem.objective_constant,
         primal=x,
         duals=duals,
-        reduced_costs=lambda: c - frame.a.T @ duals(),
+        reduced_costs=c - frame.a.T @ duals,
         iterations=t.iterations,
-        basis=Basis(lambda: codes()[0], lambda: codes()[1], t),
+        basis=Basis(columns, np.where(in_basis[frame.logical], BASIC, NONBASIC).astype(np.int8), t),
     )

@@ -33,37 +33,6 @@ FREE_ZERO = -3     # a nonbasic free column, resting at zero
 NONBASIC = AT_LOWER
 
 
-class Deferred:
-    """A dataclass field that may be given a function of no arguments instead of its value.
-
-    The function runs on the first read, and its value replaces it.  A field
-    given a plain value, ``None`` by default, reads as that value.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the default, as ``dataclass`` reads it
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.slot] = value
-
-    @staticmethod
-    def state(obj) -> dict:
-        """``obj.__dict__`` with every deferred field worked out: a pickled state."""
-        state = dict(obj.__dict__)
-        for name, attr in vars(type(obj)).items():
-            if isinstance(attr, Deferred):
-                state[attr.slot] = getattr(obj, name)
-        return state
-
-
 @dataclass(frozen=True, eq=False)
 class Basis:
     """A simplex basis, stated over the problem's own columns and rows.
@@ -73,16 +42,12 @@ class Basis:
     basic and :data:`NONBASIC` when the row is held at its right-hand side.
     Exactly ``len(rows)`` entries are basic.  A basis returned by an optimal
     solve also keeps that solve's final tableau privately, so that the next
-    re-solve of the same matrix can start from it (see :mod:`graphopt.simplex`);
-    such a re-solve reads no status code, so a basis that keeps a tableau
-    works its codes out from it on first read (see :class:`Deferred`).
+    re-solve of the same matrix can start from it (see :mod:`graphopt.simplex`).
     """
 
-    columns: np.ndarray = Deferred()
-    rows: np.ndarray = Deferred()
+    columns: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
     _tableau: Optional[object] = field(default=None, repr=False)
-
-    __getstate__ = Deferred.state
 
 
 @dataclass

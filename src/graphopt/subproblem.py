@@ -49,7 +49,7 @@ class CutData:
     pi: np.ndarray
     phi: float
     anchor: np.ndarray
-    kind: str = "benders"  # "benders" | "strengthened" | "lagrangian" | "warm_start"
+    kind: str = "benders"  # "benders" | "strengthened" | "lagrangian" | "warm_start" | "mixed"
     iteration: int = 0
     theta_index: int = 0
 

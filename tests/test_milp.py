@@ -506,7 +506,7 @@ def c_b_b_inverse(problem, basis):
 
 
 def assert_eager_sensitivities(problem, res):
-    """Duals, reduced costs and basis codes read now, after later solves, match eager ones."""
+    """Duals, reduced costs and basis codes, read after later solves, match ``c_B B^-1`` from the codes."""
     y = c_b_b_inverse(problem, res.basis)
     scale = max(1.0, float(np.abs(y).max(initial=0.0)))
     np.testing.assert_allclose(res.duals, y, rtol=0.0, atol=1e-12 * scale)
@@ -521,7 +521,7 @@ def assert_eager_sensitivities(problem, res):
 class TestNodeEquivalence:
     """A node re-solved from its parent's kept tableau matches one rebuilt by Gauss-Jordan elimination."""
 
-    def test_every_node_matches_a_fresh_crash_and_its_lazy_fields_the_eager_ones(self, rng):
+    def test_every_node_matches_a_fresh_crash_and_keeps_its_sensitivities(self, rng):
         trees = nodes = 0
         for k in range(200):
             prob = random_milp(rng, pure_binary=(k % 3 != 0))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from graphopt import simplex
+from graphopt.branch_bound import solve_milp
 from graphopt.errors import NumericalBreakdownError
 from graphopt.fixtures import generate_fixture
 from graphopt.simplex import solve_lp
@@ -21,6 +22,7 @@ from conftest import (
     make_problem,
     random_feasible_lp,
     random_lp,
+    random_milp,
     vertex_enumeration_lp,
 )
 
@@ -838,15 +840,38 @@ class TestLargeRightHandSides:
                 basis = warm.basis
 
 
-def test_a_result_read_later_or_pickled_has_its_duals_and_codes(rng):
-    """Duals, reduced costs and basis codes are worked out on first read, pickling included."""
+def test_a_pickled_result_keeps_its_duals_and_codes(rng):
+    """Duals, reduced costs and basis codes are plain arrays, a MILP's relaxation's included.
+
+    Later re-solves from a result's basis copy its tableau and never write
+    to it; a MILP's unpickled basis, handed back, re-solves to its optimum.
+    """
+    def sensitivities(res):
+        return res.duals, res.reduced_costs, res.basis.columns, res.basis.rows
+
     drawn = kept_parent(rng)
     assert drawn is not None
     prob, parent = drawn
-    eager = solve_lp(replace(prob, basis=parent.basis))
-    expected = (eager.duals, eager.reduced_costs, eager.basis.columns, eager.basis.rows)
-    lazy = solve_lp(replace(prob, basis=parent.basis))
-    solve_lp(replace(prob, rhs=prob.rhs + 1.0, basis=lazy.basis))  # re-solves copy, never write
-    for res in (lazy, pickle.loads(pickle.dumps(solve_lp(replace(prob, basis=parent.basis))))):
-        for got, want in zip((res.duals, res.reduced_costs, res.basis.columns, res.basis.rows), expected):
+    res = solve_lp(replace(prob, basis=parent.basis))
+    expected = [a.copy() for a in sensitivities(res)]
+    solve_lp(replace(prob, rhs=prob.rhs + 1.0, basis=res.basis))
+    for got in (res, pickle.loads(pickle.dumps(res))):
+        for value, want in zip(sensitivities(got), expected):
+            np.testing.assert_array_equal(value, want)
+
+    solved = 0
+    for _ in range(40):
+        prob = random_milp(rng)
+        milp = solve_milp(prob)
+        if milp.status != "optimal":
+            continue
+        copy = pickle.loads(pickle.dumps(milp))
+        assert copy.duals is None and copy.reduced_costs is None
+        for got, want in zip(sensitivities(copy.relaxation), sensitivities(milp.relaxation)):
             np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(copy.basis.columns, milp.basis.columns)
+        again = solve_milp(replace(prob, basis=copy.basis))
+        assert again.status == "optimal"
+        assert again.objective == pytest.approx(milp.objective, rel=1e-9, abs=1e-9)
+        solved += 1
+    assert solved >= 10
