@@ -456,8 +456,7 @@ class _Decomposition:
 
         best_ub = _INF
         best_iteration = 0
-        best_solution: dict[VariableRef, float] = {}
-        best_slack = 0.0
+        best_results: dict[str, SolveResult] = {}
         lb_history: list[float] = []
         ub_history: list[float] = []
         trace: list[IterationRecord] = []
@@ -478,15 +477,10 @@ class _Decomposition:
             for gid in tree.order:
                 iteration_cost += self.problems[gid].true_cost(results[gid])
             if iteration_cost < best_ub:
-                best_ub = iteration_cost
-                best_iteration = k
-                best_solution = {}
-                for gid in tree.order:
-                    best_solution.update(self.problems[gid].own_solution(results[gid]))
-                best_slack = max(
-                    (self.problems[gid].slack_activity(results[gid]) for gid in tree.order),
-                    default=0.0,
-                )
+                best_ub, best_iteration = iteration_cost, k
+                # the points alone: a result's basis would keep its whole tableau alive
+                best_results = {gid: SolveResult("optimal", primal=res.primal)
+                                for gid, res in results.items()}
 
             lb_history.append(lower)
             ub_history.append(best_ub)
@@ -519,9 +513,13 @@ class _Decomposition:
                 thetas = prob.theta_values(res)
                 if thetas.size and float(thetas.min()) <= config.theta_lb + 1e-6:
                     theta_at_bound = True
+        best_solution: dict[VariableRef, float] = {}
+        for gid, res in best_results.items():
+            best_solution.update(self.problems[gid].own_solution(res))
         flags = {
             "theta_lower_bound_active": theta_at_bound,
-            "slacks_active": best_slack > 1e-7,
+            "slacks_active": max((self.problems[gid].slack_activity(res) for gid, res in best_results.items()),
+                                 default=0.0) > 1e-7,
         }
         violation = check_solution(self.graph, best_solution) if best_solution else _INF
 

@@ -98,7 +98,7 @@ def solve_milp(
     status is then ``iteration_limit``, with the nodes and pivots so far.
     Pure-LP input is passed straight to the LP solver.  An optimal result's
     ``relaxation`` is its root relaxation's result, and its ``basis`` that
-    relaxation's final basis.
+    relaxation's final basis; every result's ``starts`` are the root's.
     """
     int_cols = np.array(problem.integer_columns(), dtype=np.intp)
     relaxed = lp_relaxation(problem)
@@ -107,7 +107,7 @@ def solve_milp(
 
     root = solve_lp_fn(relaxed)
     if root.status in ("infeasible", "unbounded", "iteration_limit"):
-        return SolveResult(status=root.status, iterations=root.iterations)
+        return SolveResult(status=root.status, iterations=root.iterations, starts=root.starts)
 
     # a node is (bound, minus its creation order, lower, upper, its parent's
     # basis, its LP result if solved): the root's LP is reused as node 1.
@@ -139,7 +139,8 @@ def solve_milp(
             res = solve_lp_fn(relaxed.with_changes(lower=lo, upper=hi, basis=basis))
             lp_iterations += res.iterations
         if res.status == "iteration_limit":
-            return SolveResult(status=res.status, iterations=lp_iterations, nodes_explored=nodes)
+            return SolveResult(status=res.status, iterations=lp_iterations, nodes_explored=nodes,
+                               starts=root.starts)
         if res.status != "optimal":
             continue  # infeasible branch (unbounded cannot appear below a bounded root)
         if incumbent is not None and incumbent.objective - res.objective <= 1e-9:
@@ -177,9 +178,11 @@ def solve_milp(
             heapq.heappush(heap, (res.objective, -next(counter), up_lo, hi, res.basis, None))
 
     if incumbent is None:
-        return SolveResult(status="infeasible", iterations=lp_iterations, nodes_explored=nodes)
+        return SolveResult(status="infeasible", iterations=lp_iterations, nodes_explored=nodes,
+                           starts=root.starts)
     incumbent.nodes_explored = nodes
     incumbent.iterations = lp_iterations
     incumbent.basis = root.basis
     incumbent.relaxation = root
+    incumbent.starts = root.starts
     return incumbent

@@ -9,9 +9,10 @@ when no elastic slack ends up active).
 ``relaxed_parallel_bound`` drops every parent-level edge and solves the
 subgraphs independently; the summed optima are a lower bound.
 
-An unbounded stage makes either result ``unbounded`` with an objective of
-minus infinity; a stage solve that ends at the iteration limit raises
-:class:`~graphopt.errors.IterationLimitError`.
+Both walk the stages in one pass.  An unbounded stage ends it, and makes
+the result ``unbounded`` with an objective of minus infinity; an infeasible
+stage raises :class:`~graphopt.errors.SubproblemInfeasibleError`, and one
+that ends at the iteration limit :class:`~graphopt.errors.IterationLimitError`.
 """
 
 from __future__ import annotations
@@ -66,36 +67,8 @@ def sequential_solve(
         last = max((topo.owner[nid] for nid in edge.incident_nodes), key=position.__getitem__)
         relocated[last].extend(edge.constraints)
 
-    values: dict[VariableRef, float] = {}
-    stage_costs: list[tuple[str, float]] = []
-    total = 0.0
-    for gid in order:
-        prob = StageProblem(
-            by_id[gid],
-            relocated[gid],
-            add_slacks=add_slacks,
-            slack_penalty=slack_penalty,
-        )
-        prob.set_fixed_values(values[ref] for ref in prob.fixed_refs)
-        res = require_status(prob.solve(solver), ("optimal", "unbounded"), SubproblemInfeasibleError,
-                             f"stage {gid!r}", "the sequential pass", prob.infeasible_hint)
-        if res.status == "unbounded":  # later stages have no values to fix
-            stage_costs.append((gid, -_INF))
-            return SequentialResult(status="unbounded", objective=-_INF, solution=values,
-                                    stage_costs=stage_costs, order=order, max_violation=_INF)
-        values.update(prob.own_solution(res))
-        cost = prob.true_cost(res)
-        total += cost
-        stage_costs.append((gid, cost))
-
-    return SequentialResult(
-        status="optimal",
-        objective=total,
-        solution=values,
-        stage_costs=stage_costs,
-        order=order,
-        max_violation=check_solution(graph, values),
-    )
+    return _stage_pass(graph, [(gid, by_id[gid], relocated[gid]) for gid in order], solver,
+                       "the sequential pass", "", add_slacks=add_slacks, slack_penalty=slack_penalty)
 
 
 def relaxed_parallel_bound(
@@ -105,35 +78,29 @@ def relaxed_parallel_bound(
 ) -> SequentialResult:
     """Lower bound from solving each subgraph with all parent edges dropped."""
     first_level_topology(graph)
-    subs = graph.local_subgraphs()
+    return _stage_pass(graph, [(sub.id, sub, ()) for sub in graph.local_subgraphs()], solver,
+                       "the relaxed bound", "; the full problem is infeasible too")
+
+
+def _stage_pass(graph: Graph, stages: Sequence[tuple[str, Graph, Sequence[Constraint]]],
+                solver: Optional[LinearSolver], during: str, hint: str, **options) -> SequentialResult:
+    """Solve each ``(id, subgraph, relocated rows)`` in turn, pinned to the values of the stages before it."""
     values: dict[VariableRef, float] = {}
     stage_costs: list[tuple[str, float]] = []
+    order = [gid for gid, _, _ in stages]
     total = 0.0
-    status = "optimal"
-    for sub in subs:
-        prob = StageProblem(sub)
-        res = require_status(prob.solve(solver), ("optimal", "infeasible", "unbounded"),
-                             SubproblemInfeasibleError, f"stage {sub.id!r}", "the relaxed bound")
-        if res.status == "infeasible":
-            raise SubproblemInfeasibleError(
-                f"subgraph {sub.id!r} is infeasible on its own; the full problem is too"
-            )
-        if res.status == "unbounded":
-            status = "unbounded"
-            total = -_INF
-            stage_costs.append((sub.id, -_INF))
-            continue
-        cost = prob.true_cost(res)
+    for gid, sub, relocated in stages:
+        prob = StageProblem(sub, relocated, **options)
+        prob.set_fixed_values(values[ref] for ref in prob.fixed_refs)
+        res = require_status(prob.solve(solver), ("optimal", "unbounded"), SubproblemInfeasibleError,
+                             f"stage {gid!r}", during, prob.infeasible_hint + hint)
+        if res.status == "unbounded":  # later stages have no values to fix
+            stage_costs.append((gid, -_INF))
+            return SequentialResult(status="unbounded", objective=-_INF, solution=values,
+                                    stage_costs=stage_costs, order=order, max_violation=_INF)
         values.update(prob.own_solution(res))
+        cost = prob.true_cost(res)
         total += cost
-        stage_costs.append((sub.id, cost))
-
-    complete = status == "optimal" and values
-    return SequentialResult(
-        status=status,
-        objective=total,
-        solution=values,
-        stage_costs=stage_costs,
-        order=[s.id for s in subs],
-        max_violation=check_solution(graph, values) if complete else _INF,
-    )
+        stage_costs.append((gid, cost))
+    return SequentialResult(status="optimal", objective=total, solution=values, stage_costs=stage_costs,
+                            order=order, max_violation=check_solution(graph, values))

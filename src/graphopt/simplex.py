@@ -37,29 +37,31 @@ the costs (see :func:`_run_dual`).
 
 The start.  A problem may carry a :class:`~graphopt.standard_form.Basis`
 hint, such as its parent's final basis in branch-and-bound.  Every optimal
-solve keeps its final tableau privately on the basis it returns, and
-nothing writes to it again.  B^-1 [A | I] depends on none of the bounds,
-right-hand sides or costs, and the logical columns read B^-1.  So when the
-hint keeps a tableau over the same matrix object and row signs, the tableau
-is copied and each column rests where it rested, or, where that bound is
-now infinite, at its other bound or zero.  The rhs column ``B^-1 (b - A_N
-x_N)`` is then one matrix-vector product and the reduced costs ``c - c_B
-B^-1 A`` one vector-matrix product, priced afresh even under the same
-objective: the re-solve of a branch-and-bound child, of a Benders stage
-whose copies are pinned or unpinned, and of a Lagrangian step.  Rows the
-matrix gained below the kept ones, such as a Benders stage's cuts, join the
-copy with their logicals basic, as ``a - a_B B^-1 [A | I]``: the bordered
-inverse ``[B^-1 0; -a_B B^-1 1]``.  Otherwise the hint's basic columns are
+solve keeps its final tableau privately on the basis it returns, and nothing
+writes to it again.  B^-1 [A | I] depends on none of the bounds, right-hand
+sides or costs, and the logical columns read B^-1.  So when the hint keeps a
+tableau over equal rows, senses and row signs (``"kept"``), the tableau is
+copied and each column rests where it rested, or, where that bound is now
+infinite, at its other bound or zero.  The rhs column ``B^-1 (b - A_N x_N)``
+is then one matrix-vector product and the reduced costs ``c - c_B B^-1 A``
+one vector-matrix product, priced afresh even under the same objective: the
+re-solve of a branch-and-bound child, of a Benders stage whose copies are
+pinned or unpinned, and of a Lagrangian step.  Rows the matrix gained below
+the kept ones, such as a Benders stage's cuts, join the copy with their
+logicals basic, as ``a - a_B B^-1 [A | I]``: the bordered inverse ``[B^-1 0;
+-a_B B^-1 1]`` (``"bordered"``).  Otherwise the hint's basic columns are
 pivoted into the all-logical tableau by Gauss-Jordan elimination, counted as
-no iteration; rows past the hint's keep their logicals basic.  Without a
-usable hint (the wrong size, or singular) the start is the all-logical
-tableau itself.  A kept start on which the dual simplex finds a row it can
-neither repair nor prove infeasible, or could repair only by pivoting on
-rounding noise, is rebuilt once by Gauss-Jordan elimination, since the kept
-pivots may hold the rounding at fault.  Any other hinted start that fails
-so starts once more from the all-logical tableau; there the same failure
-raises :class:`NumericalBreakdownError`.  The optimum is read from ``B^-1
-b'``, refined by one step of iterative refinement (see :func:`_optimal`).
+no iteration (``"crash"``); rows past the hint's keep their logicals basic.
+Without a usable hint (the wrong size, or singular) the start is the
+all-logical tableau itself (``"logical"``).  A kept start on which the dual
+simplex finds a row it can neither repair nor prove infeasible, or could
+repair only by pivoting on rounding noise, is rebuilt once by Gauss-Jordan
+elimination (``"rebuilt"``), since the kept pivots may hold the rounding at
+fault.  Any other hinted start that fails so starts once more from the
+all-logical tableau; there the same failure raises
+:class:`NumericalBreakdownError`.  A result names every start its solve
+tried, in order, as ``starts``.  The optimum is read from ``B^-1 b'``,
+refined by one step of iterative refinement (see :func:`_optimal`).
 
 Dual convention: the reported dual of a row is the sensitivity of the
 optimal value to that row's right-hand side, `y_i = dV/db_i`.  For a
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -103,7 +105,9 @@ class SolveResult:
     solve, in the problem's own columns and rows, and for an optimal MILP
     solve that of its root relaxation, whose result is ``relaxation``;
     handed back as ``problem.basis``, it starts the simplex there, from a
-    copy of the tableau it keeps (see the module docstring).
+    copy of the tableau it keeps (see the module docstring).  ``starts``
+    names every start the solve tried, in order (see :func:`solve_lp`); a
+    MILP result lists its root relaxation's.
     """
 
     status: str                       # optimal | infeasible | unbounded | iteration_limit
@@ -115,6 +119,7 @@ class SolveResult:
     nodes_explored: int = 0
     basis: Optional[Basis] = None
     relaxation: Optional["SolveResult"] = None
+    starts: tuple[str, ...] = ()      # kept | bordered | rebuilt | crash | logical
 
 
 @dataclass(eq=False)
@@ -191,7 +196,7 @@ class _Frame:
     solve over another frame.
     """
 
-    a: np.ndarray             # the dense matrix, compared by identity
+    a: np.ndarray             # the dense matrix
     eq: np.ndarray            # the equality rows
     given_sign: np.ndarray    # -1 on "ge" rows
     logical: np.ndarray       # row i's logical column: inequality slacks first, then equality rows
@@ -210,11 +215,11 @@ class _Frame:
                       tail=np.concatenate([np.where(eq[order], 0.0, np.inf), [np.inf]]))
 
     def holds(self, kept: _Frame) -> bool:
-        """Can ``kept``'s tableau start a solve here: ``kept``'s matrix object, or rows appended to it?"""
+        """Can ``kept``'s tableau start a solve here: the same matrix object, or equal leading rows?"""
         m = kept.eq.size
         return self is kept or (np.array_equal(self.eq[:m], kept.eq)
                                 and np.array_equal(self.given_sign[:m], kept.given_sign)
-                                and (self.a is kept.a or self.eq.size > m and np.array_equal(self.a[:m], kept.a)))
+                                and (self.a is kept.a or np.array_equal(self.a[:m], kept.a)))
 
 
 def _pivot(t: _Tableau, row: int, col: int) -> None:
@@ -428,35 +433,45 @@ def solve_lp(problem: StandardFormProblem, *, max_iterations: Optional[int] = No
     """Solve the LP relaxation of ``problem`` (integrality is ignored).
 
     When ``problem.basis`` is set the solve starts from that basis if it can
-    (see the module docstring).  ``max_iterations=-1`` returns
-    ``iteration_limit`` right after the tableau is built.
+    (see the module docstring and :func:`_ladder`).  ``max_iterations=-1``
+    returns ``iteration_limit`` right after the first usable start is built.
     """
     lo, hi = problem.lower, problem.upper
     if (lo > hi + 1e-12).any():
         return SolveResult(status="infeasible", iterations=0)
     frame = problem.memo(_Frame, lambda: _Frame.build(problem.matrix, *problem.row_signs()))
     hint = problem.basis
-    kept = None if hint is None else hint._tableau
     cols = _Columns.read(lo, hi, frame.tail)
     b = frame.given_sign * (problem.rhs - frame.a @ cols.offset)
     c_int = np.concatenate((problem.objective, np.zeros(frame.tail.size)))
     if max_iterations is None:
         max_iterations = max(5000, 50 * (cols.upper.size - 1 + b.size))
-    start = None
+    starts = []
+    for name, start in _ladder(hint, frame, cols, c_int, b):
+        starts.append(name)
+        if start is None:
+            continue  # an unusable hint: the wrong size, or singular
+        try:
+            res = _solve_from(problem, start, cols.offset, c_int, b, max_iterations)
+        except NumericalBreakdownError:
+            if name == "logical":
+                raise
+            continue
+        res.starts = tuple(starts)
+        return res
+
+
+def _ladder(hint: Optional[Basis], frame: _Frame, cols: _Columns, c_int: np.ndarray,
+            b: np.ndarray) -> Iterator[tuple[str, Optional[_Tableau]]]:
+    """The named starts a solve tries until one solves without breaking down; ``None`` if unusable."""
+    kept = None if hint is None else hint._tableau
     if kept is not None and frame.holds(kept.frame):
-        start = _from_kept(kept, frame, cols, c_int, b)
-        try:
-            return _solve_from(problem, start, cols.offset, c_int, b, max_iterations)
-        except NumericalBreakdownError:
-            start = _rebuilt(hint, frame, cols, c_int, b)  # the kept tableau's rounding may be at fault
+        grown = frame.eq.size > kept.basis.size
+        yield "bordered" if grown else "kept", _from_kept(kept, frame, cols, c_int, b)
+        yield "rebuilt", _from_crash(hint, frame, cols, c_int, b)
     elif hint is not None:
-        start = _from_crash(hint, frame, cols, c_int, b)
-    if start is not None:
-        try:
-            return _solve_from(problem, start, cols.offset, c_int, b, max_iterations)
-        except NumericalBreakdownError:
-            pass  # the hinted basis is unreliable: start over from the all-logical one
-    return _solve_from(problem, _from_logical(frame, cols, c_int, b), cols.offset, c_int, b, max_iterations)
+        yield "crash", _from_crash(hint, frame, cols, c_int, b)
+    yield "logical", _all_logical(frame, cols, c_int, b)
 
 
 def _solve_from(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_int: np.ndarray,
@@ -569,11 +584,6 @@ def _all_logical(frame: _Frame, cols: _Columns, c_int: np.ndarray, b: np.ndarray
     return _Tableau(frame, rows, frame.logical.copy(), cols, np.zeros(rows.shape[1], dtype=bool))
 
 
-def _from_logical(frame: _Frame, cols: _Columns, c_int: np.ndarray, b: np.ndarray) -> _Tableau:
-    """The all-logical tableau, every other column at rest: the start without a usable hint."""
-    return _all_logical(frame, cols, c_int, b)
-
-
 def _from_crash(hint: Basis, frame: _Frame, cols: _Columns, c_int: np.ndarray,
                 b: np.ndarray) -> Optional[_Tableau]:
     """The tableau of ``hint`` built from the all-logical one.
@@ -609,12 +619,6 @@ def _from_crash(hint: Basis, frame: _Frame, cols: _Columns, c_int: np.ndarray,
         _pivot(t, p, j)
     t.iterations = 0  # building the start is no simplex step
     return t
-
-
-def _rebuilt(hint: Basis, frame: _Frame, cols: _Columns, c_int: np.ndarray,
-             b: np.ndarray) -> Optional[_Tableau]:
-    """:func:`_from_crash`, once a start from the hint's kept tableau broke down."""
-    return _from_crash(hint, frame, cols, c_int, b)
 
 
 def _optimal(problem: StandardFormProblem, t: _Tableau, offset: np.ndarray, c_int: np.ndarray,

@@ -129,8 +129,8 @@ class StageProblem:
                         slacks.append((col, coef))
             rows.add(con, column, f"link:{con.uid}", slacks)
 
-        # what an error on an infeasible solve of the stage suggests
-        self.infeasible_hint = "" if self.slack_cols else " (consider enabling elastic slacks)"
+        # what an error on an infeasible solve of the stage suggests: slacks help only relocated rows
+        self.infeasible_hint = " (consider enabling elastic slacks)" if relocated and not self.slack_cols else ""
 
         k, s = len(self.fixed_refs), len(self.slack_cols)
         self.theta_cols: list[int] = list(range(first_slack + s, first_slack + s + theta_count))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -23,6 +24,8 @@ from graphopt import (
     StandardFormProblem,
     VariableRef,
     flatten,
+    solve_lp,
+    solve_milp,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=40, print_blob=True)
@@ -64,6 +67,25 @@ def make_problem(
         upper=np.asarray(upper, dtype=float),
         integrality=list(integrality) if integrality else ["continuous"] * n,
     )
+
+
+class StartRecorder:
+    """The built-in backend, keeping the ``starts`` of every LP it solves, branch-and-bound nodes included."""
+
+    def __init__(self) -> None:
+        self.starts: list[tuple[str, ...]] = []
+
+    def solve_lp(self, problem: StandardFormProblem):
+        res = solve_lp(problem)
+        self.starts.append(res.starts)
+        return res
+
+    def solve_milp(self, problem: StandardFormProblem):
+        return solve_milp(problem, solve_lp_fn=self.solve_lp)
+
+    def counts(self, since: int = 0) -> Counter:
+        """Every start tried by the LP solves from the ``since``-th on, by name."""
+        return Counter(name for starts in self.starts[since:] for name in starts)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from graphopt import (
     RootNotFoundError,
     SubproblemInfeasibleError,
     UnboundedError,
+    check_solution,
     flatten,
 )
 from graphopt.benders import (
@@ -46,7 +47,9 @@ from graphopt.solvers import SimplexSolver, default_solver, solve_milp
 from graphopt.subproblem import CutData, StageProblem
 from graphopt.transform import apply_partition
 
-from conftest import downstream_model_value, rebuild_stage_problem, solve_flat, unbounded_stage_graph
+from conftest import (
+    StartRecorder, downstream_model_value, rebuild_stage_problem, solve_flat, unbounded_stage_graph,
+)
 
 # the benchmark's seeded model generators, which build through the public API
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -430,16 +433,16 @@ class TestKeptLagrangianProblem:
         solve_lagrangian = StageProblem.solve_lagrangian
 
         def counted(prob, mu, anchor, solver=None):
-            before = spy.call_count
+            before = len(recorder.starts)
             res = solve_lagrangian(prob, mu, anchor, solver)
-            cold_starts[prob.graph.id, len(prob.cuts)] += spy.call_count - before
+            cold_starts[prob.graph.id, len(prob.cuts)] += recorder.counts(before)["logical"]
             steps.append(prob.graph.id)
             return res
 
         monkeypatch.setattr(StageProblem, "solve_lagrangian", counted)
-        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
-            res = run_decomposition(mini_pcm_fixture(), root="b2",
-                                    config=BendersConfig(lagrangian=True, add_slacks=True))
+        recorder = StartRecorder()
+        res = run_decomposition(mini_pcm_fixture(), root="b2",
+                                config=BendersConfig(lagrangian=True, add_slacks=True), solver=recorder)
         assert res.status == "converged"
         assert not any(cold_starts.values())  # a stage's first step starts from its forward solve's basis
         assert len(steps) >= 10 * len(cold_starts)
@@ -505,24 +508,23 @@ class TestOneKeptBasisPerStage:
     def test_a_benders_call_builds_no_tableau_by_gauss_jordan(self, model):
         """Only a start from a kept tableau that broke down is rebuilt (mini_pcm has some)."""
         graph, root, config = model()
-        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
-                mock.patch.object(simplex, "_rebuilt", wraps=simplex._rebuilt) as rebuilds, \
-                mock.patch.object(simplex, "_bordered", wraps=simplex._bordered) as bordered:
-            res = run_decomposition(graph, root, config)
+        recorder = StartRecorder()
+        res = run_decomposition(graph, root, config, solver=recorder)
         assert res.status == "converged"
-        assert builds.call_count == rebuilds.call_count
-        assert bordered.call_count >= 1
+        starts = recorder.counts()
+        assert starts["crash"] == 0
+        assert starts["bordered"] >= 1
 
     def test_a_copy_with_no_lower_bound_re_solves_from_the_kept_tableau(self):
         """Pinning and unpinning a copy moves where it rests, not the tableau's layout: no build."""
-        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
-                mock.patch.object(simplex, "_rebuilt", wraps=simplex._rebuilt) as rebuilds, \
-                mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
-            res = run_decomposition(free_state_chain(), "b1", BendersConfig(lagrangian=True, add_slacks=True))
+        recorder = StartRecorder()
+        res = run_decomposition(free_state_chain(), "b1", BendersConfig(lagrangian=True, add_slacks=True),
+                                solver=recorder)
         assert res.status == "converged"
         assert res.objective == pytest.approx(solve_flat(free_state_chain())[0].objective, rel=1e-9)
-        assert builds.call_count == rebuilds.call_count
-        assert cold_starts.call_count <= 3
+        starts = recorder.counts()
+        assert starts["crash"] == 0
+        assert starts["logical"] <= 3
 
     def test_a_cut_after_a_lagrangian_step_re_solves_from_the_kept_tableau(self):
         st = BendersTree(free_state_chain(), root="b1").stages["b2"]
@@ -532,10 +534,10 @@ class TestOneKeptBasisPerStage:
         assert prob.solve_lagrangian(np.array([1.5]), np.array([10.0])).status == "optimal"
         refs = tuple(r for r in prob.columns if r.qualified_name == "t4.soc")  # b3's copy reads it
         prob.add_cut(CutData("b3", refs, np.array([-40.0]), 50.0, np.array([5.0]), "lagrangian", 1, 0))
-        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds, \
-                mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
-            res = prob.solve()  # from the Lagrangian step's tableau, bordered with the cut
-        assert (builds.call_count, cold_starts.call_count) == (0, 0)
+        recorder = StartRecorder()
+        res = prob.solve(recorder)  # from the Lagrangian step's tableau, bordered with the cut
+        assert res.starts == ("bordered",)
+        assert set(recorder.counts()) <= {"kept", "bordered"}
         assert res.objective == pytest.approx(solve_milp(prob.problem()).objective, rel=1e-9)
 
     def test_every_lp_optimum_of_a_pcm_milp_run_meets_its_rows(self, monkeypatch):
@@ -905,6 +907,28 @@ class TestConvergence:
         assert res.best_iteration == costs.index(min(costs)) + 1
         assert res.objective == res.upper_bound
         assert res.max_violation <= 1e-6
+
+    @pytest.mark.parametrize("model", [
+        lambda: (partitioned_storage(), "design", BendersConfig(add_slacks=True)),
+        pcm_milp_run,
+    ], ids=["storage", "pcm_milp"])
+    def test_the_best_solution_is_built_once(self, model, monkeypatch):
+        """From the best iteration's stage results, after the loop: one ``own_solution`` call per stage."""
+        graph, root, config = model()
+        calls = Counter()
+        own_solution = StageProblem.own_solution
+
+        def counted(prob, result):
+            calls[prob.graph.id] += 1
+            return own_solution(prob, result)
+
+        monkeypatch.setattr(StageProblem, "own_solution", counted)
+        res = run_decomposition(graph, root, config)
+        assert res.status == "converged"
+        assert calls == Counter(res.tree.order)
+        assert set(res.solution) == set(graph.all_variables())
+        assert res.max_violation == check_solution(graph, res.solution) <= 1e-6
+        assert not res.flags["slacks_active"]
 
     def test_solution_covers_every_variable(self, cem_graph):
         res = run_decomposition(cem_graph, root="planning")

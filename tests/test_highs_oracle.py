@@ -8,7 +8,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import given, strategies as st
 optimize = pytest.importorskip("scipy.optimize")
 
 from graphopt import (
-    BendersConfig, apply_partition, branch_bound, flatten, run_decomposition, simplex, solve,
+    BendersConfig, apply_partition, branch_bound, flatten, run_decomposition, solve,
 )
 from graphopt.benders import BendersTree
 from graphopt.branch_bound import solve_milp
@@ -197,21 +196,18 @@ def test_a_cold_result_re_solves_from_its_own_tableau():
         problem = mixed_bound_lp(rng)
         cold = solve_lp(problem)
         assert cold.status == "optimal"
-        with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as spy:
-            warm = solve_lp(replace(problem, basis=cold.basis))
-        assert spy.call_count == 0
+        warm = solve_lp(replace(problem, basis=cold.basis))
+        assert warm.starts == ("kept",)
         assert warm.status == "optimal" and warm.iterations == 0
         np.testing.assert_allclose(warm.duals, cold.duals, rtol=1e-9, atol=1e-9)
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-def test_a_new_bound_pattern_re_solves_from_the_kept_tableau(seed):
-    """Columns move between box, lower, upper, free and fixed bounds over the same matrix object.
+def new_bound_pattern(seed):
+    """A 30 x 40 LP's cold result, re-solved over the same matrix object under bounds drawn around its optimum.
 
-    Bounds are drawn around the cold optimum, and may cut it off.  The duals
-    are read from the cold solve's B^-1, which carries its pivots' rounding:
-    a basic column's reduced cost reads up to 5e-9 over 10,000 draws at this
-    size (and 6.8e-8 at 60 x 80), so strong duality is checked to 1e-7.
+    Columns move between box, lower, upper, free and fixed bounds, which
+    may cut the cold optimum off.  Returns the child problem, its warm
+    result and HiGHS's ``(status, objective)``.
     """
     rng = np.random.default_rng(seed)
     problem = mixed_bound_lp(rng, m=30, n=40)
@@ -226,14 +222,31 @@ def test_a_new_bound_pattern_re_solves_from_the_kept_tableau(seed):
     hi[moved] = np.select([np.isin(kinds, ["box", "upper"]), kinds == "fixed"], [above, below], np.inf)
     child = problem.with_changes(lower=lo, upper=hi, basis=cold.basis)
     assert child.dense_rows() is problem.dense_rows()
-    status, objective = highs_lp(child)
-    with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as builds:
-        warm = solve_lp(child)
-    assert builds.call_count == 0
+    return child, solve_lp(child), highs_lp(child)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_new_bound_pattern_re_solves_from_the_kept_tableau(seed):
+    """The duals are read from the cold solve's B^-1, which carries its pivots' rounding.
+
+    A basic column's reduced cost reads up to 5e-9 over 10,000 draws at this
+    size (and 6.8e-8 at 60 x 80), so strong duality is checked to 1e-7.
+    """
+    child, warm, (status, objective) = new_bound_pattern(seed)
+    assert warm.starts == ("kept",)
     assert warm.status == status
     if status == "optimal":
         assert warm.objective == pytest.approx(objective, rel=1e-7, abs=1e-7)
         assert_strong_duality(child, warm, tol=1e-7)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: the kept start breaks down")
+def test_a_new_bound_pattern_at_seed_55390285_re_solves_from_the_kept_tableau():
+    """The kept start breaks down and is rebuilt from its basis; the verdict still agrees with HiGHS."""
+    _, warm, (status, _) = new_bound_pattern(55390285)
+    if not warm.status == status == "infeasible":
+        pytest.fail(f"status {warm.status}, HiGHS {status}")  # a wrong verdict is no expected failure
+    assert warm.starts == ("kept",)
 
 
 def test_storage_fixture_matches_highs():

@@ -1,12 +1,11 @@
 """Branch-and-bound: enumeration agreement, bounds, limits."""
 
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from graphopt import BendersConfig, NodeLimitError, branch_bound, run_decomposition, simplex
+from graphopt import BendersConfig, NodeLimitError, branch_bound, run_decomposition
 from graphopt.branch_bound import _rounded as branch_bound_rounded, solve_milp
 from graphopt.fixtures import mini_pcm_fixture, storage_fixture, storage_membership
 from graphopt.simplex import SolveResult, solve_lp
@@ -14,7 +13,7 @@ from graphopt.solvers import SimplexSolver
 from graphopt.standard_form import AT_LOWER, AT_UPPER, BASIC, Basis, StandardFormProblem, lp_relaxation
 from graphopt.transform import apply_partition
 
-from conftest import binary_enumeration_milp, make_problem, random_milp
+from conftest import StartRecorder, binary_enumeration_milp, make_problem, random_milp
 
 
 def knapsack(values, weights, budget):
@@ -244,9 +243,10 @@ class TestBranchAndBound:
         deep = 0
         for k in range(25):
             prob = random_milp(rng, pure_binary=(k % 3 != 0))
-            with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as spy:
-                res = solve_milp(prob)
-            assert spy.call_count <= 2
+            solver = StartRecorder()
+            res = solver.solve_milp(prob)
+            builds = solver.counts()
+            assert builds["crash"] + builds["rebuilt"] <= 2
             deep += res.nodes_explored > 3
         assert deep >= 5
 
@@ -255,9 +255,10 @@ class TestBranchAndBound:
         deep = 0
         for k in range(25):
             prob = random_milp(rng, pure_binary=(k % 3 != 0))
-            with mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash) as spy:
-                res = solve_milp(prob)
-            assert spy.call_count == 0
+            solver = StartRecorder()
+            res = solver.solve_milp(prob)
+            builds = solver.counts()
+            assert builds["crash"] + builds["rebuilt"] == 0
             deep += res.nodes_explored > 3
         assert deep >= 5
 

@@ -182,7 +182,8 @@ class TestRelaxedParallelBound:
         ok = Graph("ok")
         ok.add_node("m").add_variable("y", lower=0.0, upper=1.0)
         g.add_subgraph(ok)
-        with pytest.raises(SubproblemInfeasibleError):
+        with pytest.raises(SubproblemInfeasibleError, match=r"stage 'bad' infeasible during the relaxed bound; "
+                                                              r"the full problem is infeasible too$"):
             relaxed_parallel_bound(g)
 
     def test_unbounded_stage_gives_minus_infinity(self):
@@ -198,6 +199,7 @@ class TestRelaxedParallelBound:
         bound = relaxed_parallel_bound(g)
         assert bound.status == "unbounded"
         assert bound.objective == -math.inf
+        assert bound.stage_costs == [("wild", -math.inf)]  # the pass stops there
 
 
 class TestStagesWithoutAnOptimum:

@@ -464,9 +464,8 @@ class TestWarmStart:
         # above its bound, so the dual simplex complements it before x enters
         prob = make_problem([1.0], [[1.0]], ["eq"], [2.0], [0.0], [5.0])
         cold = solve_lp(prob)
-        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
-            warm = solve_lp(replace(prob, basis=Basis(np.array([AT_LOWER]), np.array([BASIC]))))
-        assert spy.call_count == 0 and warm.iterations == 1
+        warm = solve_lp(replace(prob, basis=Basis(np.array([AT_LOWER]), np.array([BASIC]))))
+        assert warm.starts == ("crash",) and warm.iterations == 1
         assert warm.objective == cold.objective == pytest.approx(2.0)
         np.testing.assert_allclose(warm.duals, [1.0])
         np.testing.assert_allclose(warm.reduced_costs, [0.0])
@@ -481,9 +480,8 @@ class TestWarmStart:
             prob = random_lp(rng, n_max=6, m_max=8)
         assert vertex_enumeration_lp(prob)[0] == "infeasible"
         hint = Basis(np.full(prob.n_cols, AT_LOWER), np.full(prob.n_rows, BASIC))
-        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
-            res = solve_lp(replace(prob, basis=hint))
-        assert res.status == "infeasible" and spy.call_count == 0
+        res = solve_lp(replace(prob, basis=hint))
+        assert res.status == "infeasible" and res.starts == ("crash",)
 
     def test_a_row_less_lp_re_solves_from_its_own_basis(self):
         prob = make_problem([-1.0, 2.0, -0.5], np.zeros((0, 3)), [], [], [0.0, -1.0, -np.inf], [2.5, 3.0, 4.0])
@@ -540,11 +538,6 @@ class TestWarmStart:
             assert res.iterations == 0
 
 
-def crash_builds():
-    """Counts the Gauss-Jordan tableau builds while active."""
-    return mock.patch.object(simplex, "_from_crash", wraps=simplex._from_crash)
-
-
 def kept_parent(rng):
     """A solved LP over a kept matrix whose basis keeps its final tableau, or ``None``."""
     for _ in range(50):
@@ -582,6 +575,30 @@ def kind_keeping_change(rng, prob, parent, change):
     return with_bounds(child, lo, hi)
 
 
+def test_a_result_names_every_start_its_solve_tried():
+    """A probe with ``max_iterations=-1`` names the same starts: the last is the one it built."""
+    prob = make_problem([-1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]], ["le", "ge"],
+                        [4.0, -2.0], [0.0] * 3, [3.0] * 3)
+    cold = solve_lp(prob)
+    assert cold.starts == ("logical",)
+    codes = Basis(cold.basis.columns, cold.basis.rows)
+    cut = prob.with_rows([({0: 1.0, 1: 1.0}, "le", 1.5, "cut")])
+    wrong_size = Basis(np.full(4, AT_LOWER), np.full(2, BASIC))
+    for problem, starts in [
+        (prob, ("logical",)),
+        (replace(prob, rhs=np.array([3.5, -1.0]), basis=cold.basis), ("kept",)),
+        (cut.with_changes(basis=cold.basis), ("bordered",)),
+        (replace(prob, basis=codes), ("crash",)),
+        (replace(prob, basis=wrong_size), ("crash", "logical")),
+    ]:
+        res = solve_lp(problem)
+        assert res.status == "optimal" and res.starts == starts
+        probe = solve_lp(problem, max_iterations=-1)
+        assert (probe.status, probe.starts) == ("iteration_limit", starts)
+    infeasible_bounds = with_bounds(prob, np.array([1.0, 0.0, 0.0]), np.array([0.0, 3.0, 3.0]))
+    assert solve_lp(infeasible_bounds).starts == ()  # no start is built
+
+
 class TestAllLogicalStart:
     """Verdicts the dual simplex reaches, or gives up on, from the all-logical tableau."""
 
@@ -613,10 +630,10 @@ class TestAllLogicalStart:
         with pytest.raises(NumericalBreakdownError, match=message):
             solve_lp(prob)
         # a hinted start tries once more from the all-logical tableau, no more
-        with mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as spy:
+        with mock.patch.object(simplex, "_solve_from", wraps=simplex._solve_from) as spy:
             with pytest.raises(NumericalBreakdownError, match=message):
                 solve_lp(self.starts(prob)[1])
-        assert spy.call_count == 1
+        assert spy.call_count == 2  # the crash build, then the all-logical tableau
 
 
 class TestKeptTableau:
@@ -634,9 +651,8 @@ class TestKeptTableau:
         prob, parent = drawn
         assert parent.basis._tableau is not None
         child = kind_keeping_change(rng, prob, parent, change)
-        with crash_builds() as spy:
-            kept = solve_lp(replace(child, basis=parent.basis))
-        assert spy.call_count == 0
+        kept = solve_lp(replace(child, basis=parent.basis))
+        assert kept.starts == ("kept",)
         crash = solve_lp(replace(child, basis=Basis(parent.basis.columns, parent.basis.rows)))
         cold = solve_lp(child)
         assert kept.status == crash.status == cold.status
@@ -693,27 +709,37 @@ class TestKeptTableau:
             again = problem.with_changes(basis=first.basis)
         else:
             again = replace(problem, basis=first.basis)
-        with crash_builds() as builds:
-            res = solve_lp(again)
-        assert (res.status, builds.call_count, res.iterations) == ("optimal", 0, 0)
+        res = solve_lp(again)
+        assert (res.status, res.starts, res.iterations) == ("optimal", ("kept",), 0)
+        assert res.objective == first.objective
+
+    def test_an_unpickled_basis_re_solves_from_its_kept_tableau(self):
+        """Its tableau's matrix is a copy with equal entries, which starts a solve as the original does."""
+        problem = flatten(generate_fixture("storage"))
+        first = solve_lp(problem)
+        copy = pickle.loads(pickle.dumps(first.basis))
+        assert copy._tableau.frame.a is not problem.dense_rows()
+        res = solve_lp(problem.with_changes(basis=copy))
+        assert (res.status, res.starts, res.iterations) == ("optimal", ("kept",), 0)
         assert res.objective == first.objective
 
     def boxed_lp(self):
         return make_problem([-1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]], ["le", "ge"],
                             [4.0, -2.0], [0.0] * 3, [3.0] * 3)
 
-    @pytest.mark.parametrize("change", [None, "matrix", "upper_only"])
+    @pytest.mark.parametrize("change", [None, "copy", "matrix", "upper_only"])
     def test_a_different_matrix_rebuilds_and_a_new_bound_pattern_does_not(self, change):
         prob = self.boxed_lp()
         parent = solve_lp(replace(prob, basis=solve_lp(prob).basis))
         child = replace(prob, rhs=np.array([3.5, -1.0]))
-        if change == "matrix":  # equal entries, another matrix object
+        if change == "copy":  # equal entries, another matrix object
             child = child.copy()
+        elif change == "matrix":  # one entry differs
+            child = replace(child, matrix=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.5]]))
         elif change == "upper_only":  # column 0 loses its lower bound, and rests at its upper one
             child = with_bounds(child, np.array([-np.inf, 0.0, 0.0]), child.upper)
-        with crash_builds() as spy:
-            res = solve_lp(replace(child, basis=parent.basis))
-        assert spy.call_count == (change == "matrix")
+        res = solve_lp(replace(child, basis=parent.basis))
+        assert res.starts == (("crash",) if change == "matrix" else ("kept",))
         rebuilt = solve_lp(replace(child, basis=Basis(parent.basis.columns, parent.basis.rows)))
         cold = solve_lp(child)
         assert res.status == rebuilt.status == cold.status == "optimal"
@@ -734,11 +760,9 @@ class TestKeptTableau:
                 raise NumericalBreakdownError("rounding in the kept tableau")
             return solve_from(problem, t, *args)
 
-        with mock.patch.object(simplex, "_solve_from", breaks_down_once), \
-                mock.patch.object(simplex, "_rebuilt", wraps=simplex._rebuilt) as rebuilds, \
-                mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts:
+        with mock.patch.object(simplex, "_solve_from", breaks_down_once):
             res = solve_lp(child)
-        assert (len(starts), rebuilds.call_count, cold_starts.call_count) == (2, 1, 0)
+        assert (len(starts), res.starts) == (2, ("kept", "rebuilt"))
         cold = solve_lp(replace(child, basis=None))
         assert res.status == cold.status == "optimal"
         assert res.objective == pytest.approx(cold.objective, rel=1e-12)
@@ -762,15 +786,11 @@ class TestBorderedRows:
                 rows.append(({j: a[j] for j in np.flatnonzero(a)}, sense, a @ parent.primal - cut, "cut"))
             grown = prob.with_rows(rows)
             np.testing.assert_array_equal(grown.dense_rows(), grown.copy().dense_rows())  # no rebuild needed
-            with mock.patch.object(simplex, "_bordered", wraps=simplex._bordered) as bordered_starts, \
-                    mock.patch.object(simplex, "_from_logical", wraps=simplex._from_logical) as cold_starts, \
-                    crash_builds() as builds:
-                bordered = solve_lp(grown.with_changes(basis=parent.basis))
-            assert (bordered_starts.call_count, cold_starts.call_count, builds.call_count) == (1, 0, 0)
+            bordered = solve_lp(grown.with_changes(basis=parent.basis))
+            assert bordered.starts == ("bordered",)
             codes = Basis(parent.basis.columns, np.concatenate([parent.basis.rows, np.full(k, BASIC, np.int8)]))
-            with crash_builds() as builds:
-                rebuilt = solve_lp(grown.with_changes(basis=codes))
-            assert builds.call_count == 1
+            rebuilt = solve_lp(grown.with_changes(basis=codes))
+            assert rebuilt.starts == ("crash",)
             assert bordered.status == rebuilt.status
             if bordered.status != "optimal":
                 continue
@@ -871,7 +891,7 @@ def test_a_pickled_result_keeps_its_duals_and_codes(rng):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(copy.basis.columns, milp.basis.columns)
         again = solve_milp(replace(prob, basis=copy.basis))
-        assert again.status == "optimal"
+        assert again.status == "optimal" and again.starts == ("kept",)
         assert again.objective == pytest.approx(milp.objective, rel=1e-9, abs=1e-9)
         solved += 1
     assert solved >= 10
