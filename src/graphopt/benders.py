@@ -12,21 +12,20 @@ are an upper bound.  Iteration stops when the relative gap closes, or
 as "stalled" when an iteration adds no cut and so would repeat itself.
 
 Two kinds of stage solve are skipped, since the run already holds their
-answer; both skips are exact.  A tight relaxation is its own cut: a MIP
-stage whose forward MILP's root relaxation, with no cut added since,
-reaches the MILP value v* takes its Lagrangian or strengthened cut from
-that relaxation, and no ascent runs (see :meth:`_Decomposition._child_cut`
-for why that is the ascent's own cut).  An unchanged stage returns its last
-result: a forward solve at its last solve's pins, with no cut added since
-and its basis still that result's, would only find the same tableau
-optimal again (see :meth:`StageProblem.solve`).
+answer; both skips are exact.  An unchanged stage returns its last result:
+a solve at its last solve's pins, with no cut added since and its basis
+still that result's, would only find the same tableau optimal again, and a
+MIP stage's forward MILP keeps its root relaxation as the backward pass's
+LP (see :meth:`StageProblem.solve`).  A tight relaxation is its own cut: a
+MIP stage whose own relaxation reaches the MILP value v* takes its
+Lagrangian or strengthened cut from it, and no ascent runs (see
+:meth:`_Decomposition._child_cut` for why that is the ascent's own cut).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,7 +44,7 @@ from .simplex import SolveResult
 from .solvers import LinearSolver, default_solver, require_status
 from .standard_form import check_solution, flatten, lp_relaxation
 from .subproblem import CutData, StageProblem
-from .transform import CondensedTopology, condensed_topology, first_level_topology
+from .transform import CondensedTopology, first_level_topology, links_to_last
 
 _INF = float("inf")
 _OPTIMAL = ("optimal",)
@@ -84,49 +83,35 @@ class Stage:
 
 
 class BendersTree:
-    """Stages in breadth-first order from a chosen root subgraph."""
+    """A validated graph's stages in breadth-first order from a chosen root subgraph.
 
-    def __init__(self, graph: Graph, root: Optional[str] = None, topology: Optional[CondensedTopology] = None):
-        subs = graph.local_subgraphs()
-        by_id = {s.id: s for s in subs}
-        if root is None:
-            root = subs[0].id
+    Each parent-level link goes to the later of its two subgraphs in that
+    order, its child stage (:func:`~graphopt.transform.links_to_last`).
+    """
+
+    def __init__(self, graph: Graph, root: Optional[str] = None):
+        topo = validate_structure(graph)
+        by_id = {s.id: s for s in graph.local_subgraphs()}
+        root = topo.vertices[0] if root is None else root
         if root not in by_id:
             raise RootNotFoundError(f"no first-level subgraph named {root!r}")
-        topo = topology or condensed_topology(graph)
-
-        adjacency = {
-            s.id: [t.id for t in subs if t.id != s.id and frozenset({s.id, t.id}) in topo.adjacency]
-            for s in subs
-        }
         self.root = root
         self.stages: dict[str, Stage] = {root: Stage(root, by_id[root], 1, None)}
         self.order: list[str] = [root]
-        queue = deque([root])
-        while queue:
-            gid = queue.popleft()
-            for nxt in adjacency[gid]:
-                if nxt in self.stages:
-                    continue
-                self.stages[nxt] = Stage(nxt, by_id[nxt], self.stages[gid].level + 1, gid)
-                self.stages[gid].children.append(nxt)
-                self.order.append(nxt)
-                queue.append(nxt)
-
-        for edge in graph.local_edges():
-            pair = {topo.owner[nid] for nid in edge.incident_nodes}
-            a, b = sorted(pair, key=lambda g: self.stages[g].level)
-            if self.stages[b].parent == a:
-                self.stages[b].relocated.extend(edge.constraints)
-
+        for gid in self.order:  # the walk reaches the stages that it appends, breadth first
+            for nxt in by_id:
+                if nxt not in self.stages and frozenset((gid, nxt)) in topo.adjacency:
+                    self.stages[nxt] = Stage(nxt, by_id[nxt], self.stages[gid].level + 1, gid)
+                    self.stages[gid].children.append(nxt)
+                    self.order.append(nxt)
+        for gid, rows in links_to_last(graph, topo, self.order).items():
+            self.stages[gid].relocated = rows
         self.n_levels = max(st.level for st in self.stages.values())
 
     def descendants(self, gid: str) -> list[str]:
         out = [gid]
-        i = 0
-        while i < len(out):
-            out.extend(self.stages[out[i]].children)
-            i += 1
+        for sid in out:  # the walk reaches the children that it appends
+            out.extend(self.stages[sid].children)
         return out
 
 
@@ -150,6 +135,9 @@ class BendersConfig:
             raise ValueError("tol must be positive")
         if self.lagrangian_iters < 1:
             raise ValueError("lagrangian_iters must be at least 1")
+        if self.strengthened and self.lagrangian:
+            raise ValueError("strengthened and lagrangian exclude each other: a strengthened cut is"
+                             " a Lagrangian ascent's first step")
         if not self.slack_penalty > 0:  # NaN too
             raise ValueError("slack_penalty must be positive")
         if self.slack_penalty == math.inf:
@@ -271,8 +259,7 @@ class _Decomposition:
         self.graph = graph
         self.config = config
         self.solver = solver
-        topo = validate_structure(graph)
-        self.tree = BendersTree(graph, root, topo)
+        self.tree = BendersTree(graph, root)
         self.problems: dict[str, StageProblem] = {}
         self.theta_index: dict[str, int] = {}
         for gid in self.tree.order:
@@ -358,8 +345,7 @@ class _Decomposition:
 
         A stage whose pins and rows are those of its last solve, and whose
         basis is still that solve's, returns that solve's result without a
-        solve (see :meth:`StageProblem.solve`); on a MIP stage the same
-        relaxation then certifies its cut again.
+        solve (see :meth:`StageProblem.solve`).
         """
         results: dict[str, SolveResult] = {self.tree.root: root_result}
         for gid in self.tree.order[1:]:
@@ -374,32 +360,26 @@ class _Decomposition:
     def backward(self, results: dict[str, SolveResult], iteration: int) -> int:
         """Harvest sensitivities leaves-first and install cuts on parents.
 
-        A stage's cut comes from the LP at its pins: a MIP stage's forward
-        MILP's own root relaxation while no cut has been added to it since,
-        else a fresh relaxation solve.  A MIP stage's own relaxation that
-        reaches the forward value v* is its own Lagrangian or strengthened
-        cut, so no ascent runs for it (:meth:`_child_cut`).
+        A stage's cut comes from its LP at the pins, :meth:`StageProblem.solve`
+        with ``relax=True``: the forward solve's own LP (a MIP stage's root
+        relaxation) while no cut has been added to the stage since, else a
+        fresh solve.  A MIP stage's own relaxation that reaches the forward
+        value v* is its own Lagrangian or strengthened cut, so no ascent runs
+        for it (:meth:`_child_cut`).
         """
         pending: dict[str, list[CutData]] = {}
-        fresh: dict[str, int] = {gid: 0 for gid in self.tree.order}
         added = 0
         # tree.order is breadth-first, so this walk reaches every stage after
         # its children, and the root last: each stage's cuts are all pending
         for gid in reversed(self.tree.order):
             if pending.get(gid):
-                n = self._install_cuts(gid, pending.pop(gid), iteration)
-                fresh[gid] += n
-                added += n
+                added += self._install_cuts(gid, pending.pop(gid), iteration)
             if gid == self.tree.root:
                 continue
             prob = self.problems[gid]
-            # a MIP stage's cut comes from its MILP's root relaxation, the
-            # LP at the same pins, unless a cut has been added since
-            res = results[gid].relaxation if prob.is_mip else results[gid]
-            own = not fresh[gid] and res is not None
-            if not own:
-                res = require_status(prob.solve(self.solver, relax=True), _OPTIMAL, SubproblemInfeasibleError,
-                                     f"stage {gid!r}", "the backward pass", prob.infeasible_hint)
+            res = require_status(prob.solve(self.solver, relax=True), _OPTIMAL, SubproblemInfeasibleError,
+                                 f"stage {gid!r}", "the backward pass", prob.infeasible_hint)
+            own = res is (results[gid].relaxation if prob.is_mip else results[gid])
             # the forward-pass value is the stage's own value at the pins, or
             # a lower estimate of it once a cut has been added since
             pending.setdefault(self.tree.stages[gid].parent, []).append(

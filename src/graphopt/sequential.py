@@ -25,7 +25,7 @@ from .model import Constraint, Graph, VariableRef
 from .solvers import LinearSolver, require_status
 from .standard_form import check_solution
 from .subproblem import StageProblem
-from .transform import first_level_topology
+from .transform import first_level_topology, links_to_last
 
 _INF = float("inf")
 
@@ -60,15 +60,9 @@ def sequential_solve(
         raise UsageError("slack_penalty must be positive")
     if slack_penalty == _INF:
         raise UsageError("slack_penalty must be finite")
-    position = {gid: i for i, gid in enumerate(order)}
-
-    relocated: dict[str, list[Constraint]] = {gid: [] for gid in order}
-    for edge in graph.local_edges():
-        last = max((topo.owner[nid] for nid in edge.incident_nodes), key=position.__getitem__)
-        relocated[last].extend(edge.constraints)
-
-    return _stage_pass(graph, [(gid, by_id[gid], relocated[gid]) for gid in order], solver,
-                       "the sequential pass", "", add_slacks=add_slacks, slack_penalty=slack_penalty)
+    stages = [(gid, by_id[gid], rows) for gid, rows in links_to_last(graph, topo, order).items()]
+    return _stage_pass(graph, stages, solver, "the sequential pass", "", add_slacks=add_slacks,
+                       slack_penalty=slack_penalty)
 
 
 def relaxed_parallel_bound(

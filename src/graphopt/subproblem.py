@@ -15,9 +15,10 @@ else, so a problem handed out earlier keeps its rows and its matrix.  The
 stage keeps one basis, its last optimal solve's, and every solve of it
 starts there: forward, backward and each Lagrangian step.  The simplex
 borders that basis's kept tableau with the cut rows added since (see
-:mod:`graphopt.simplex`).  The stage also keeps its last solve's result
-until new pins, a cut or a solve from another basis changes what a solve
-would start from, and returns it for an unchanged stage.
+:mod:`graphopt.simplex`).  The stage also keeps its last solve's result,
+and a MILP's root relaxation with it, until new pins, a cut or a solve from
+another basis changes what a solve would start from, and answers an
+unchanged stage's solve with it.
 
 Column layout is fixed as ``[own variables][copies][slacks][thetas]`` so a
 stage built without thetas produces exactly the same pivot sequence as one
@@ -78,9 +79,10 @@ class CutData:
 class StageProblem:
     """Solvable form of one subgraph with relocated rows, pinned copies and cuts.
 
-    :meth:`solve` returns the last result again while the stage is unchanged:
-    :meth:`set_fixed_values` with new values and :meth:`add_cut` drop it, and
-    a Lagrangian step moves the kept basis away from it.
+    :meth:`solve` returns the last result again while the stage is unchanged,
+    and after a MILP its root relaxation for ``relax=True``:
+    :meth:`set_fixed_values` with new values and :meth:`add_cut` drop both,
+    and a Lagrangian step moves the kept basis away from them.
     """
 
     def __init__(
@@ -150,8 +152,8 @@ class StageProblem:
         self._new_rows: list[tuple[dict[int, float], str, float, str]] = []  # cut rows not yet in _problem
         # the last optimal solve's basis (a MILP's root basis); every solve starts there
         self._basis: Optional[Basis] = None
-        # (relax, result) of the last solve, until new pins or a cut change what it solved
-        self._last: Optional[tuple[bool, SolveResult]] = None
+        # the last solve's result by ``relax``, a MILP's root relaxation under True, until new pins or a cut
+        self._last: dict[bool, SolveResult] = {}
 
     def fixed_values(self) -> np.ndarray:
         return self._problem.lower[self._copies]
@@ -165,7 +167,7 @@ class StageProblem:
                 f"expected {len(self.fixed_refs)} fixed values, got {vals.size}"
             )
         if vals.tobytes() != self.fixed_values().tobytes():
-            self._last = None
+            self._last = {}
         self._problem.lower[self._copies] = self._problem.upper[self._copies] = vals
 
     def add_cut(self, cut: CutData) -> None:
@@ -180,7 +182,7 @@ class StageProblem:
                 coefs[col] = coefs.get(col, 0.0) + float(coef)
         rhs = float(cut.pi @ cut.anchor) - cut.phi
         self._new_rows.append((coefs, "le", rhs, f"cut:{cut.child_id}:{cut.kind}:{cut.iteration}"))
-        self._last = None
+        self._last = {}
         self.cuts.append(cut)
         self._cuts_by_key.setdefault((cut.child_id, cut.theta_index), []).append(cut)
 
@@ -238,18 +240,22 @@ class StageProblem:
 
         That basis may be a Lagrangian step's, under other costs and with the
         copies unpinned; the simplex starts from any basis (see
-        :mod:`graphopt.simplex`).  An unchanged stage returns its last result
-        instead: the same ``relax``, pins equal to that solve's bit for bit,
-        no cut added since, and that result's basis still the kept one.  This
-        is exact: a re-solve would start from that basis's own tableau under
-        the same bounds, rows and costs, so it could only return the same
-        result.
+        :mod:`graphopt.simplex`).  An LP stage is its own relaxation.  An
+        unchanged stage returns its last result instead: the same ``relax``,
+        pins equal to that solve's bit for bit, no cut added since, and that
+        result's basis still the kept one.  A MILP's root relaxation is the
+        LP at the same pins, so it answers ``relax=True`` likewise.  This is
+        exact: a re-solve would start from that basis's own tableau under the
+        same bounds, rows and costs, so it could only return the same result.
         """
-        last = self._last
-        if last is not None and last[0] == relax and last[1].basis is self._basis:
-            return last[1]
+        relax = relax and self.is_mip
+        last = self._last.get(relax)
+        if last is not None and last.basis is self._basis:
+            return last
         result = self._solve(self.problem(relax=relax), solver)
-        self._last = (relax, result) if result.basis is not None else None
+        self._last = {relax: result} if result.basis is not None else {}  # only optimal solves have a basis
+        if result.relaxation is not None:  # an optimal MILP's root relaxation, the LP at the same pins
+            self._last[True] = result.relaxation
         return result
 
     def solve_lagrangian(self, mu: np.ndarray, anchor: np.ndarray,

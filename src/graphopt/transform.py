@@ -7,7 +7,7 @@ problem up to variable renaming, so optimal values are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     EmptyBlockError,
@@ -24,7 +24,7 @@ from .errors import (
     PartitionError,
     SubgraphNotAdjacentError,
 )
-from .model import Edge, Graph, LinearExpression, Node, VariableRef
+from .model import Constraint, Edge, Graph, LinearExpression, Node, VariableRef
 
 
 @dataclass(frozen=True)
@@ -264,11 +264,13 @@ def aggregate_to_depth(graph: Graph, level: int) -> tuple[Graph, dict[VariableRe
 
     ``level`` counts subgraph layers from the root: 0 turns each first-level
     subgraph into a single node, 1 keeps the first layer and collapses the
-    second, and so on.  Must be smaller than the graph depth.
+    second, and so on.  Must be smaller than the graph depth.  A node shared
+    between subgraphs would be copied into each, so it is rejected.
     """
     depth = graph.depth()
     if level < 0 or level >= depth:
         raise LevelOutOfRangeError(f"level {level} out of range for graph of depth {depth}")
+    _reject_shared_nodes(graph)
     ref_map: dict[VariableRef, VariableRef] = {}
 
     def clone(g: Graph, remaining: int) -> Graph:
@@ -337,11 +339,28 @@ def first_level_topology(graph: Graph) -> CondensedTopology:
         raise LocalNodesAtRootError(
             f"nodes {names} sit directly on {graph.id!r}; move them into a subgraph"
         )
+    _reject_shared_nodes(graph)
+    return topo
+
+
+def _reject_shared_nodes(graph: Graph) -> None:
     ids = [n.id for g in [graph] + graph.all_subgraphs() for n in g.local_nodes()]
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise OverlapUnsupportedError(f"shared nodes {dupes} are not supported; lift them first")
-    return topo
+
+
+def links_to_last(graph: Graph, topo: CondensedTopology, order: Sequence[str]) -> dict[str, list[Constraint]]:
+    """The rows of each parent-level link, under whichever of its subgraphs comes last in ``order``.
+
+    ``order`` lists each subgraph of ``topo``, the graph's :func:`first_level_topology`, once.
+    """
+    position = {gid: i for i, gid in enumerate(order)}
+    rows: dict[str, list[Constraint]] = {gid: [] for gid in order}
+    for edge in graph.local_edges():
+        last = max((topo.owner[nid] for nid in edge.incident_nodes), key=position.__getitem__)
+        rows[last].extend(edge.constraints)
+    return rows
 
 
 def reroute_link(graph: Graph, edge: Edge, via: Graph) -> Graph:

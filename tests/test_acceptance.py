@@ -285,7 +285,7 @@ def test_criterion_06_cut_families_valid_tangent_and_ordered():
     runs = {
         "pcm": run_decomposition(pcm, "b1", BendersConfig(add_slacks=True, max_iters=15)),
         "chain": run_decomposition(
-            chain, "g1", BendersConfig(strengthened=True, lagrangian=True, max_iters=20)
+            chain, "g1", BendersConfig(lagrangian=True, max_iters=20)
         ),
     }
     rng = np.random.default_rng(11)
@@ -361,7 +361,7 @@ def test_criterion_07_bound_histories_monotone():
     cem = mini_cem_fixture()
     runs = [
         run_decomposition(storage, "design", BendersConfig(add_slacks=True)),
-        run_decomposition(chain3_fixture(), "g1", BendersConfig(lagrangian=True, strengthened=True)),
+        run_decomposition(chain3_fixture(), "g1", BendersConfig(lagrangian=True)),
         run_decomposition(chain3_fixture(), "g2", BendersConfig(multicut=True, max_iters=8)),
         run_decomposition(mini_pcm_fixture(), "b1", BendersConfig(add_slacks=True, max_iters=10)),
         run_decomposition(cem, "planning", BendersConfig(max_iters=3)),

@@ -201,6 +201,23 @@ class TestTree:
         tree = BendersTree(cem_graph, root="ops1")
         assert set(tree.descendants("planning")) == {"planning", "ops2", "ops3"}
 
+    @pytest.mark.parametrize("links, error", [
+        ([(0, 1), (1, 2), (0, 2)], CyclicStructureError),  # no stage tree holds all three links
+        ([(0, 1), (0, 1, 2)], HyperedgeSpanError),
+    ], ids=["triangle", "hyperedge"])
+    def test_the_tree_validates_its_graph(self, links, error):
+        """Single-node subgraphs s0, s1, s2, one link per tuple of their indices."""
+        g = Graph("g")
+        refs = []
+        for i in range(3):
+            sub = Graph(f"s{i}")
+            refs.append(sub.add_node(f"n{i}").add_variable("x", lower=0.0, upper=1.0))
+            g.add_subgraph(sub)
+        for link in links:
+            g.add_link_constraint(sum((refs[i] for i in link[1:]), 1.0 * refs[link[0]]), "le", 2.0)
+        with pytest.raises(error):
+            BendersTree(g, "s0")
+
 
 class TestStageProblem:
     def test_copy_columns_and_fixing_rows(self, chain3_graph):
@@ -639,11 +656,15 @@ class TestLagrangianAscent:
 
 
 class CountingSolver(SimplexSolver):
-    """The built-in solver, counting its MILP solves and their nodes."""
+    """The built-in solver, counting its LP and MILP solves and the MILPs' nodes."""
 
     def __init__(self):
         super().__init__()
-        self.milps = self.nodes = 0
+        self.lps = self.milps = self.nodes = 0
+
+    def solve_lp(self, problem):
+        self.lps += 1
+        return super().solve_lp(problem)
 
     def solve_milp(self, problem):
         res = super().solve_milp(problem)
@@ -657,7 +678,7 @@ def without_skips(monkeypatch):
     solve, child_cut = StageProblem.solve, _Decomposition._child_cut
 
     def every_solve(prob, solver=None, relax=False):
-        prob._last = None
+        prob._last.clear()
         return solve(prob, solver, relax)
 
     monkeypatch.setattr(StageProblem, "solve", every_solve)
@@ -677,18 +698,49 @@ class TestSkippedStageSolves:
         first = prob.solve(solver)
         prob.set_fixed_values([0.0])
         assert prob.solve(solver) is first and solver.milps == 1
-        assert prob.solve(solver, relax=True).status == "optimal"  # not the MILP's result
-        assert prob.solve(solver) is not first and solver.milps == 2
+        assert prob.solve(solver, relax=True) is first.relaxation  # the MILP's root relaxation, kept with it
+        assert prob.solve(solver) is first and solver.milps == 1
         prob.set_fixed_values([-0.0])  # the same value, but not the same bits
         again = prob.solve(solver)
-        assert again is not first and solver.milps == 3
+        assert again is not first and solver.milps == 2
         assert prob.solve_lagrangian(np.array([1.0]), np.array([0.0]), solver).status == "optimal"
-        assert prob.solve(solver) is not again and solver.milps == 5  # the kept basis moved
+        assert prob.solve(solver) is not again and solver.milps == 4  # the kept basis moved
         refs = tuple(r for r in prob.columns if r.qualified_name == "n2.x")
         prob.add_cut(CutData("g3", refs, np.array([-1.0]), 2.0, np.array([0.0]), "benders", 1, 0))
         after = prob.solve(solver)
-        assert solver.milps == 6
+        assert solver.milps == 5
         assert after.objective == pytest.approx(solve_milp(prob.problem()).objective, rel=1e-9)
+
+    def test_a_milp_keeps_its_root_relaxation_as_the_stage_s_lp(self, chain3_graph):
+        st = BendersTree(chain3_graph, root="g1").stages["g2"]  # a MIP stage with a child
+        prob = StageProblem(st.subgraph, st.relocated, theta_count=1)
+        solver = CountingSolver()
+        prob.set_fixed_values([0.0])
+        milp = prob.solve(solver)
+        assert prob.solve(solver, relax=True) is milp.relaxation and (solver.lps, solver.milps) == (0, 1)
+        refs = tuple(r for r in prob.columns if r.qualified_name == "n2.x")
+        changes = {
+            "new pins": lambda: prob.set_fixed_values([1.0]),
+            "a cut": lambda: prob.add_cut(CutData("g3", refs, np.array([-1.0]), 2.0, np.array([0.0]),
+                                                  "benders", 1, 0)),
+            "a Lagrangian step": lambda: prob.solve_lagrangian(np.array([1.0]), np.array([1.0]), solver),
+        }
+        for k, (change, make) in enumerate(changes.items(), start=1):
+            milp = prob.solve(solver)
+            make()
+            relaxed = prob.solve(solver, relax=True)
+            assert relaxed is not milp.relaxation and solver.lps == k, change
+            assert prob.solve(solver, relax=True) is relaxed and solver.lps == k, change
+
+    def test_an_lp_stage_is_its_own_relaxation(self):
+        g, _, _ = toy_two_stage()
+        st = BendersTree(g, root="p").stages["c"]
+        prob = StageProblem(st.subgraph, st.relocated)
+        solver = CountingSolver()
+        prob.set_fixed_values([0.25])
+        forward = prob.solve(solver)
+        assert not prob.is_mip and forward.relaxation is None
+        assert prob.solve(solver, relax=True) is forward and solver.lps == 1
 
     def test_a_pcm_milp_call_solves_each_stage_milp_once_per_change(self):
         graph, root, config = pcm_milp_run()
@@ -773,21 +825,23 @@ class TestCuts:
         assert checked >= 3
 
     def test_a_mip_stage_takes_its_cut_from_the_milp_root_relaxation(self, chain3_graph, monkeypatch):
-        """Without a cut added since the forward pass, the backward pass solves nothing for the stage."""
+        """Without a cut added since the forward pass, the stage answers the backward pass with no solve."""
         dec = _Decomposition(chain3_graph, "g1", BendersConfig(), default_solver())
         results = dec.forward(dec.problems["g1"].solve())
         leaf = dec.problems["g3"]
         assert leaf.is_mip and not leaf.theta_cols
-        solved = []
+        answers = {}
         stage_solve = StageProblem.solve
 
         def recorded(prob, solver=None, relax=False):
-            solved.append(prob.graph.id)
-            return stage_solve(prob, solver, relax)
+            answers[prob.graph.id] = stage_solve(prob, solver, relax)
+            return answers[prob.graph.id]
 
         monkeypatch.setattr(StageProblem, "solve", recorded)
         assert dec.backward(results, 1) == 2
-        assert solved == ["g2"]  # g2 got g3's cut, so its relaxation is solved afresh
+        assert list(answers) == ["g3", "g2"]  # the backward pass asks every stage below the root
+        assert answers["g3"] is results["g3"].relaxation  # the forward MILP's own, with no solve
+        assert answers["g2"] is not results["g2"].relaxation  # g2 got g3's cut, so it solved afresh
         cut = dec.cuts[0]
         assert cut.child_id == "g3"
         relaxed = stage_solve(leaf, relax=True)
@@ -813,7 +867,7 @@ class TestCuts:
         assert phi_l <= exact + 1e-9  # the Lagrangian bound never overshoots
 
     def test_strengthened_cuts_stay_valid_underestimators(self, chain3_graph):
-        config = BendersConfig(strengthened=True, lagrangian=True, max_iters=20)
+        config = BendersConfig(lagrangian=True, max_iters=20)
         res = run_decomposition(chain3_graph, root="g1", config=config)
         kinds = {cut.kind for cut in res.cuts}
         assert "lagrangian" in kinds or "strengthened" in kinds

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graphopt.benders import BendersConfig
 from graphopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_ITER_LIMIT,
@@ -98,7 +99,7 @@ class TestExitCodes:
                 "--fixture", "chain3_milp",
                 "--mode", "benders",
                 "--root", "g2",
-                "--multicut", "--strengthened", "--lagrangian",
+                "--multicut", "--lagrangian",
                 "--output", str(out),
             ]
         )
@@ -203,6 +204,16 @@ class TestExitCodes:
                                                             flag, value, message):
         argv = ["--fixture", "storage", "--mode", "benders", "--root", "design",
                 "--partition", membership_file, flag, value]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_strengthened_with_lagrangian_is_a_usage_error(self, capsys):
+        """The pair ran exactly the Lagrangian run, with the strengthened flag silently ignored."""
+        message = ("strengthened and lagrangian exclude each other:"
+                   " a strengthened cut is a Lagrangian ascent's first step")
+        with pytest.raises(ValueError, match=message):
+            BendersConfig(strengthened=True, lagrangian=True)
+        argv = ["--fixture", "chain3_milp", "--mode", "benders", "--root", "g2", "--strengthened", "--lagrangian"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -18,7 +18,7 @@ from graphopt import (
     SubgraphNotAdjacentError,
     flatten,
 )
-from graphopt.benders import validate_structure
+from graphopt.benders import BendersTree, validate_structure
 from graphopt.fixtures import storage_fixture, storage_membership
 from graphopt.sequential import relaxed_parallel_bound, sequential_solve
 from graphopt.serialize import load_instance, save_instance
@@ -269,6 +269,23 @@ class TestAggregate:
         res, _ = solve_flat(shallow)
         assert res.objective == pytest.approx(base.objective, abs=1e-9)
 
+    def test_aggregate_to_depth_rejects_a_shared_node(self):
+        """A node in two subgraphs would be copied into both aggregated nodes, with its objective twice."""
+        g = Graph("g", allow_overlap=True)
+        a, b = Graph("a"), Graph("b")
+        s = a.add_node("s")
+        x = s.add_variable("x", lower=0.0, upper=5.0)
+        s.set_objective(-1.0 * x)
+        g.add_subgraph(a)
+        b.attach_node(s)
+        y = b.add_node("o").add_variable("y", lower=0.0, upper=5.0)
+        g.add_subgraph(b)
+        g.add_link_constraint(x + y, "le", 4.0)
+        assert solve_flat(g)[0].objective == pytest.approx(-4.0)
+        assert solve_flat(aggregate(g)[0])[0].objective == pytest.approx(-4.0)
+        with pytest.raises(OverlapUnsupportedError, match=r"shared nodes \['s'\]"):
+            aggregate_to_depth(g, 0)
+
     def test_level_out_of_range(self, chain3_graph):
         with pytest.raises(LevelOutOfRangeError):
             aggregate_to_depth(chain3_graph, 1)  # depth is 1, valid levels are {0}
@@ -370,7 +387,7 @@ class TestFirstLevelTopology:
         assert topo.adjacency == {frozenset(("left", "right")): 2}
 
     @pytest.mark.parametrize(
-        "entry", [first_level_topology, validate_structure, sequential_solve, relaxed_parallel_bound]
+        "entry", [first_level_topology, validate_structure, BendersTree, sequential_solve, relaxed_parallel_bound]
     )
     @pytest.mark.parametrize(
         "build, error",
